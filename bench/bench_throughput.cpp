@@ -7,14 +7,6 @@
 // n in {64, 256, 1024}. Results go to stdout and to a JSON file so the
 // perf trajectory is tracked across PRs.
 //
-// The aggregation_intra_* legs measure the OTHER axis of parallelism: one
-// huge-n trial sharded across cores by the intra-trial block engine
-// (core::Engine::runBlocked), at intra-worker counts 1/2/4/8 against the
-// serial engine loop. Each leg reports intra_tK_trials_per_sec per worker
-// count plus intra_speedup_t8 (the 8-worker scaling-curve point the CI
-// gate's --min-speedup floor reads), and self-checks that every intra run
-// folds statistics bit-identical to the serial loop.
-//
 // Usage: bench_throughput [--quick] [--out PATH] [--threads K]
 //   --quick    smoke mode for CI: fewer sizes and trials
 //   --out      JSON output path (default BENCH_throughput.json)
@@ -115,73 +107,6 @@ Row benchOne(std::size_t n, std::size_t trials, std::size_t threads,
   return row;
 }
 
-constexpr std::size_t kIntraWorkerCounts[] = {1, 2, 4, 8};
-
-struct IntraRow {
-  std::string leg;
-  std::size_t n = 0;
-  std::size_t trials = 0;
-  double serial_seconds = 0.0;
-  // Seconds per worker count, same order as kIntraWorkerCounts.
-  std::vector<double> intra_seconds;
-  double mean_interactions = 0.0;
-
-  double serialRate() const { return trials / serial_seconds; }
-  double intraRate(std::size_t i) const { return trials / intra_seconds[i]; }
-  /// serial engine loop vs blocked engine at the largest worker count —
-  /// the scaling-curve point the CI gate's --min-speedup floor reads.
-  double speedupT8() const {
-    return serial_seconds / intra_seconds.back();
-  }
-};
-
-/// One intra-trial scaling leg: few huge trials (threads = 1 throughout),
-/// the serial loop against the blocked engine at 1/2/4/8 intra workers.
-/// `max_interactions` caps runs whose termination point would be
-/// impractical (n = 65536 needs ~n^2 interactions) — throughput over a
-/// fixed dispatch budget is still a like-for-like scaling measurement.
-IntraRow benchIntraOne(std::size_t n, std::size_t trials,
-                       doda::core::Time max_interactions, std::string leg) {
-  MeasureConfig config;
-  config.node_count = n;
-  config.trials = trials;
-  config.seed = 0x1472a'0000 + n;
-  config.threads = 1;
-  if (max_interactions != 0) config.max_interactions = max_interactions;
-
-  IntraRow row;
-  row.leg = std::move(leg);
-  row.n = n;
-  row.trials = trials;
-
-  MeasureResult serial;
-  row.serial_seconds = secondsOf(
-      [&] { return measureRandomized(config, gathering()); }, serial);
-  row.mean_interactions = serial.interactions.mean();
-
-  for (const std::size_t workers : kIntraWorkerCounts) {
-    MeasureConfig c = config;
-    c.intra_trial_workers = workers;
-    // Engage the blocked engine even at one worker (partitions > 1), so
-    // intra_t1 measures the blocked engine's serial overhead, not the
-    // serial loop again.
-    c.intra_trial_partitions = std::max<std::size_t>(workers, 2);
-    MeasureResult intra;
-    row.intra_seconds.push_back(
-        secondsOf([&] { return measureRandomized(c, gathering()); }, intra));
-    // The blocked engine's contract: bit-identical statistics for every
-    // workers/partitions choice.
-    if (serial.interactions.mean() != intra.interactions.mean() ||
-        serial.interactions.variance() != intra.interactions.variance() ||
-        serial.failed_trials != intra.failed_trials) {
-      std::cerr << "FATAL: serial and intra-trial statistics diverge at n="
-                << n << " workers=" << workers << "\n";
-      std::exit(2);
-    }
-  }
-  return row;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -231,19 +156,6 @@ int main(int argc, char** argv) {
   const std::vector<Point> agg_points =
       quick ? std::vector<Point>{{256, 8}}
             : std::vector<Point>{{1024, 24}, {4096, 6}};
-  // Intra-trial scaling legs: ONE trial at a time sharded across cores.
-  // n = 4096 terminates naturally (~n^2 interactions); the full-mode
-  // n = 65536 leg caps the dispatch budget — termination there needs
-  // ~4 * 10^9 interactions.
-  struct IntraPoint {
-    std::size_t n;
-    std::size_t trials;
-    doda::core::Time max_interactions;  // 0 = uncapped
-  };
-  const std::vector<IntraPoint> intra_points =
-      quick ? std::vector<IntraPoint>{{4096, 2, 0}}
-            : std::vector<IntraPoint>{{4096, 4, 0},
-                                      {65536, 1, doda::core::Time{1} << 25}};
 
   std::vector<Row> rows;
   auto runPoint = [&](const Point& point,
@@ -268,22 +180,6 @@ int main(int argc, char** argv) {
     runPoint(point, gathering(),
              "aggregation_n" + std::to_string(point.n));
 
-  std::vector<IntraRow> intra_rows;
-  for (const auto& point : intra_points) {
-    std::string leg = "aggregation_intra_n" + std::to_string(point.n);
-    if (point.max_interactions != 0) leg += "_capped";
-    std::printf("%-20s n=%-5zu trials=%-5zu ...", leg.c_str(), point.n,
-                point.trials);
-    std::fflush(stdout);
-    const IntraRow row = benchIntraOne(point.n, point.trials,
-                                       point.max_interactions, leg);
-    std::printf(" serial %6.2f trials/s |", row.serialRate());
-    for (std::size_t i = 0; i < row.intra_seconds.size(); ++i)
-      std::printf(" t%zu %6.2f |", kIntraWorkerCounts[i], row.intraRate(i));
-    std::printf(" speedup(t8) %.2fx\n", row.speedupT8());
-    intra_rows.push_back(row);
-  }
-
   json << "{\n"
        << "  \"bench\": \"throughput\",\n"
        << "  \"workload\": \"measureRandomized + WaitingGreedy(tau*) / "
@@ -302,19 +198,7 @@ int main(int argc, char** argv) {
          << ", \"parallel_threads\": " << row.parallel_threads
          << ", \"speedup\": " << row.speedup()
          << ", \"mean_interactions\": " << row.mean_interactions << "}"
-         << (i + 1 < rows.size() || !intra_rows.empty() ? "," : "") << "\n";
-  }
-  for (std::size_t i = 0; i < intra_rows.size(); ++i) {
-    const IntraRow& row = intra_rows[i];
-    json << "    {\"leg\": \"" << row.leg << "\", \"n\": " << row.n
-         << ", \"trials\": " << row.trials
-         << ", \"serial_trials_per_sec\": " << row.serialRate();
-    for (std::size_t k = 0; k < row.intra_seconds.size(); ++k)
-      json << ", \"intra_t" << kIntraWorkerCounts[k]
-           << "_trials_per_sec\": " << row.intraRate(k);
-    json << ", \"intra_speedup_t8\": " << row.speedupT8()
-         << ", \"mean_interactions\": " << row.mean_interactions << "}"
-         << (i + 1 < intra_rows.size() ? "," : "") << "\n";
+         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
   std::cout << "wrote " << out_path << "\n";

@@ -5,10 +5,8 @@
 // group-unit store (dynagraph/trace_io) in scratch directories, plus an
 // imported contact-event CSV (dynagraph/trace_import), then measures:
 // pure compressed-block decode throughput per codec (decode_v2 adaptive
-// range coder vs decode_v3 interleaved rANS vs decode_v4 group units —
-// the PR-7 headline), block-parallel decode of single huge trials
-// (decode_v4_parallel_trial, riding the block index on a borrowed
-// worker pool), materialized replay (per-trial decode + meetTime oracle,
+// range coder vs decode_v3 interleaved rANS vs decode_v4 group units),
+// materialized replay (per-trial decode + meetTime oracle,
 // WaitingGreedy), fully streamed replay (zero materialization, Gathering)
 // serially and with a worker pool on the mmap-backed reader (kAuto), a
 // buffered-stream v1 leg pinning the exact PR-2 configuration, and a
@@ -30,7 +28,6 @@
 
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -157,7 +154,6 @@ int main(int argc, char** argv) {
   const std::string dir_v2 = root + "/v2";
   const std::string dir_v3 = root + "/v3";
   const std::string dir_v4 = root + "/v4";
-  const std::string dir_big = root + "/big";
   const std::string dir_import_v1 = root + "/import_v1";
   const std::string dir_import = root + "/import";
   const std::string events_csv = root + "/events.csv";
@@ -262,69 +258,6 @@ int main(int argc, char** argv) {
       legs.back().interactions_per_sec / decode_v3_per_sec;
   std::printf("decode: v4 group units %.2fx the v3 varint throughput\n",
               decode_speedup_v4);
-
-  // Block-parallel decode of single huge trials: a dedicated store whose
-  // trials each span many index blocks, decoded with a borrowed worker
-  // pool through readRest. On a single-core runner the pool is inert and
-  // this leg degenerates to sequential decode — the CI gate marks it as a
-  // parallel-scaling leg, skipped when hardware_concurrency == 1.
-  const std::size_t big_n = 256;
-  const std::size_t big_trials = 2;
-  const doda::core::Time big_length = quick ? (1u << 20) : (1u << 22);
-  {
-    doda::sim::MeasureConfig big_config;
-    big_config.node_count = big_n;
-    big_config.trials = big_trials;
-    big_config.seed = 0xb16;
-    doda::sim::recordSynthetic(dir_big, big_config, big_length, 1);
-  }
-  const auto store_big = TraceStore::open(dir_big);
-  const std::size_t pool_workers = std::max<std::size_t>(
-      2, threads != 0 ? threads : std::thread::hardware_concurrency());
-  doda::dynagraph::TraceDecodePool decode_pool;
-  decode_pool.workers = pool_workers;
-  decode_pool.run = [pool_workers](
-                        std::size_t count,
-                        const std::function<void(std::size_t)>& task) {
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(std::min(pool_workers, count));
-    for (std::size_t w = 0; w < std::min(pool_workers, count); ++w)
-      pool.emplace_back([&] {
-        for (std::size_t i = next.fetch_add(1); i < count;
-             i = next.fetch_add(1))
-          task(i);
-      });
-    for (auto& worker : pool) worker.join();
-  };
-  std::uint64_t big_sequential_hash = 0, big_pooled_hash = 0;
-  auto decodeBig = [&](const doda::dynagraph::TraceDecodePool* pool) {
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    auto reader = store_big.openShard(0);
-    reader.setDecodePool(pool);
-    while (reader.beginTrial()) {
-      const auto seq = reader.readRest();
-      for (const auto& interaction : seq.interactions()) {
-        hash = (hash ^ interaction.a()) * 0x100000001b3ULL;
-        hash = (hash ^ interaction.b()) * 0x100000001b3ULL;
-      }
-    }
-    return hash;
-  };
-  const int reps_big = 4;
-  const double big_interactions =
-      static_cast<double>(big_trials) * static_cast<double>(big_length);
-  runLeg("decode_v4_parallel_trial", big_trials * reps_big,
-         big_interactions * reps_big, [&] {
-           for (int rep = 0; rep < reps_big; ++rep)
-             big_pooled_hash = decodeBig(&decode_pool);
-         });
-  big_sequential_hash = decodeBig(nullptr);
-  if (big_sequential_hash != big_pooled_hash) {
-    std::cerr << "FATAL: pooled single-trial decode diverges from "
-                 "sequential\n";
-    return 2;
-  }
 
   ReplayConfig serial_cfg;
   serial_cfg.threads = 1;

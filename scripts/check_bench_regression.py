@@ -34,10 +34,10 @@ Noise hardening (the CI container is 1-2 shared cores):
 
 Scaling floors: ``--min-speedup LEG/METRIC=FLOOR`` (repeatable) checks an
 *absolute* property of the CURRENT run rather than a delta against the
-baseline: the named metric (e.g. the intra-trial engine's
-``intra_speedup_t8``) must be at least FLOOR. This is the multi-core
-scaling-curve gate — a baseline delta cannot express "8 workers must
-actually beat the serial loop", only "no slower than last time". Floors
+baseline: the named metric (e.g. the trial fan-out's ``speedup`` on the
+``aggregation_n256`` leg) must be at least FLOOR. This is the multi-core
+scaling-curve gate — a baseline delta cannot express "the worker pool
+must actually beat the serial loop", only "no slower than last time". Floors
 are skipped with a notice when the current run reports
 ``hardware_concurrency`` 1 (a speedup on a single core is meaningless),
 and a floor failure triggers the same best-of-N retry loop as a
@@ -289,7 +289,7 @@ def write_step_summary(text: str) -> None:
 
 
 def parse_min_speedup(spec: str) -> tuple[str, str, float]:
-    """'aggregation_intra_n4096/intra_speedup_t8=1.5' -> (leg, metric, floor)."""
+    """'aggregation_n256/speedup=1.2' -> (leg, metric, floor)."""
     head, sep, value = spec.partition("=")
     if not sep or "/" not in head:
         raise argparse.ArgumentTypeError(
@@ -361,7 +361,7 @@ def main() -> int:
         default=[],
         metavar="LEG/METRIC=FLOOR",
         help="absolute scaling floor on the current run (repeatable), e.g. "
-             "aggregation_intra_n4096/intra_speedup_t8=1.5; skipped when "
+             "aggregation_n256/speedup=1.2; skipped when "
              "the current run reports hardware_concurrency 1",
     )
     parser.add_argument(

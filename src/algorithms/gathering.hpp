@@ -18,7 +18,6 @@ class Gathering final : public core::DodaAlgorithm {
  public:
   std::string name() const override { return "Gathering"; }
   bool isOblivious() const override { return true; }
-  bool isEndpointLocal() const override { return true; }
   std::string knowledge() const override { return "none"; }
 
   std::optional<core::NodeId> decide(const core::Interaction& i,

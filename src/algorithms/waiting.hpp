@@ -15,7 +15,6 @@ class Waiting final : public core::DodaAlgorithm {
  public:
   std::string name() const override { return "Waiting"; }
   bool isOblivious() const override { return true; }
-  bool isEndpointLocal() const override { return true; }
   std::string knowledge() const override { return "none"; }
 
   std::optional<core::NodeId> decide(const core::Interaction& i,

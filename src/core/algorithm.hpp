@@ -34,18 +34,6 @@ class DodaAlgorithm {
   /// True when the algorithm uses no persistent node memory (D∅ODA).
   virtual bool isOblivious() const { return true; }
 
-  /// True when decide() is a pure function of (interaction, time,
-  /// SystemInfo): it mutates no internal state and reads nothing from the
-  /// ExecutionView beyond system() and now(). Endpoint-local algorithms
-  /// (Gathering, Waiting) can be executed by the intra-trial block-parallel
-  /// engine (Engine::runBlocked), which may invoke decide() concurrently
-  /// from several workers and in a different order than the serial loop —
-  /// both immaterial exactly when this contract holds. Algorithms that
-  /// consult oracles with stateful cursors (WaitingGreedy over
-  /// MeetTimeIndex), draw randomness per decision, or inspect datum
-  /// contents must leave this false.
-  virtual bool isEndpointLocal() const { return false; }
-
   /// Human-readable description of the knowledge oracle(s) used, e.g.
   /// "none", "meetTime", "underlying graph", "future", "full".
   virtual std::string knowledge() const { return "none"; }

@@ -4,9 +4,19 @@
 #include <string>
 #include <utility>
 
-#include "core/engine_scratch.hpp"
-
 namespace doda::core {
+
+struct Engine::Scratch::Impl {
+  std::vector<Datum> data;
+  std::vector<bool> owns;
+  std::vector<TransmissionRecord> schedule;
+  // Faulty-run bookkeeping (untouched by the fault-free path; capacity is
+  // retained across trials like everything else in the scratch).
+  std::vector<char> poisoned;
+  std::vector<char> lost_attempt;
+  std::vector<std::pair<Time, NodeId>> crash_events;
+  std::vector<NodeId> byzantine_ids;
+};
 
 Engine::Scratch::Scratch() : impl_(std::make_unique<Impl>()) {}
 Engine::Scratch::~Scratch() = default;

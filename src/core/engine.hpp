@@ -12,10 +12,6 @@
 #include "core/execution_view.hpp"
 #include "dynagraph/interaction_sequence.hpp"
 
-namespace doda::dynagraph {
-class LazySequence;
-}
-
 namespace doda::core {
 
 /// Thrown when an algorithm (or adversary) violates the model: making the
@@ -148,34 +144,6 @@ struct RunOptions {
   FaultInjector* faults = nullptr;
 };
 
-/// Tuning of the intra-trial block-parallel engine (Engine::runBlocked).
-///
-/// The blocked engine shards ONE execution: nodes are split into
-/// `partitions` contiguous id ranges, the interaction sequence is processed
-/// in blocks of `block_size`, and each block goes through three stages —
-/// a parallel candidate scan against block-start ownership (sound because
-/// ownership only ever decreases), an optimistic partition-local execution
-/// step in which each partition applies its internal candidates while
-/// marking nodes touched by cross-partition or deferred candidates as
-/// hazardous, and a serial time-ordered handoff that resolves everything
-/// deferred. The hazard rule keeps every node's transfer order equal to
-/// global time order, so the transmission schedule, the ExecutionResult
-/// and the (floating-point order sensitive) aggregate are bit-identical to
-/// the serial loop for EVERY workers/partitions/block_size choice.
-struct IntraTrialOptions {
-  /// Scan/partition worker threads: 1 (the default) runs every stage
-  /// inline on the calling thread; 0 resolves to hardware_concurrency.
-  std::size_t workers = 1;
-  /// Node groups of the optimistic execution step; 0 resolves to the
-  /// worker count. Any value yields bit-identical results — it only moves
-  /// work between the optimistic step and the serial handoff.
-  std::size_t partitions = 0;
-  /// Interactions per block. Any positive value is bit-identical; larger
-  /// blocks amortize the per-block barriers, smaller ones tighten the
-  /// speculative window (fewer candidates stale by cross-block transfers).
-  Time block_size = Time{1} << 16;
-};
-
 /// Executes a DODA algorithm against an adversary and enforces the model
 /// (paper §2): each node transmits at most once, a transfer requires both
 /// endpoints to own data, the sink never transmits, transfers take one time
@@ -189,7 +157,7 @@ class Engine {
   /// by two runs concurrently.
   class Scratch {
    public:
-    struct Impl;  // defined in engine_scratch.hpp (internal)
+    struct Impl;  // defined in engine.cpp
 
     Scratch();
     ~Scratch();
@@ -215,31 +183,6 @@ class Engine {
   ExecutionResult runInto(Scratch& scratch, DodaAlgorithm& algorithm,
                           Adversary& adversary,
                           const RunOptions& options = {});
-
-  /// Intra-trial block-parallel execution of ONE trial over a fixed
-  /// (oblivious-adversary) interaction sequence. Requires
-  /// `algorithm.isEndpointLocal()` and a fault-free run
-  /// (`options.faults == nullptr`); throws std::invalid_argument
-  /// otherwise. The result — transmission schedule, every ExecutionResult
-  /// field, and the sink's aggregate — is bit-identical to runInto() over
-  /// a sequence adversary replaying the same view, for every
-  /// workers/partitions/block_size choice (see IntraTrialOptions).
-  ExecutionResult runBlocked(Scratch& scratch, DodaAlgorithm& algorithm,
-                             dynagraph::InteractionSequenceView sequence,
-                             const RunOptions& options = {},
-                             const IntraTrialOptions& intra = {});
-
-  /// As above over a lazily generated sequence (the committed-randomness
-  /// model): blocks are realized on the calling thread, overlapping the
-  /// scan of the previous block, and the sequence may end up realized
-  /// slightly past the stopping point — immaterial under committed
-  /// randomness, where the whole sequence is a pure function of the seed.
-  /// Exhausting the generator's max_length guard before termination throws
-  /// the same std::length_error as the serial path.
-  ExecutionResult runBlocked(Scratch& scratch, DodaAlgorithm& algorithm,
-                             dynagraph::LazySequence& sequence,
-                             const RunOptions& options = {},
-                             const IntraTrialOptions& intra = {});
 
  private:
   SystemInfo info_;

@@ -1504,7 +1504,10 @@ std::optional<Interaction> TraceShardReader::next() {
   return i;
 }
 
-void TraceShardReader::decodeInto(Interaction* dst, std::uint64_t count) {
+InteractionSequence TraceShardReader::readRest() {
+  const auto count = static_cast<std::size_t>(remainingInTrial());
+  std::vector<Interaction> interactions(count, Interaction(0, 1));
+  Interaction* dst = interactions.data();
   if (header_.format_version >= kTraceFormatVersionV4) {
     std::uint64_t k = 0;
     while (k < count) {
@@ -1522,72 +1525,12 @@ void TraceShardReader::decodeInto(Interaction* dst, std::uint64_t count) {
       dst[k++] = takeGroupV4();
       ++decoded_;
     }
-    return;
+  } else {
+    for (std::size_t k = 0; k < count; ++k) {
+      dst[k] = decodeOne();
+      ++decoded_;
+    }
   }
-  for (std::uint64_t k = 0; k < count; ++k) {
-    dst[k] = decodeOne();
-    ++decoded_;
-  }
-}
-
-bool TraceShardReader::tryReadRestParallel(std::vector<Interaction>& out) {
-  if (index_.empty() || v4_pending_ || decoded_ == trial_length_)
-    return false;
-  const std::uint64_t tb = trials_begun_;
-  const std::uint64_t d0 = decoded_;
-  const std::uint64_t len = trial_length_;
-  // Index entries are lexicographically non-decreasing in (trials begun,
-  // decoded) along the payload, so the remainder's block range is found by
-  // one partition point plus a bounded scan.
-  const auto first = std::partition_point(
-      index_.begin(), index_.end(), [&](const TraceBlockIndexEntry& e) {
-        return e.trials_begun < tb || (e.trials_begun == tb && e.decoded < d0);
-      });
-  const auto k0 = static_cast<std::size_t>(first - index_.begin());
-  std::size_t k1 = k0;
-  while (k1 < index_.size() && index_[k1].trials_begun == tb &&
-         index_[k1].decoded < len)
-    ++k1;
-  if (k1 - k0 < 2) return false;  // too few boundaries ahead to split
-
-  out.assign(static_cast<std::size_t>(len - d0), Interaction(0, 1));
-  // Head: this reader decodes from its current position (possibly mid
-  // block) up to the first indexed boundary of the remainder.
-  decodeInto(out.data(), index_[k0].decoded - d0);
-  // Middle: blocks [k0, k1-1) split into contiguous chunks, each decoded
-  // by a fresh reader seeked to its first block. Chunk boundaries are
-  // index boundaries, so every worker decodes an exact span of `out`.
-  const std::size_t blocks = k1 - 1 - k0;
-  const std::size_t chunks = std::min(blocks, pool_->workers * 2);
-  const TraceReadBackend backend =
-      usingMmap() ? TraceReadBackend::kMmap : TraceReadBackend::kStream;
-  pool_->run(chunks, [&](std::size_t c) {
-    const std::size_t cb = k0 + c * blocks / chunks;
-    const std::size_t ce = k0 + (c + 1) * blocks / chunks;
-    if (cb == ce) return;
-    const std::uint64_t from = index_[cb].decoded;
-    const std::uint64_t to = index_[ce].decoded;
-    TraceShardReader worker(path_, stream_block_bytes_, backend);
-    worker.setForceScalarDecode(force_scalar_);
-    worker.seekToBlock(cb);
-    worker.decodeInto(out.data() + (from - d0), to - from);
-  });
-  // Tail: this reader finishes from the last boundary, ending positioned
-  // at the trial's end exactly like the sequential path.
-  seekToBlock(k1 - 1);
-  decodeInto(out.data() + (index_[k1 - 1].decoded - d0),
-             len - index_[k1 - 1].decoded);
-  return true;
-}
-
-InteractionSequence TraceShardReader::readRest() {
-  if (pool_ != nullptr && *pool_) {
-    std::vector<Interaction> out;
-    if (tryReadRestParallel(out)) return InteractionSequence(std::move(out));
-  }
-  const auto remaining = static_cast<std::size_t>(remainingInTrial());
-  std::vector<Interaction> interactions(remaining, Interaction(0, 1));
-  decodeInto(interactions.data(), remaining);
   return InteractionSequence(std::move(interactions));
 }
 

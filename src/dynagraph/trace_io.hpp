@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <iosfwd>
 #include <optional>
 #include <string>
@@ -215,8 +214,7 @@ LoadedTrace loadTrace(const std::string& path);
 // units from the contiguous buffer, where ALL structural validation lives
 // (control-byte invariants plus the same delta/gap range checks as
 // v1-v3). The contiguous scratch buffer is also what enables the SWAR
-// fast path and block-parallel decode of a single trial (readRest with a
-// TraceDecodePool).
+// fast path.
 // ---------------------------------------------------------------------------
 
 inline constexpr std::uint16_t kTraceFormatVersionV1 = 1;
@@ -318,23 +316,6 @@ struct TraceWriterOptions {
   /// discipline. Off by default: a plain recorded store keeps the
   /// historical cost profile, and its durability is the caller's problem.
   bool sync_on_close = false;
-};
-
-/// A borrowed worker pool for block-parallel decode of a single trial
-/// (TraceShardReader::setDecodePool). `run(count, task)` must invoke
-/// task(0) .. task(count-1), each exactly once, from any threads, and
-/// return only after every task completed (rethrowing the first task
-/// exception). The pool is inert — and readRest() stays sequential —
-/// unless it converts to true.
-struct TraceDecodePool {
-  std::size_t workers = 0;
-  std::function<void(std::size_t count,
-                     const std::function<void(std::size_t)>& task)>
-      run;
-
-  explicit operator bool() const noexcept {
-    return workers > 1 && static_cast<bool>(run);
-  }
 };
 
 /// How TraceShardReader accesses the shard file.
@@ -529,25 +510,14 @@ class TraceShardReader {
   /// mismatch, unexpected EOF).
   std::optional<Interaction> next();
 
-  /// Materializes the undecoded remainder of the current trial. With a
-  /// decode pool set (setDecodePool) and a block index covering at least
-  /// two blocks of the remainder, the blocks are decoded in parallel on
-  /// the pool and stitched in order — bit-identical to the sequential
-  /// path; the reader still ends positioned at the trial's end.
+  /// Materializes the undecoded remainder of the current trial.
   InteractionSequence readRest();
 
   /// Decodes and discards the remainder of the current trial.
   void skipRest();
 
-  /// Borrows `pool` (nullptr detaches) for block-parallel readRest() on
-  /// indexed (v3/v4) shards. The pool must outlive its use; the caller
-  /// keeps ownership. Single-trial parallelism only kicks in when the
-  /// remainder spans enough indexed blocks to split.
-  void setDecodePool(const TraceDecodePool* pool) noexcept { pool_ = pool; }
-
   /// Test hook: forces the scalar v4 unit parser even when the SWAR fast
-  /// path would apply (fuzzing parity between the two). Inherited by the
-  /// workers a decode pool spawns.
+  /// path would apply (fuzzing parity between the two).
   void setForceScalarDecode(bool force) noexcept { force_scalar_ = force; }
 
   /// Walks every block frame of the payload and verifies its geometry and
@@ -592,12 +562,6 @@ class TraceShardReader {
   /// is near its edge, the trial is near its end, or under force-scalar —
   /// the callers then fall back to takeGroupV4 for one group and retry.
   std::uint64_t bulkGroupsV4(Interaction* dst, std::uint64_t count);
-  /// Decodes `count` interactions of the current trial into `dst`
-  /// (format-agnostic; the trial must have at least that many left).
-  void decodeInto(Interaction* dst, std::uint64_t count);
-  /// Block-parallel readRest body; false when the remainder cannot be
-  /// split (no index, pending state, or too few blocks ahead).
-  bool tryReadRestParallel(std::vector<Interaction>& out);
 
   std::string path_;
   detail::MmapRegion map_;
@@ -636,7 +600,6 @@ class TraceShardReader {
   NodeId v4_pend_b_ = 1;
   bool v4_pending_ = false;
   bool force_scalar_ = false;
-  const TraceDecodePool* pool_ = nullptr;  // borrowed, may be null
   // Diagnostics context for fail(): valid once construction completed.
   bool have_offset_ctx_ = false;
   std::uint64_t blocks_loaded_ = 0;

@@ -151,6 +151,7 @@ class ByteReader {
     return value;
   }
   bool done() const noexcept { return pos_ == bytes_.size(); }
+  std::size_t remaining() const noexcept { return bytes_.size() - pos_; }
 
  private:
   std::uint64_t raw(std::size_t count) {
@@ -212,6 +213,10 @@ FaultPlan FaultPlan::parse(std::span<const std::uint8_t> bytes) {
   const std::uint64_t n = reader.u64();
   if (n < 2 || n > (std::uint64_t{1} << 32))
     throw std::runtime_error("FaultPlan::parse: node count out of range");
+  // Each node carries a u64 crash time and a u8 Byzantine flag: reject a
+  // count the input cannot hold before sizing anything by it.
+  if (n > reader.remaining() / 9)
+    throw std::runtime_error("FaultPlan::parse: truncated input");
   plan.crash_times.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i)
     plan.crash_times.push_back(static_cast<Time>(reader.u64()));

@@ -80,13 +80,6 @@ sim::MeasureConfig measureConfigOf(const Json& params) {
     config.seed_format = dynagraph::traces::SeedFormat::v2;
   else
     badParams("\"seed_format\" must be \"v1\" or \"v2\"");
-  config.intra_trial_workers = static_cast<std::size_t>(
-      uintParam(params, "intra_trial_workers", 1));
-  config.intra_trial_partitions = static_cast<std::size_t>(
-      uintParam(params, "intra_trial_partitions", 0));
-  config.intra_trial_block = static_cast<core::Time>(uintParam(
-      params, "intra_trial_block",
-      static_cast<std::uint64_t>(core::Time{1} << 16)));
   return config;
 }
 
@@ -338,13 +331,6 @@ Handled Service::submit(const Request& request) {
     replay.trial_range.first = uintParam(params, "first", 0);
     replay.trial_range.last =
         uintParam(params, "last", ~std::uint64_t{0});
-    replay.intra_trial_workers = static_cast<std::size_t>(
-        uintParam(params, "intra_trial_workers", 1));
-    replay.intra_trial_partitions = static_cast<std::size_t>(
-        uintParam(params, "intra_trial_partitions", 0));
-    replay.intra_trial_block = static_cast<core::Time>(uintParam(
-        params, "intra_trial_block",
-        static_cast<std::uint64_t>(core::Time{1} << 16)));
 
     const std::uint64_t first =
         std::min(replay.trial_range.first, store->trialCount());

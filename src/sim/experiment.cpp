@@ -38,21 +38,6 @@ core::RunOptions measurementRunOptions(Time max_interactions) {
   return options;
 }
 
-bool useBlockedEngine(const MeasureConfig& config,
-                      const core::DodaAlgorithm& algorithm) {
-  return (config.intra_trial_workers != 1 ||
-          config.intra_trial_partitions > 1) &&
-         algorithm.isEndpointLocal();
-}
-
-core::IntraTrialOptions intraOptionsOf(const MeasureConfig& config) {
-  core::IntraTrialOptions intra;
-  intra.workers = config.intra_trial_workers;
-  intra.partitions = config.intra_trial_partitions;
-  intra.block_size = config.intra_trial_block;
-  return intra;
-}
-
 }  // namespace
 
 MeasureResult measureRandomized(const MeasureConfig& config,
@@ -74,20 +59,9 @@ MeasureResult measureRandomized(const MeasureConfig& config,
         TrialContext context{info, *adversary, index};
         const auto algorithm = factory(context);
         core::Engine engine(info, core::AggregationFunction::count());
-        const auto options = measurementRunOptions(config.max_interactions);
         const auto result =
-            useBlockedEngine(config, *algorithm)
-                ? engine.runBlocked(
-                      scratch, *algorithm,
-                      config.zipf_exponent > 0.0
-                          ? static_cast<adversary::NonUniformAdversary&>(
-                                *adversary)
-                                .lazySequence()
-                          : static_cast<adversary::RandomizedAdversary&>(
-                                *adversary)
-                                .lazySequence(),
-                      options, intraOptionsOf(config))
-                : engine.runInto(scratch, *algorithm, *adversary, options);
+            engine.runInto(scratch, *algorithm, *adversary,
+                           measurementRunOptions(config.max_interactions));
         TrialOutcome outcome;
         if (!result.terminated) return TrialOutcome::failure();
         outcome.success = true;
@@ -191,15 +165,10 @@ MeasureResult measureWithCost(const MeasureConfig& config, Time length_hint,
           TrialContext context{info, seq_adversary, index};
           const auto algorithm = factory(context);
           core::Engine engine(info, core::AggregationFunction::count());
-          const auto options = measurementRunOptions(
-              std::min<Time>(seq.length(), config.max_interactions));
-          const auto result =
-              useBlockedEngine(config, *algorithm)
-                  ? engine.runBlocked(scratch, *algorithm,
-                                      dynagraph::InteractionSequenceView(seq),
-                                      options, intraOptionsOf(config))
-                  : engine.runInto(scratch, *algorithm, seq_adversary,
-                                   options);
+          const auto result = engine.runInto(
+              scratch, *algorithm, seq_adversary,
+              measurementRunOptions(
+                  std::min<Time>(seq.length(), config.max_interactions)));
           if (result.terminated) {
             TrialOutcome outcome;
             outcome.success = true;

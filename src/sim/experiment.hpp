@@ -66,24 +66,6 @@ struct MeasureConfig {
   /// value (per-trial seeds are pre-drawn and outcomes folded in trial
   /// order — see sim/parallel.hpp).
   std::size_t threads = 0;
-  /// Intra-trial engine workers (core::IntraTrialOptions::workers): 1 (the
-  /// default) runs each trial through the serial engine loop; any other
-  /// value (0 = hardware concurrency) routes endpoint-local algorithms
-  /// (DodaAlgorithm::isEndpointLocal) through the block-parallel engine
-  /// Engine::runBlocked — the huge-n path, sharding ONE trial across
-  /// cores. Algorithms that are not endpoint-local silently keep the
-  /// serial loop. Composes with `threads` (total concurrency is roughly
-  /// threads x intra_trial_workers — use threads = 1 when sharding a few
-  /// huge trials, intra_trial_workers = 1 when fanning out many small
-  /// ones). Statistics are bit-identical for every combination.
-  std::size_t intra_trial_workers = 1;
-  /// Node partitions of the intra-trial engine (0 = the resolved worker
-  /// count); any value is bit-identical. Values > 1 engage the blocked
-  /// engine even when intra_trial_workers == 1 (single-threaded blocked
-  /// execution — the determinism test matrix relies on this).
-  std::size_t intra_trial_partitions = 0;
-  /// Interactions per intra-trial block (core::IntraTrialOptions).
-  core::Time intra_trial_block = core::Time{1} << 16;
   /// Fault regime for measureWithFaults / measureUnderFaults (ignored by
   /// the fault-free measure* family). Defaults to no faults.
   fault::FaultModel faults;

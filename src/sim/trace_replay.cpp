@@ -43,11 +43,9 @@ void runSpan(const TraceStore& store, const ReplaySpan& span,
              core::Engine::Scratch& scratch,
              std::vector<TrialOutcome>& slots,
              dynagraph::TraceReadBackend backend,
-             const dynagraph::TraceDecodePool* decode_pool,
              const std::atomic<bool>* cancel,
              const std::function<void(std::uint64_t)>& trial_done) {
   TraceShardReader reader = store.openShard(span.shard, backend);
-  reader.setDecodePool(decode_pool);
   if (!reader.seekToTrial(span.begin))
     throw std::runtime_error("replayShards: trial " +
                              std::to_string(span.begin) +
@@ -115,27 +113,6 @@ MeasureResult replayShards(const TraceStore& store, std::size_t threads,
     }
   }
 
-  // When there are more workers than spans (one huge trial, or a window
-  // narrower than the pool), lend each span the spare parallelism as a
-  // block-decode pool: readRest() on an indexed shard then decodes a
-  // single trial's blocks concurrently (TraceShardReader::setDecodePool),
-  // bit-identical to sequential decode. runIndexedTasks spawns fresh
-  // joined threads per call, so the nesting is safe.
-  dynagraph::TraceDecodePool decode_pool;
-  if (indexed && workers > spans.size() && !spans.empty()) {
-    const std::size_t inner = (workers + spans.size() - 1) / spans.size();
-    if (inner >= 2) {
-      decode_pool.workers = inner;
-      decode_pool.run = [inner](std::size_t count,
-                                const std::function<void(std::size_t)>& task) {
-        runIndexedTasks(count, inner,
-                        [&task](std::size_t i, core::Engine::Scratch&) {
-                          task(i);
-                        });
-      };
-    }
-  }
-
   std::vector<TrialOutcome> slots(selected);
 
   // Incremental in-order fold for observed runs: spans complete their
@@ -164,8 +141,7 @@ MeasureResult replayShards(const TraceStore& store, std::size_t threads,
   runIndexedTasks(spans.size(), threads,
                   [&](std::size_t span, core::Engine::Scratch& scratch) {
                     runSpan(store, spans[span], first, body, scratch, slots,
-                            backend, decode_pool ? &decode_pool : nullptr,
-                            cancel, trial_done);
+                            backend, cancel, trial_done);
                   });
   if (observed) return out;
 
@@ -190,20 +166,9 @@ MeasureResult replayTrace(const TraceStore& store, const ReplayConfig& config,
         TrialContext context{info, seq_adversary, index};
         const auto algorithm = factory(context);
         core::Engine engine(info, core::AggregationFunction::count());
-        const bool blocked = (config.intra_trial_workers != 1 ||
-                              config.intra_trial_partitions > 1) &&
-                             algorithm->isEndpointLocal();
-        core::IntraTrialOptions intra;
-        intra.workers = config.intra_trial_workers;
-        intra.partitions = config.intra_trial_partitions;
-        intra.block_size = config.intra_trial_block;
         const auto result =
-            blocked ? engine.runBlocked(
-                          scratch, *algorithm,
-                          dynagraph::InteractionSequenceView(seq),
-                          replayRunOptions(config, length), intra)
-                    : engine.runInto(scratch, *algorithm, seq_adversary,
-                                     replayRunOptions(config, length));
+            engine.runInto(scratch, *algorithm, seq_adversary,
+                           replayRunOptions(config, length));
         if (!result.terminated) return TrialOutcome::failure();
         TrialOutcome outcome;
         outcome.success = true;

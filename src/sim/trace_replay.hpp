@@ -39,19 +39,6 @@ struct ReplayConfig {
   /// forward sequentially — the range never changes the statistics, only
   /// the work.
   ReplayTrialRange trial_range;
-  /// Intra-trial engine workers for replayTrace's materialized path: 1
-  /// (the default) keeps the serial loop; other values (0 = hardware
-  /// concurrency) run endpoint-local algorithms through
-  /// core::Engine::runBlocked, sharding each replayed trial across cores.
-  /// Bit-identical for every value; non-endpoint-local algorithms and the
-  /// streaming path silently stay serial. See MeasureConfig for the
-  /// threads x intra_trial_workers composition guidance.
-  std::size_t intra_trial_workers = 1;
-  /// Node partitions of the intra-trial engine (0 = worker count); values
-  /// > 1 engage the blocked engine even with one worker.
-  std::size_t intra_trial_partitions = 0;
-  /// Interactions per intra-trial block.
-  core::Time intra_trial_block = core::Time{1} << 16;
   /// Optional cooperative control (progress observer + cancel flag), as
   /// MeasureConfig::control. Not owned; must outlive the replay.
   const RunControl* control = nullptr;

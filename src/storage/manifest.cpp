@@ -100,6 +100,9 @@ bool decodeSnapshot(const unsigned char* p, std::size_t size,
   if (!need(4)) return false;
   const std::uint32_t count = loadU32(p + at);
   at += 4;
+  // A segment takes at least 18 bytes (u16 name length + two u64s):
+  // reject a count the payload cannot hold before reserving for it.
+  if (count > (size - at) / 18) return false;
   version.segments.clear();
   version.segments.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "adversary/randomized_adversary.hpp"
 #include "algorithms/gathering.hpp"
 #include "algorithms/waiting.hpp"
 #include "core/data.hpp"
@@ -238,6 +241,29 @@ TEST(Engine, AdversaryExhaustionEndsRun) {
   EXPECT_FALSE(r.terminated);
   EXPECT_EQ(r.interactions_dispatched, 1u);
   EXPECT_EQ(r.last_transmission_time, kNever);
+
+  const auto empty = runOn(w, InteractionSequence{}, 3, 0);
+  EXPECT_FALSE(empty.terminated);
+  EXPECT_EQ(empty.interactions_dispatched, 0u);
+}
+
+TEST(Engine, LazyGuardExhaustionThrowsUnlessCapped) {
+  // A max_length guard below the termination point: the generator throws
+  // std::length_error rather than handing the engine a truncated run.
+  const std::size_t n = 16;
+  Engine engine({n, 0}, AggregationFunction::count());
+  algorithms::Waiting w;
+  Engine::Scratch scratch;
+  adversary::RandomizedAdversary guarded(n, 7, /*max_length=*/50);
+  EXPECT_THROW(engine.runInto(scratch, w, guarded), std::length_error);
+
+  // With max_interactions at the guard the run stops cleanly instead.
+  RunOptions options;
+  options.max_interactions = 50;
+  adversary::RandomizedAdversary capped(n, 7, /*max_length=*/50);
+  const auto r = engine.runInto(scratch, w, capped, options);
+  EXPECT_FALSE(r.terminated);
+  EXPECT_EQ(r.interactions_dispatched, 50u);
 }
 
 TEST(ValidateSchedule, AcceptsValidConvergecast) {

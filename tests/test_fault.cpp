@@ -127,6 +127,15 @@ TEST(FaultPlan, ParseRejectsCorruptInput) {
   auto bad_probability = bytes;
   for (int i = 0; i < 8; ++i) bad_probability[5 + i] = 0xff;  // loss_p = NaN
   EXPECT_THROW(FaultPlan::parse(bad_probability), std::runtime_error);
+
+  // The largest admitted node count (2^32) with the input cut off right
+  // after it: rejected before anything is sized by it.
+  constexpr std::size_t kCountOffset = 4 + 1 + 5 * 8 + 8;  // magic..seed
+  auto huge_count = bytes;
+  huge_count.resize(kCountOffset + 8);
+  for (int i = 0; i < 8; ++i)
+    huge_count[kCountOffset + i] = i == 4 ? 1 : 0;  // u64 LE 2^32
+  EXPECT_THROW(FaultPlan::parse(huge_count), std::runtime_error);
 }
 
 TEST(FaultSession, LossStreamIsReplayedAcrossResets) {

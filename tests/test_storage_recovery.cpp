@@ -391,6 +391,32 @@ TEST(StorageManifest, TornTailFallsBackToLastIntactSnapshot) {
   EXPECT_EQ(read.valid_bytes, intact.size());
   EXPECT_LT(read.valid_bytes, read.file_bytes);
   EXPECT_EQ(read.version->generation, 1u);
+
+  // A checksum-valid snapshot record whose segment count (0xFFFFFFFF) its
+  // payload cannot hold also ends the valid prefix: five u64 fields, an
+  // empty id-map name (u16 length 0), the count, and nothing after it.
+  std::string payload(5 * 8 + 2, '\0');
+  payload.append(4, '\xff');
+  std::uint64_t checksum = 0xcbf29ce484222325ULL;  // FNV-1a, as written
+  for (const char c : payload) {
+    checksum ^= static_cast<unsigned char>(c);
+    checksum *= 0x100000001b3ULL;
+  }
+  std::string header;  // u32 length | u32 type | u64 checksum
+  const auto putLe = [&header](std::uint64_t value, int bytes) {
+    for (int i = 0; i < bytes; ++i)
+      header.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
+  };
+  putLe(payload.size(), 4);
+  putLe(storage::kManifestRecordSnapshot, 4);
+  putLe(checksum, 8);
+  writeWholeFile(manifestPathOf(dir), intact + header + payload);
+
+  const auto bad_count = storage::readManifest(env, manifestPathOf(dir));
+  ASSERT_TRUE(bad_count.version.has_value());
+  EXPECT_TRUE(bad_count.tail_torn);
+  EXPECT_EQ(bad_count.valid_bytes, intact.size());
+  EXPECT_EQ(bad_count.version->generation, 1u);
 }
 
 TEST(StorageManifest, BadMagicThrows) {

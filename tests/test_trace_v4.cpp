@@ -1,21 +1,17 @@
 // Tests of the v4 record layout (dynagraph/trace_io): group-unit
 // round-trips over both backends, SWAR-vs-scalar decode parity under a
-// randomized fuzz (DODA_FUZZ_ITERS-scalable), block-parallel decode of a
-// single trial (TraceShardReader::setDecodePool) bit-identical to the
-// sequential path at several pool widths, the pool plumbing through
-// replayShards, cross-format v1..v4 statistic identity, and the v4
-// writer-side validation (node-count bound).
+// randomized fuzz (DODA_FUZZ_ITERS-scalable), threaded replay of a
+// one-shard store of huge trials, cross-format v1..v4 statistic identity,
+// and the v4 writer-side validation (node-count bound).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "algorithms/gathering.hpp"
@@ -29,7 +25,6 @@ namespace {
 
 using dynagraph::Interaction;
 using dynagraph::InteractionSequence;
-using dynagraph::TraceDecodePool;
 using dynagraph::TraceReadBackend;
 using dynagraph::TraceShardReader;
 using dynagraph::TraceStore;
@@ -92,28 +87,6 @@ void expectTrialsEqual(const std::vector<InteractionSequence>& a,
     for (core::Time t = 0; t < a[i].length(); ++t)
       ASSERT_EQ(a[i].at(t), b[i].at(t)) << "trial " << i << " t=" << t;
   }
-}
-
-/// A decode pool backed by plain std::threads — the shape replayShards
-/// lends readers, reduced to its contract for direct unit testing.
-TraceDecodePool threadPool(std::size_t workers) {
-  TraceDecodePool pool;
-  pool.workers = workers;
-  pool.run = [workers](std::size_t count,
-                       const std::function<void(std::size_t)>& task) {
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> threads;
-    const std::size_t spawn = std::min(workers, count);
-    threads.reserve(spawn);
-    for (std::size_t w = 0; w < spawn; ++w)
-      threads.emplace_back([&] {
-        for (std::size_t i = next.fetch_add(1); i < count;
-             i = next.fetch_add(1))
-          task(i);
-      });
-    for (auto& t : threads) t.join();
-  };
-  return pool;
 }
 
 void expectIdentical(const MeasureResult& a, const MeasureResult& b) {
@@ -220,75 +193,11 @@ TEST(TraceV4Decode, ScalarFallbackMatchesSwarFastPath) {
   }
 }
 
-// ------------------------------------------------- block-parallel decode
+// ------------------------------------------------------ threaded replay
 
-TEST(TraceV4Parallel, PooledReadRestIsBitIdenticalToSequential) {
-  // One shard, a handful of long trials split over many small blocks; a
-  // pooled readRest must return exactly the sequential bytes at every
-  // pool width, on both backends, for both v3 and v4.
-  for (const std::uint16_t version : {dynagraph::kTraceFormatVersionV3,
-                                      dynagraph::kTraceFormatVersionV4}) {
-    const auto trials = sampleTrials(48, 3, 20000, 123);
-    const std::string dir = scratchDir("pool");
-    TraceWriterOptions options;
-    options.format_version = version;
-    options.block_bytes = 1024;
-    writeStore(dir, 48, trials, 1, options);
-
-    const auto store = TraceStore::open(dir);
-    for (const auto backend :
-         {TraceReadBackend::kAuto, TraceReadBackend::kStream}) {
-      const auto sequential = decodeStore(store, backend);
-      expectTrialsEqual(sequential, trials);
-      for (const std::size_t workers : {2u, 8u}) {
-        const TraceDecodePool pool = threadPool(workers);
-        auto reader = store.openShard(0, backend);
-        reader.setDecodePool(&pool);
-        std::vector<InteractionSequence> pooled;
-        while (reader.beginTrial()) pooled.push_back(reader.readRest());
-        expectTrialsEqual(pooled, trials);
-      }
-    }
-    std::filesystem::remove_all(dir);
-  }
-}
-
-TEST(TraceV4Parallel, PooledReaderStaysAlignedAfterEachTrial) {
-  // readRest on the pool path must leave the cursor at the trial's end so
-  // interleaving pooled and plain decodes cannot desync the stream.
-  const auto trials = sampleTrials(32, 4, 8000, 321);
-  const std::string dir = scratchDir("align");
-  TraceWriterOptions options;
-  options.block_bytes = 512;
-  writeStore(dir, 32, trials, 1, options);
-
-  const auto store = TraceStore::open(dir);
-  const TraceDecodePool pool = threadPool(4);
-  auto reader = store.openShard(0, TraceReadBackend::kAuto);
-  reader.setDecodePool(&pool);
-  for (std::size_t i = 0; i < trials.size(); ++i) {
-    ASSERT_TRUE(reader.beginTrial());
-    if (i % 2 == 0) {
-      expectTrialsEqual({reader.readRest()}, {trials[i]});
-    } else {
-      // Plain sequential decode of the odd trials through next().
-      InteractionSequence seq;
-      for (core::Time t = 0; t < trials[i].length(); ++t) {
-        const auto interaction = reader.next();
-        ASSERT_TRUE(interaction.has_value());
-        seq.append(*interaction);
-      }
-      expectTrialsEqual({seq}, {trials[i]});
-    }
-  }
-  EXPECT_FALSE(reader.beginTrial());
-}
-
-TEST(TraceV4Parallel, ReplayShardsLendsSpareWorkersToSingleTrials) {
-  // Two huge trials in one shard with an 8-thread replay: replayShards
-  // has more workers than spans, so readers decode block-parallel. The
-  // statistics must be bit-identical to the serial replay on both
-  // backends.
+TEST(TraceV4Parallel, ThreadedOneShardReplayMatchesSerial) {
+  // Two huge trials in one shard, replayed at 2 and 8 threads on both
+  // backends: the statistics must be bit-identical to the serial replay.
   const auto trials = sampleTrials(64, 2, 60000, 2026);
   const std::string dir = scratchDir("replay");
   TraceWriterOptions options;
