@@ -1,20 +1,18 @@
 // Trace-replay throughput benchmark for the recorded-workload subsystem.
 //
-// Records one uniform randomized-adversary workload as a v1 store, a
-// compressed v2 store, a compressed block-indexed v3 store and a v4
-// group-unit store (dynagraph/trace_io) in scratch directories, plus an
-// imported contact-event CSV (dynagraph/trace_import), then measures:
-// pure compressed-block decode throughput per codec (decode_v2 adaptive
-// range coder vs decode_v3 interleaved rANS vs decode_v4 group units),
-// materialized replay (per-trial decode + meetTime oracle,
-// WaitingGreedy), fully streamed replay (zero materialization, Gathering)
-// serially and with a worker pool on the mmap-backed reader (kAuto), a
-// buffered-stream v1 leg pinning the exact PR-2 configuration, and a
-// ranged replay of the middle half of the trials riding the block index.
-// Live compression ratios for every format are printed and emitted in the
-// JSON. Every leg cross-checks the executor's contract: thread count,
-// store format, reader backend and replay window never change the
-// statistics.
+// Records one uniform randomized-adversary workload as a sharded store
+// (dynagraph/trace_io) in a scratch directory, plus an imported
+// contact-event CSV (dynagraph/trace_import), then measures: pure
+// compressed-block decode throughput (decode_v4), materialized replay
+// (per-trial decode + meetTime oracle, WaitingGreedy), fully streamed
+// replay (zero materialization, Gathering) serially and with a worker pool
+// on the mmap-backed reader (kAuto), a ranged replay of the middle half of
+// the trials riding the block index, and the durable store's append and
+// compaction paths. A raw-block copy of each store (compress = false) is
+// recorded untimed for a live raw-vs-rANS size readout, printed and
+// emitted in the JSON. Every leg cross-checks the executor's contract:
+// thread count, block encoding, reader backend and replay window never
+// change the statistics.
 //
 // Results go to stdout and a JSON file so the perf trajectory is tracked
 // across PRs and gated in CI (scripts/check_bench_regression.py).
@@ -150,20 +148,14 @@ int main(int argc, char** argv) {
              ("doda_bench_trace_store_" + std::to_string(n) + "_" +
               std::to_string(::getpid())))
                 .string();
-  const std::string dir_v1 = root + "/v1";
-  const std::string dir_v2 = root + "/v2";
-  const std::string dir_v3 = root + "/v3";
   const std::string dir_v4 = root + "/v4";
-  const std::string dir_import_v1 = root + "/import_v1";
+  const std::string dir_raw = root + "/raw";
+  const std::string dir_import_raw = root + "/import_raw";
   const std::string dir_import = root + "/import";
   const std::string events_csv = root + "/events.csv";
 
-  TraceWriterOptions v1_format;
-  v1_format.format_version = doda::dynagraph::kTraceFormatVersionV1;
-  TraceWriterOptions v2_format;
-  v2_format.format_version = doda::dynagraph::kTraceFormatVersionV2;
-  TraceWriterOptions v3_format;
-  v3_format.format_version = doda::dynagraph::kTraceFormatVersionV3;
+  TraceWriterOptions raw_blocks;
+  raw_blocks.compress = false;
 
   const double total_interactions =
       static_cast<double>(trials) * static_cast<double>(length);
@@ -186,50 +178,24 @@ int main(int argc, char** argv) {
   const double t = static_cast<double>(trials);
 
   // -------------------------------------------------------------- record
-  // "record" is always the writer default (v4 since PR 7); the older
-  // formats are pinned explicitly so their legs keep measuring the same
-  // code path across PRs.
   runLeg("record", t, total_interactions, [&] {
     doda::sim::recordSynthetic(dir_v4, config, length, shards);
   });
-  runLeg("record_v3", t, total_interactions, [&] {
-    doda::sim::recordSynthetic(dir_v3, config, length, shards, v3_format);
-  });
-  runLeg("record_v2", t, total_interactions, [&] {
-    doda::sim::recordSynthetic(dir_v2, config, length, shards, v2_format);
-  });
-  runLeg("record_v1", t, total_interactions, [&] {
-    doda::sim::recordSynthetic(dir_v1, config, length, shards, v1_format);
-  });
+  doda::sim::recordSynthetic(dir_raw, config, length, shards, raw_blocks);
 
   const auto store_v4 = TraceStore::open(dir_v4);
-  const auto store_v3 = TraceStore::open(dir_v3);
-  const auto store_v2 = TraceStore::open(dir_v2);
-  const auto store_v1 = TraceStore::open(dir_v1);
-  const std::uint64_t bytes_v1 = store_v1.totalFileBytes();
-  const std::uint64_t bytes_v2 = store_v2.totalFileBytes();
-  const std::uint64_t bytes_v3 = store_v3.totalFileBytes();
+  const auto store_raw = TraceStore::open(dir_raw);
+  const std::uint64_t bytes_raw = store_raw.totalFileBytes();
   const std::uint64_t bytes_v4 = store_v4.totalFileBytes();
   const double ratio =
-      static_cast<double>(bytes_v1) / static_cast<double>(bytes_v2);
-  const double ratio_v3 =
-      static_cast<double>(bytes_v1) / static_cast<double>(bytes_v3);
-  const double ratio_v4 =
-      static_cast<double>(bytes_v1) / static_cast<double>(bytes_v4);
+      static_cast<double>(bytes_raw) / static_cast<double>(bytes_v4);
   std::printf(
-      "store: %.0f interactions, v1 %llu bytes (%.3f B/i), v2 %llu bytes "
-      "(%.3f B/i, %.2fx), v3 %llu bytes (%.3f B/i, %.2fx), v4 %llu bytes "
-      "(%.3f B/i, %.2fx; %+.1f%% vs v3)\n",
-      total_interactions, static_cast<unsigned long long>(bytes_v1),
-      bytes_v1 / total_interactions,
-      static_cast<unsigned long long>(bytes_v2),
-      bytes_v2 / total_interactions, ratio,
-      static_cast<unsigned long long>(bytes_v3),
-      bytes_v3 / total_interactions, ratio_v3,
+      "store: %.0f interactions, raw blocks %llu bytes (%.3f B/i), rANS "
+      "blocks %llu bytes (%.3f B/i, %.2fx)\n",
+      total_interactions, static_cast<unsigned long long>(bytes_raw),
+      bytes_raw / total_interactions,
       static_cast<unsigned long long>(bytes_v4),
-      bytes_v4 / total_interactions, ratio_v4,
-      100.0 * (static_cast<double>(bytes_v4) / static_cast<double>(bytes_v3) -
-               1.0));
+      bytes_v4 / total_interactions, ratio);
 
   // -------------------------------------------------------------- decode
   // Pure compressed-block decode (skip every trial without running the
@@ -241,29 +207,16 @@ int main(int argc, char** argv) {
       while (reader.beginTrial()) reader.skipRest();
     }
   };
-  const int reps_v2 = 2;
-  const int reps_v3 = 8;
   const int reps_v4 = 16;
-  runLeg("decode_v2", t * reps_v2, total_interactions * reps_v2, [&] {
-    for (int rep = 0; rep < reps_v2; ++rep) decodeStore(store_v2);
-  });
-  runLeg("decode_v3", t * reps_v3, total_interactions * reps_v3, [&] {
-    for (int rep = 0; rep < reps_v3; ++rep) decodeStore(store_v3);
-  });
-  const double decode_v3_per_sec = legs.back().interactions_per_sec;
   runLeg("decode_v4", t * reps_v4, total_interactions * reps_v4, [&] {
     for (int rep = 0; rep < reps_v4; ++rep) decodeStore(store_v4);
   });
-  const double decode_speedup_v4 =
-      legs.back().interactions_per_sec / decode_v3_per_sec;
-  std::printf("decode: v4 group units %.2fx the v3 varint throughput\n",
-              decode_speedup_v4);
 
   ReplayConfig serial_cfg;
   serial_cfg.threads = 1;
   ReplayConfig pool_cfg;
   pool_cfg.threads = threads;
-  ReplayConfig bufio_cfg;  // the exact PR-2 configuration
+  ReplayConfig bufio_cfg;  // buffered-stream reads instead of mmap
   bufio_cfg.threads = 1;
   bufio_cfg.backend = TraceReadBackend::kStream;
 
@@ -274,7 +227,6 @@ int main(int argc, char** argv) {
 
   // -------------------------------------------------------------- replay
   MeasureResult mat_serial, mat_pool, stream_serial, stream_pool;
-  MeasureResult stream_v3_serial, stream_v2_serial, stream_v1_serial, stream_v1_bufio;
   runLeg("replay_materialized_serial", t, total_interactions, [&] {
     mat_serial = replayTrace(store_v4, serial_cfg, materialized);
   });
@@ -288,24 +240,14 @@ int main(int argc, char** argv) {
   runLeg("replay_streaming_pool", t, total_interactions, [&] {
     stream_pool = replayTraceStreaming(store_v4, pool_cfg, gatheringStreamed);
   });
-  runLeg("replay_streaming_v2_serial", t, total_interactions, [&] {
-    stream_v2_serial =
-        replayTraceStreaming(store_v2, serial_cfg, gatheringStreamed);
-  });
-  stream_v3_serial =
-      replayTraceStreaming(store_v3, serial_cfg, gatheringStreamed);
-  runLeg("replay_streaming_v1_serial", t, total_interactions, [&] {
-    stream_v1_serial =
-        replayTraceStreaming(store_v1, serial_cfg, gatheringStreamed);
-  });
-  runLeg("replay_streaming_v1_bufio", t, total_interactions, [&] {
-    stream_v1_bufio =
-        replayTraceStreaming(store_v1, bufio_cfg, gatheringStreamed);
-  });
+  // Untimed cross-checks: the same trials through buffered-stream reads
+  // and through raw blocks.
+  const MeasureResult stream_bufio =
+      replayTraceStreaming(store_v4, bufio_cfg, gatheringStreamed);
+  const MeasureResult stream_raw =
+      replayTraceStreaming(store_raw, serial_cfg, gatheringStreamed);
 
-  // Ranged replay: the middle half of the trials, riding the v3 block
-  // index (v1 reaches the same window by sequential skip — the identity
-  // check below proves the window's statistics are format-independent).
+  // Ranged replay: the middle half of the trials, riding the block index.
   doda::sim::ReplayTrialRange window{trials / 4, trials - trials / 4};
   const double window_trials =
       static_cast<double>(window.last - window.first);
@@ -313,9 +255,7 @@ int main(int argc, char** argv) {
   range_cfg.trial_range = window;
   ReplayConfig range_pool_cfg = pool_cfg;
   range_pool_cfg.trial_range = window;
-  ReplayConfig range_v1_cfg = serial_cfg;
-  range_v1_cfg.trial_range = window;
-  MeasureResult range_serial, range_pool, range_v1;
+  MeasureResult range_serial, range_pool;
   // Repetitions keep the (half-size) ranged leg above the gate's noise
   // floor, like the decode legs.
   const int reps_range = 4;
@@ -327,21 +267,42 @@ int main(int argc, char** argv) {
          });
   range_pool = replayTraceStreaming(store_v4, range_pool_cfg,
                                     gatheringStreamed);
-  range_v1 = replayTraceStreaming(store_v1, range_v1_cfg, gatheringStreamed);
+
+  // Ranged vs full: a deterministic per-trial value folded over the window
+  // of a full replay must equal the same body's ranged replay.
+  const auto window_body = [](std::size_t global,
+                              doda::dynagraph::TraceShardReader& reader,
+                              doda::core::Engine::Scratch&) {
+    doda::sim::TrialOutcome outcome;
+    outcome.success = true;
+    outcome.interactions = static_cast<double>(reader.trialLength()) / 3.0 +
+                           static_cast<double>(global) * 7.0;
+    return outcome;
+  };
+  std::vector<doda::sim::TrialOutcome> full_outcomes(trials);
+  doda::sim::replayShards(
+      store_v4, 1,
+      [&](std::size_t global, doda::dynagraph::TraceShardReader& reader,
+          doda::core::Engine::Scratch& scratch) {
+        full_outcomes[global] = window_body(global, reader, scratch);
+        return full_outcomes[global];
+      });
+  MeasureResult window_folded;
+  for (std::uint64_t g = window.first; g < window.last; ++g)
+    doda::sim::foldOutcome(window_folded, full_outcomes[g]);
+  const MeasureResult window_ranged = doda::sim::replayShards(
+      store_v4, 1, window_body, TraceReadBackend::kAuto, window);
 
   // The executor's contract, enforced on every bench run: thread count,
-  // store format, reader backend and replay window never change the
+  // block encoding, reader backend and replay window never change the
   // statistics, and the streamed path agrees with the materialized path
   // for the same (online) algorithm.
   expectIdentical(mat_serial, mat_pool, "materialized serial/pool");
   expectIdentical(stream_serial, stream_pool, "streaming serial/pool");
-  expectIdentical(stream_serial, stream_v3_serial, "streaming v4/v3");
-  expectIdentical(stream_serial, stream_v2_serial, "streaming v4/v2");
-  expectIdentical(stream_serial, stream_v1_serial, "streaming v4/v1");
-  expectIdentical(stream_v1_serial, stream_v1_bufio,
-                  "streaming v1 mmap/bufio");
+  expectIdentical(stream_serial, stream_bufio, "streaming mmap/bufio");
+  expectIdentical(stream_serial, stream_raw, "streaming rANS/raw");
   expectIdentical(range_serial, range_pool, "ranged serial/pool");
-  expectIdentical(range_serial, range_v1, "ranged v3/v1");
+  expectIdentical(window_folded, window_ranged, "ranged vs folded full");
   MeasureResult gathering_check;
   gathering_check = replayTrace(store_v4, serial_cfg, gathering_materialized);
   expectIdentical(stream_serial, gathering_check,
@@ -356,11 +317,10 @@ int main(int argc, char** argv) {
   // -------------------------------------------------------------- import
   // The external-workload path: dump a Zipf-flavored contact log as CSV
   // (time-sorted, so the streaming two-pass ingester applies), then time
-  // parse -> renumber -> compressed sharded v3 store, and replay the
-  // imported store. The import is also written as v1 to report the
+  // parse -> renumber -> compressed sharded store, and replay the imported
+  // store. The import is also written with raw blocks to report the
   // compression ratio on a structured, real-world-shaped workload (the
-  // uniform store above is entropy-floor-limited; see the README's format
-  // notes).
+  // uniform store above is entropy-floor-limited; see docs/FORMATS.md).
   const std::size_t import_events = quick ? 262144 : 1048576;
   {
     doda::sim::MeasureConfig import_config = config;
@@ -381,18 +341,18 @@ int main(int argc, char** argv) {
            doda::dynagraph::importContactTrace(events_csv, dir_import,
                                                shards, import_options);
          });
-  doda::dynagraph::importContactTrace(events_csv, dir_import_v1, shards,
-                                      import_options, v1_format);
+  doda::dynagraph::importContactTrace(events_csv, dir_import_raw, shards,
+                                      import_options, raw_blocks);
   const auto import_store = TraceStore::open(dir_import);
-  const std::uint64_t import_bytes_v1 =
-      TraceStore::open(dir_import_v1).totalFileBytes();
+  const std::uint64_t import_bytes_raw =
+      TraceStore::open(dir_import_raw).totalFileBytes();
   const std::uint64_t import_bytes = import_store.totalFileBytes();
-  const double import_ratio = static_cast<double>(import_bytes_v1) /
+  const double import_ratio = static_cast<double>(import_bytes_raw) /
                               static_cast<double>(import_bytes);
-  std::printf("import: %zu events, v1 %llu bytes (%.3f B/i), v3 %llu bytes "
-              "(%.3f B/i), ratio %.2fx\n",
-              import_events, static_cast<unsigned long long>(import_bytes_v1),
-              import_bytes_v1 / static_cast<double>(import_events),
+  std::printf("import: %zu events, raw blocks %llu bytes (%.3f B/i), rANS "
+              "blocks %llu bytes (%.3f B/i), ratio %.2fx\n",
+              import_events, static_cast<unsigned long long>(import_bytes_raw),
+              import_bytes_raw / static_cast<double>(import_events),
               static_cast<unsigned long long>(import_bytes),
               import_bytes / static_cast<double>(import_events),
               import_ratio);
@@ -411,10 +371,10 @@ int main(int argc, char** argv) {
   // The crash-safe manifest store (storage/durable_store): the same
   // workload recorded as two appended generations with the recordTrials
   // seed scheme, so the composite replays the exact trials of the
-  // monolithic v4 store above. Measured: recovery-on-open plus composite
+  // monolithic store above. Measured: recovery-on-open plus composite
   // streamed replay (the append-reopen path, fsync-on-commit included in
   // setup, not in the leg), and offline compaction of the two
-  // generations into one indexed v4 segment. Both paths cross-check
+  // generations into one segment. Both paths cross-check
   // against the monolithic statistics: appending and compacting never
   // change what replays.
   const std::string dir_durable = root + "/durable";
@@ -464,7 +424,7 @@ int main(int argc, char** argv) {
 
   json << "{\n"
        << "  \"bench\": \"trace_replay\",\n"
-       << "  \"workload\": \"recordSynthetic v1+v2+v3+v4 + contact import + "
+       << "  \"workload\": \"recordSynthetic + contact import + "
           "WaitingGreedy(tau*) / Gathering\",\n"
        << "  \"hardware_concurrency\": "
        << std::thread::hardware_concurrency() << ",\n"
@@ -473,17 +433,12 @@ int main(int argc, char** argv) {
        << "  \"trials\": " << trials << ",\n"
        << "  \"length\": " << length << ",\n"
        << "  \"shards\": " << shards << ",\n"
-       << "  \"store_bytes_v1\": " << bytes_v1 << ",\n"
-       << "  \"store_bytes_v2\": " << bytes_v2 << ",\n"
-       << "  \"store_bytes_v3\": " << bytes_v3 << ",\n"
+       << "  \"store_bytes_raw\": " << bytes_raw << ",\n"
        << "  \"store_bytes_v4\": " << bytes_v4 << ",\n"
        << "  \"compression_ratio\": " << ratio << ",\n"
-       << "  \"compression_ratio_v3\": " << ratio_v3 << ",\n"
-       << "  \"compression_ratio_v4\": " << ratio_v4 << ",\n"
-       << "  \"decode_speedup_v4_over_v3\": " << decode_speedup_v4 << ",\n"
        << "  \"import_events\": " << import_events << ",\n"
-       << "  \"import_bytes_v1\": " << import_bytes_v1 << ",\n"
-       << "  \"import_bytes_v3\": " << import_bytes << ",\n"
+       << "  \"import_bytes_raw\": " << import_bytes_raw << ",\n"
+       << "  \"import_bytes_v4\": " << import_bytes << ",\n"
        << "  \"import_compression_ratio\": " << import_ratio << ",\n"
        << "  \"results\": [\n";
   for (std::size_t i = 0; i < legs.size(); ++i) {

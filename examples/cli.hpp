@@ -21,7 +21,7 @@
 //  * an unrecognized token starting with '-' prints
 //    "<program>: unknown flag: <token>" to stderr and exits 2;
 //  * value-flag placeholders use a small fixed vocabulary (<path>, <n>,
-//    <float>, <str>, <fmt>, <addr>) so the conformance test can
+//    <float>, <str>, <addr>) so the conformance test can
 //    synthesize a parseable probe value for any flag; a flag that takes
 //    several argv tokens lists one placeholder per token (repeated
 //    numeric placeholders probe with increasing values, so range-shaped

@@ -2,7 +2,7 @@
 //
 // Records `--trials` independent runs of a workload generator — or imports
 // an external contact-trace dataset — as a directory of binary shards
-// (dynagraph/trace_io; compressed v4 by default), ready for
+// (dynagraph/trace_io; rANS-compressed blocks by default), ready for
 // production-scale replay through the shard-parallel executor
 // (sim/trace_replay, bench_trace_replay, measureReplayed*).
 //
@@ -10,14 +10,14 @@
 //   trace_record --out DIR --n N --trials T --length L
 //                [--seed S] [--shards K]
 //                [--zipf EXPONENT | --edge-markov P_ON P_OFF]
-//                [--format v1|v2|v3|v4] [--no-compress] [--block-bytes B]
+//                [--no-compress] [--block-bytes B]
 //                [--durable] [--force] [--verify] [--replay-range A B]
 //   trace_record --out DIR --import FILE [--trials T] [--shards K]
 //                [--keep-self-loops] [--max-events M]
-//                [--format v1|v2|v3|v4] [--no-compress] [--block-bytes B]
+//                [--no-compress] [--block-bytes B]
 //                [--durable] [--force] [--verify] [--replay-range A B]
 //   trace_record --out DIR --compact [--shards K]
-//                [--format v1|v2|v3|v4] [--no-compress] [--block-bytes B]
+//                [--no-compress] [--block-bytes B]
 //                [--verify] [--replay-range A B]
 //
 // A non-empty existing --out directory is refused unless --force is given
@@ -27,8 +27,8 @@
 // atomically, and a durable --import is *incremental* — re-importing a
 // grown contact log appends only the new events, preserving the dense-id
 // map. --compact rewrites every committed segment of a durable store into
-// one fresh segment in the selected format (v4 by default) and drops the
-// old generations.
+// one fresh segment (rANS blocks unless --no-compress) and drops the old
+// generations.
 //
 // Workloads:
 //   default        uniform randomized adversary (paper §4); per-trial seeds
@@ -47,8 +47,8 @@
 // --verify reopens the store, streams every shard once, and runs a small
 // multi-threaded contact-profile analysis over the first recorded trial.
 // --replay-range A B replays only global trials [A, B) through a streamed
-// Gathering run (v3/v4 stores seek straight to the window via their block
-// index; v1/v2 stores skip forward) and prints the windowed statistics.
+// Gathering run (the reader seeks straight to the window via each shard's
+// block index) and prints the windowed statistics.
 
 #include <algorithm>
 #include <cstdlib>
@@ -124,8 +124,7 @@ const cli::HelpSpec kHelp{
          "ingest external contact events instead of generating"},
         {"--keep-self-loops", "", "import: keep self-loop events"},
         {"--max-events", "<n>", "import: cap ingested events"},
-        {"--format", "<fmt>", "store format: v1 | v2 | v3 | v4 (default v4)"},
-        {"--no-compress", "", "disable payload compression"},
+        {"--no-compress", "", "store raw blocks (no rANS compression)"},
         {"--block-bytes", "<n>", "payload block size in bytes"},
         {"--durable", "",
          "write through the crash-safe manifest store (append semantics)"},
@@ -166,19 +165,6 @@ Options parse(int argc, char** argv) {
       opt.edge_markov = true;
       opt.p_on = doubleValue();
       opt.p_off = doubleValue();
-    } else if (arg == "--format") {
-      const std::string format = value();
-      if (format == "v1") {
-        opt.writer.format_version = dynagraph::kTraceFormatVersionV1;
-      } else if (format == "v2") {
-        opt.writer.format_version = dynagraph::kTraceFormatVersionV2;
-      } else if (format == "v3") {
-        opt.writer.format_version = dynagraph::kTraceFormatVersionV3;
-      } else if (format == "v4") {
-        opt.writer.format_version = dynagraph::kTraceFormatVersionV4;
-      } else {
-        cli::usageError(kHelp, "--format: unknown format '" + format + "'");
-      }
     } else if (arg == "--no-compress") {
       opt.writer.compress = false;
     } else if (arg == "--block-bytes") {
@@ -215,7 +201,7 @@ Options parse(int argc, char** argv) {
         opt.seed != 0x5eed || opt.durable || opt.force)
       cli::usageError(kHelp,
                       "--compact takes only store-shape flags "
-                      "(--shards/--format/--no-compress/--block-bytes)");
+                      "(--shards/--no-compress/--block-bytes)");
   } else if (opt.import_path.empty()) {
     if (opt.n < 2 || opt.trials == 0 || opt.length == 0)
       cli::usageError(kHelp, "need --n >= 2, --trials and --length");
@@ -331,7 +317,8 @@ void compactStore(const Options& opt) {
   const std::uint64_t after_bytes = store.openStore().totalFileBytes();
   std::cout << "compacted " << before_segments << " segments ("
             << before_bytes << " bytes) into 1 (" << after_bytes
-            << " bytes, format v" << opt.writer.format_version << ")\n";
+            << " bytes, " << (opt.writer.compress ? "rANS" : "raw")
+            << " blocks)\n";
 }
 
 /// The store just written, whatever discipline wrote it: a durable store
@@ -365,8 +352,8 @@ std::vector<std::size_t> contactProfile(
 }
 
 /// Windowed replay demo: streams only trials [A, B) of the store through
-/// a Gathering run and prints the window's statistics. On a v3/v4 store the
-/// executor seeks straight to the window via the block index.
+/// a Gathering run and prints the window's statistics. The executor seeks
+/// straight to the window via each shard's block index.
 void replayRange(const dynagraph::TraceStore& store, const Options& opt) {
   sim::ReplayConfig replay;
   replay.trial_range = {opt.range_first, opt.range_last};
@@ -394,7 +381,7 @@ int verifyStore(const dynagraph::TraceStore& store) {
   const std::uint64_t bytes = store.totalFileBytes();
   std::cout << "verify: " << store.trialCount() << " trials in "
             << store.shardCount() << " shards (format v"
-            << store.formatVersion() << "), " << interactions
+            << dynagraph::kTraceFormatVersion << "), " << interactions
             << " interactions, " << bytes << " bytes ("
             << (interactions == 0
                     ? 0.0

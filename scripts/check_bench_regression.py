@@ -16,7 +16,7 @@ baselines can be refreshed when hardware improves).
 Noise hardening (the CI container is 1-2 shared cores):
 
 * ``--leg-tolerance LEG=TOL`` (repeatable) widens the band for an
-  individually noisy leg (short legs such as ``record_v1`` jitter more
+  individually noisy leg (short legs such as ``record`` jitter more
   than long replay legs) without loosening the whole gate.
 * ``--retries N --rerun-cmd CMD`` re-runs the bench command when a
   regression is found and keeps the *best* value seen per metric
@@ -343,7 +343,7 @@ def main() -> int:
         action="append",
         default=[],
         metavar="LEG=TOL",
-        help="per-leg tolerance override (repeatable), e.g. record_v1=0.4",
+        help="per-leg tolerance override (repeatable), e.g. record=0.4",
     )
     parser.add_argument(
         "--parallel-leg",

@@ -7,7 +7,7 @@ For every binary passed on the command line:
     rows;
   * every documented flag must PARSE: the probe ``--flag VALUE... --help``
     (probe values synthesized from the placeholder vocabulary — <path>,
-    <n>, <float>, <str>, <range>, <fmt>, <addr>) must still exit 0, so a
+    <n>, <float>, <str>, <range>, <addr>) must still exit 0, so a
     documented-but-unimplemented flag fails here as "unknown flag" and an
     implemented-but-undocumented vocabulary drifts loudly;
   * an unknown flag must exit 2 and name itself on stderr.
@@ -31,7 +31,6 @@ PROBE_VALUES = {
     "n": ["4", "8", "16", "32"],
     "float": ["0.25", "0.5", "0.75"],
     "str": ["gathering"],
-    "fmt": ["v2"],
     "addr": ["127.0.0.1"],
 }
 

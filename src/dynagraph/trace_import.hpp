@@ -76,8 +76,8 @@ ContactTrace loadContactEvents(const std::string& path,
 
 /// Converts the event list at `input_path` into a sharded binary store
 /// under `directory` (options.trials consecutive segments, shard_count
-/// clamped to the trial count), written in the format `writer_options`
-/// selects. Returns the import statistics.
+/// clamped to the trial count), written with `writer_options`. Returns
+/// the import statistics.
 ///
 /// The ingest is a streaming two-pass: pass 1 scans the file once to size
 /// the store (event count, dense id universe, time order), pass 2 streams

@@ -21,7 +21,7 @@
 #include <unistd.h>
 #endif
 
-// The v4 SWAR unit parser assembles fields with unaligned 64-bit loads,
+// The SWAR unit parser assembles fields with unaligned 64-bit loads,
 // which read bytes in native order; it is only enabled where that order is
 // the on-disk (little-endian) order. Elsewhere the scalar parser runs.
 #if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
@@ -146,34 +146,25 @@ std::uint64_t loadU64(const unsigned char* in) {
   return value;
 }
 
-/// Serializes a header for either format version (header.format_version
-/// picks the layout; the returned vector is the exact on-disk size).
+/// Serializes a header (the returned vector is the exact on-disk size).
 std::vector<unsigned char> encodeHeader(const TraceShardHeader& header) {
-  std::vector<unsigned char> bytes(header.headerSize(), 0);
+  std::vector<unsigned char> bytes(kTraceHeaderSize, 0);
   for (int i = 0; i < 8; ++i)
     bytes[static_cast<std::size_t>(i)] =
         static_cast<unsigned char>(kTraceMagic[i]);
-  storeU16(&bytes[8], header.format_version);
-  storeU16(&bytes[10], header.headerSize());
+  storeU16(&bytes[8], kTraceFormatVersion);
+  storeU16(&bytes[10], kTraceHeaderSize);
   storeU32(&bytes[12], header.shard_index);
   storeU32(&bytes[16], header.shard_count);
+  storeU32(&bytes[20], header.codec);
   storeU64(&bytes[24], header.node_count);
   storeU64(&bytes[32], header.trial_count);
   storeU64(&bytes[40], header.base_trial);
   storeU64(&bytes[48], header.payload_bytes);
-  if (header.format_version >= kTraceFormatVersionV2) {
-    storeU32(&bytes[20], header.codec);
-    storeU64(&bytes[56], header.raw_payload_bytes);
-    storeU32(&bytes[64], header.block_bytes);
-    // v2 reserves offset 68 (always 0); v3 stores the footer size there.
-    storeU32(&bytes[68], header.format_version >= kTraceFormatVersionV3
-                             ? header.footer_bytes
-                             : 0);
-    storeU64(&bytes[72], fnv1a(bytes.data(), 72));
-  } else {
-    storeU32(&bytes[20], 0);  // reserved
-    storeU64(&bytes[56], fnv1a(bytes.data(), 56));
-  }
+  storeU64(&bytes[56], header.raw_payload_bytes);
+  storeU32(&bytes[64], header.block_bytes);
+  storeU32(&bytes[68], header.footer_bytes);
+  storeU64(&bytes[72], fnv1a(bytes.data(), 72));
   return bytes;
 }
 
@@ -182,29 +173,20 @@ std::uint64_t zigzagEncode(std::int64_t value) {
          static_cast<std::uint64_t>(value >> 63);
 }
 
-std::size_t varintLen(std::uint64_t value) {
-  std::size_t len = 1;
-  while (value >= 0x80) {
-    value >>= 7;
-    ++len;
-  }
-  return len;
-}
-
 std::int64_t zigzagDecode(std::uint64_t value) {
   return static_cast<std::int64_t>(value >> 1) ^
          -static_cast<std::int64_t>(value & 1);
 }
 
-/// v4: little-endian byte length of a group field (the writer guarantees
+/// Little-endian byte length of a group field (the writer guarantees
 /// values < 2^32 via the node-count bound).
-std::size_t v4FieldLen(std::uint64_t value) {
+std::size_t fieldLen(std::uint64_t value) {
   return value < (1u << 8) ? 1 : value < (1u << 16) ? 2
          : value < (std::uint64_t{1} << 24) ? 3 : 4;
 }
 
-/// v4: size code of a trial-length unit (data bytes = 1 << code).
-unsigned v4LengthCode(std::uint64_t length) {
+/// Size code of a trial-length unit (data bytes = 1 << code).
+unsigned lengthCode(std::uint64_t length) {
   return length < (std::uint64_t{1} << 8)    ? 0u
          : length < (std::uint64_t{1} << 16) ? 1u
          : length < (std::uint64_t{1} << 32) ? 2u
@@ -306,38 +288,16 @@ TraceStoreWriter::TraceStoreWriter(std::string directory,
   if (shard_count_ == 0 || shard_count_ > total_trials_)
     throw std::invalid_argument(
         "TraceStoreWriter: shard count must be in [1, total_trials]");
-  if (options_.format_version < kTraceFormatVersionV1 ||
-      options_.format_version > kTraceFormatVersionV4)
+  if (node_count_ > (std::uint64_t{1} << 31))
     throw std::invalid_argument(
-        "TraceStoreWriter: unsupported format version " +
-        std::to_string(options_.format_version));
-  if (options_.format_version >= kTraceFormatVersionV4 &&
-      node_count_ > (std::uint64_t{1} << 31))
-    throw std::invalid_argument(
-        "TraceStoreWriter: v4 requires node_count <= 2^31 (group fields "
-        "are at most 4 bytes)");
+        "TraceStoreWriter: node_count must be <= 2^31 (group fields are at "
+        "most 4 bytes)");
   if (options_.block_bytes < kTraceMinBlockBytes ||
       options_.block_bytes > kTraceMaxBlockBytes)
     throw std::invalid_argument("TraceStoreWriter: block size out of range");
-  if (options_.format_version >= kTraceFormatVersionV3) {
-    bucket_cap_ = codec::kRansContextBuckets;
-    if (options_.compress) {
-      if (options_.format_version >= kTraceFormatVersionV4)
-        rans_v4_ = std::make_unique<codec::RansV4BlockEncoder>();
-      else
-        rans_ = std::make_unique<codec::RansBlockEncoder>();
-    }
-  }
-  bucket_shift_ = codec::bucketShiftFor(node_count_, bucket_cap_);
+  if (options_.compress) rans_ = std::make_unique<codec::RansV4BlockEncoder>();
   storage::resolveEnv(options_.env).mkdirs(directory_);
-  if (options_.format_version == kTraceFormatVersionV1) {
-    chunk_.reserve(options_.block_bytes);
-  } else {
-    raw_block_.reserve(options_.block_bytes);
-    if (options_.format_version == kTraceFormatVersionV3 &&
-        options_.compress)
-      ctx_block_.reserve(options_.block_bytes);
-  }
+  raw_block_.reserve(options_.block_bytes);
   openShard(0);
 }
 
@@ -367,25 +327,16 @@ void TraceStoreWriter::openShard(std::uint32_t index) {
   trials_in_current_ = 0;
   payload_bytes_ = 0;
   raw_payload_bytes_ = 0;
-  chunk_.clear();
   raw_block_.clear();
-  ctx_block_.clear();
   index_.clear();
   cur_trials_begun_ = 0;
   cur_trial_length_ = 0;
   cur_decoded_ = 0;
   cur_prev_a_ = 0;
-  v4_have_pending_ = false;
-  if (options_.format_version == kTraceFormatVersionV2 && options_.compress) {
-    encoded_.clear();
-    encoder_.start(&encoded_);
-    models_.reset();
-  }
+  have_held_ = false;
   if (rans_) rans_->reset();
-  if (rans_v4_) rans_v4_->reset();
   // Placeholder header; sealed with the real payload size in closeShard().
   TraceShardHeader header;
-  header.format_version = options_.format_version;
   header.shard_index = index;
   header.shard_count = shard_count_;
   header.node_count = node_count_;
@@ -396,33 +347,20 @@ void TraceStoreWriter::openShard(std::uint32_t index) {
 }
 
 void TraceStoreWriter::closeShard() {
-  if (options_.format_version >= kTraceFormatVersionV2) {
-    flushBlock();
-  } else {
-    flushChunk();
-    raw_payload_bytes_ = payload_bytes_;
-  }
-  if (options_.format_version >= kTraceFormatVersionV3) writeFooter();
+  flushBlock();
+  writeFooter();
   TraceShardHeader header;
-  header.format_version = options_.format_version;
   header.shard_index = current_shard_;
   header.shard_count = shard_count_;
+  header.codec = options_.compress ? kTraceCodecRansV4 : kTraceCodecRaw;
+  header.block_bytes = static_cast<std::uint32_t>(options_.block_bytes);
+  header.footer_bytes = static_cast<std::uint32_t>(
+      kTraceIndexFixedBytes + index_.size() * kTraceIndexEntryBytes);
   header.node_count = node_count_;
   header.trial_count = trials_in_current_;
   header.base_trial = options_.base_trial + trials_appended_ - trials_in_current_;
   header.payload_bytes = payload_bytes_;
-  if (options_.format_version >= kTraceFormatVersionV2) {
-    header.codec =
-        !options_.compress ? kTraceCodecRaw
-        : options_.format_version >= kTraceFormatVersionV4 ? kTraceCodecRansV4
-        : options_.format_version >= kTraceFormatVersionV3 ? kTraceCodecRans
-                                                           : kTraceCodecRangeCoded;
-    header.block_bytes = static_cast<std::uint32_t>(options_.block_bytes);
-    header.raw_payload_bytes = raw_payload_bytes_;
-  }
-  if (options_.format_version >= kTraceFormatVersionV3)
-    header.footer_bytes = static_cast<std::uint32_t>(
-        kTraceIndexFixedBytes + index_.size() * kTraceIndexEntryBytes);
+  header.raw_payload_bytes = raw_payload_bytes_;
   const auto bytes = encodeHeader(header);
   out_->writeAt(0, bytes.data(), bytes.size());
   if (options_.sync_on_close) out_->sync();
@@ -430,71 +368,20 @@ void TraceStoreWriter::closeShard() {
   out_.reset();
 }
 
-void TraceStoreWriter::putByte(std::uint8_t byte, codec::SymbolClass cls,
-                               unsigned bucket) {
-  if (options_.format_version >= kTraceFormatVersionV3) {
-    if (raw_block_.empty()) {
-      // A block is starting: snapshot where it lives and the record cursor
-      // at its first byte. putByte is only reached at record-unit
-      // boundaries after alignBlockForUnit, so the cursor fully describes
-      // this position.
-      TraceBlockIndexEntry entry;
-      entry.offset = kTraceHeaderSizeV2 + payload_bytes_;
-      entry.raw_start = raw_payload_bytes_;
-      entry.trials_begun = cur_trials_begun_;
-      entry.trial_length = cur_trial_length_;
-      entry.decoded = cur_decoded_;
-      entry.prev_a = cur_prev_a_;
-      index_.push_back(entry);
-    }
-    raw_block_.push_back(byte);
-    if (rans_) {
-      // Contexts are only consumed by the rANS seal; the raw (compress =
-      // false) path skips the per-byte bookkeeping entirely.
-      const unsigned ctx = codec::ransContext(cls, bucket);
-      ctx_block_.push_back(static_cast<std::uint8_t>(ctx));
-      rans_->count(byte, ctx);
-    }
-    return;  // flushing happens at unit boundaries (alignBlockForUnit)
-  }
-  if (options_.format_version >= kTraceFormatVersionV2) {
-    raw_block_.push_back(byte);
-    if (options_.compress) encoder_.encodeByte(models_.select(cls, bucket), byte);
-    if (raw_block_.size() == options_.block_bytes) flushBlock();
-    return;
-  }
-  if (chunk_.size() == options_.block_bytes) flushChunk();
-  chunk_.push_back(static_cast<char>(byte));
-  ++payload_bytes_;
-}
-
 void TraceStoreWriter::alignBlockForUnit(std::size_t unit_bytes) {
-  if (options_.format_version < kTraceFormatVersionV3) return;
   if (!raw_block_.empty() &&
       raw_block_.size() + unit_bytes > options_.block_bytes)
     flushBlock();
 }
 
-void TraceStoreWriter::putVarint(std::uint64_t value,
-                                 codec::SymbolClass first_cls,
-                                 codec::SymbolClass cont_cls,
-                                 unsigned bucket) {
-  codec::SymbolClass cls = first_cls;
-  while (value >= 0x80) {
-    putByte(static_cast<std::uint8_t>(value) | 0x80, cls, bucket);
-    value >>= 7;
-    cls = cont_cls;
-  }
-  putByte(static_cast<std::uint8_t>(value), cls, bucket);
-}
-
-void TraceStoreWriter::putByteV4(std::uint8_t byte) {
+void TraceStoreWriter::putByte(std::uint8_t byte) {
   if (raw_block_.empty()) {
-    // Same block snapshot as the v3 putByte path: putByteV4 is only
-    // reached at record-unit boundaries after alignBlockForUnit, so the
-    // cursor fully describes this position.
+    // A block is starting: snapshot where it lives and the record cursor
+    // at its first byte. putByte is only reached at record-unit boundaries
+    // after alignBlockForUnit, so the cursor fully describes this
+    // position.
     TraceBlockIndexEntry entry;
-    entry.offset = kTraceHeaderSizeV2 + payload_bytes_;
+    entry.offset = kTraceHeaderSize + payload_bytes_;
     entry.raw_start = raw_payload_bytes_;
     entry.trials_begun = cur_trials_begun_;
     entry.trial_length = cur_trial_length_;
@@ -503,17 +390,16 @@ void TraceStoreWriter::putByteV4(std::uint8_t byte) {
     index_.push_back(entry);
   }
   raw_block_.push_back(byte);
-  if (rans_v4_) rans_v4_->count(byte);
+  if (rans_) rans_->count(byte);
 }
 
-void TraceStoreWriter::emitGroupV4(Interaction first,
-                                   const Interaction* second) {
+void TraceStoreWriter::emitGroup(Interaction first, const Interaction* second) {
   const std::uint64_t delta0 =
       zigzagEncode(static_cast<std::int64_t>(first.a()) -
                    static_cast<std::int64_t>(cur_prev_a_));
   const std::uint64_t gap0 = first.b() - first.a() - 1;
-  const std::size_t l0 = v4FieldLen(delta0);
-  const std::size_t g0 = v4FieldLen(gap0);
+  const std::size_t l0 = fieldLen(delta0);
+  const std::size_t g0 = fieldLen(gap0);
   std::uint64_t delta1 = 0, gap1 = 0;
   std::size_t l1 = 0, g1 = 0;
   std::uint8_t ctrl = static_cast<std::uint8_t>((l0 - 1) | ((g0 - 1) << 2));
@@ -521,15 +407,15 @@ void TraceStoreWriter::emitGroupV4(Interaction first,
     delta1 = zigzagEncode(static_cast<std::int64_t>(second->a()) -
                           static_cast<std::int64_t>(first.a()));
     gap1 = second->b() - second->a() - 1;
-    l1 = v4FieldLen(delta1);
-    g1 = v4FieldLen(gap1);
+    l1 = fieldLen(delta1);
+    g1 = fieldLen(gap1);
     ctrl |= static_cast<std::uint8_t>(((l1 - 1) << 4) | ((g1 - 1) << 6));
   }
   alignBlockForUnit(1 + l0 + g0 + l1 + g1);
-  putByteV4(ctrl);
+  putByte(ctrl);
   auto putField = [this](std::uint64_t value, std::size_t len) {
     for (std::size_t i = 0; i < len; ++i)
-      putByteV4(static_cast<std::uint8_t>(value >> (8 * i)));
+      putByte(static_cast<std::uint8_t>(value >> (8 * i)));
   };
   putField(delta0, l0);
   putField(gap0, g0);
@@ -544,41 +430,19 @@ void TraceStoreWriter::emitGroupV4(Interaction first,
   }
 }
 
-void TraceStoreWriter::flushChunk() {
-  if (chunk_.empty()) return;
-  out_->append(chunk_.data(), chunk_.size());
-  chunk_.clear();
-}
-
 void TraceStoreWriter::flushBlock() {
   if (raw_block_.empty()) return;
   const std::uint8_t* stored = raw_block_.data();
   std::size_t stored_size = raw_block_.size();
   std::uint8_t block_codec = static_cast<std::uint8_t>(kTraceCodecRaw);
-  if (rans_v4_) {
-    rans_v4_->seal(raw_block_.data(), raw_block_.size(), encoded_);
+  if (rans_) {
+    rans_->seal(raw_block_.data(), raw_block_.size(), encoded_);
     // Raw fallback: an incompressible block is stored verbatim, so a
     // compressed store never expands beyond the per-block framing.
     if (encoded_.size() < raw_block_.size()) {
       stored = encoded_.data();
       stored_size = encoded_.size();
       block_codec = static_cast<std::uint8_t>(kTraceCodecRansV4);
-    }
-  } else if (rans_) {
-    rans_->seal(raw_block_.data(), ctx_block_.data(), raw_block_.size(),
-                encoded_);
-    if (encoded_.size() < raw_block_.size()) {
-      stored = encoded_.data();
-      stored_size = encoded_.size();
-      block_codec = static_cast<std::uint8_t>(kTraceCodecRans);
-    }
-  } else if (options_.format_version == kTraceFormatVersionV2 &&
-             options_.compress) {
-    encoder_.finish();
-    if (encoded_.size() < raw_block_.size()) {
-      stored = encoded_.data();
-      stored_size = encoded_.size();
-      block_codec = static_cast<std::uint8_t>(kTraceCodecRangeCoded);
     }
   }
   unsigned char frame[kTraceBlockFrameBytes];
@@ -588,24 +452,12 @@ void TraceStoreWriter::flushBlock() {
   storeU64(frame + 9, fnv1a(stored, stored_size));
   out_->append(frame, sizeof(frame));
   out_->append(stored, stored_size);
-  if (options_.format_version >= kTraceFormatVersionV3) {
-    index_.back().raw_size = static_cast<std::uint32_t>(raw_block_.size());
-    index_.back().stored_size = static_cast<std::uint32_t>(stored_size);
-  }
+  index_.back().raw_size = static_cast<std::uint32_t>(raw_block_.size());
+  index_.back().stored_size = static_cast<std::uint32_t>(stored_size);
   payload_bytes_ += kTraceBlockFrameBytes + stored_size;
   raw_payload_bytes_ += raw_block_.size();
   raw_block_.clear();
-  ctx_block_.clear();
-  if (rans_v4_) {
-    rans_v4_->reset();
-  } else if (rans_) {
-    rans_->reset();
-  } else if (options_.format_version == kTraceFormatVersionV2 &&
-             options_.compress) {
-    encoded_.clear();
-    encoder_.start(&encoded_);
-    models_.reset();
-  }
+  if (rans_) rans_->reset();
 }
 
 void TraceStoreWriter::writeFooter() {
@@ -640,18 +492,12 @@ void TraceStoreWriter::beginTrial(std::uint64_t length) {
     closeShard();
     openShard(current_shard_ + 1);
   }
-  if (options_.format_version >= kTraceFormatVersionV4) {
-    const unsigned code = v4LengthCode(length);
-    const std::size_t nbytes = std::size_t{1} << code;
-    alignBlockForUnit(1 + nbytes);
-    putByteV4(static_cast<std::uint8_t>(code));
-    for (std::size_t i = 0; i < nbytes; ++i)
-      putByteV4(static_cast<std::uint8_t>(length >> (8 * i)));
-  } else {
-    using codec::SymbolClass;
-    alignBlockForUnit(varintLen(length));
-    putVarint(length, SymbolClass::kLengthFirst, SymbolClass::kLengthCont, 0);
-  }
+  const unsigned code = lengthCode(length);
+  const std::size_t nbytes = std::size_t{1} << code;
+  alignBlockForUnit(1 + nbytes);
+  putByte(static_cast<std::uint8_t>(code));
+  for (std::size_t i = 0; i < nbytes; ++i)
+    putByte(static_cast<std::uint8_t>(length >> (8 * i)));
   ++cur_trials_begun_;
   cur_trial_length_ = length;
   cur_decoded_ = 0;
@@ -672,43 +518,22 @@ void TraceStoreWriter::addInteraction(Interaction interaction) {
   if (interaction.b() >= node_count_)
     throw std::invalid_argument(
         "TraceStoreWriter: interaction endpoint >= node_count");
-  if (options_.format_version >= kTraceFormatVersionV4) {
-    // Interactions pair up into group units; the writer holds at most one
-    // interaction back, flushed as a single-interaction group when the
-    // trial ends on an odd count.
-    --pending_interactions_;
-    if (!v4_have_pending_ && pending_interactions_ > 0) {
-      v4_pending_ = interaction;
-      v4_have_pending_ = true;
-      return;
-    }
-    if (v4_have_pending_) {
-      emitGroupV4(v4_pending_, &interaction);
-      v4_have_pending_ = false;
-    } else {
-      emitGroupV4(interaction, nullptr);
-    }
-    if (pending_interactions_ == 0) {
-      trial_open_ = false;
-      ++trials_appended_;
-      ++trials_in_current_;
-    }
+  // Interactions pair up into group units; the writer holds at most one
+  // interaction back, flushed as a single-interaction group when the trial
+  // ends on an odd count.
+  --pending_interactions_;
+  if (!have_held_ && pending_interactions_ > 0) {
+    held_ = interaction;
+    have_held_ = true;
     return;
   }
-  using codec::SymbolClass;
-  const std::uint64_t delta =
-      zigzagEncode(static_cast<std::int64_t>(interaction.a()) -
-                   static_cast<std::int64_t>(cur_prev_a_));
-  const std::uint64_t gap = interaction.b() - interaction.a() - 1;
-  alignBlockForUnit(varintLen(delta) + varintLen(gap));
-  putVarint(delta, SymbolClass::kDeltaFirst, SymbolClass::kDeltaCont,
-            codec::contextBucket(cur_prev_a_, bucket_shift_, bucket_cap_));
-  putVarint(gap, SymbolClass::kGapFirst, SymbolClass::kGapCont,
-            codec::contextBucket(interaction.a(), bucket_shift_,
-                                 bucket_cap_));
-  cur_prev_a_ = interaction.a();
-  ++cur_decoded_;
-  if (--pending_interactions_ == 0) {
+  if (have_held_) {
+    emitGroup(held_, &interaction);
+    have_held_ = false;
+  } else {
+    emitGroup(interaction, nullptr);
+  }
+  if (pending_interactions_ == 0) {
     trial_open_ = false;
     ++trials_appended_;
     ++trials_in_current_;
@@ -748,10 +573,8 @@ bool TraceShardReader::mmapSupported() noexcept {
 #endif
 }
 
-TraceShardReader::TraceShardReader(std::string path, std::size_t block_bytes,
-                                   TraceReadBackend backend)
-    : path_(std::move(path)),
-      stream_block_bytes_(block_bytes > 0 ? block_bytes : kTraceBlockBytes) {
+TraceShardReader::TraceShardReader(std::string path, TraceReadBackend backend)
+    : path_(std::move(path)) {
   // Stat before choosing a backend so a missing / zero-length file fails
   // with the same message on every backend.
   std::error_code ec;
@@ -783,28 +606,14 @@ TraceShardReader::TraceShardReader(std::string path, std::size_t block_bytes,
   if (file_size > expected) fail("trailing bytes after declared payload");
 
   if (usingMmap()) {
-    payload_ptr_ = map_.data + header_.headerSize();
-    // The payload cursor never runs into the v3 footer (0 bytes for v1/v2).
-    payload_end_ = map_.data + header_.headerSize() + header_.payload_bytes;
-    if (header_.format_version == kTraceFormatVersionV1) {
-      // v1 + mmap: the whole payload is the symbol window — zero copies,
-      // one bounds check per byte.
-      sym_buf_ = payload_ptr_;
-      sym_pos_ = 0;
-      sym_limit_ = static_cast<std::size_t>(header_.payload_bytes);
-      payload_ptr_ = payload_end_;
-    }
+    // The payload cursor never runs into the footer.
+    payload_ptr_ = map_.data + kTraceHeaderSize;
+    payload_end_ = payload_ptr_ + header_.payload_bytes;
   } else {
     payload_left_ = header_.payload_bytes;
-    if (header_.format_version == kTraceFormatVersionV1)
-      stream_buf_.resize(stream_block_bytes_);
   }
   raw_left_base_ = header_.raw_payload_bytes;
-  if (header_.format_version >= kTraceFormatVersionV3) {
-    bucket_cap_ = codec::kRansContextBuckets;
-    parseFooter();
-  }
-  bucket_shift_ = codec::bucketShiftFor(header_.node_count, bucket_cap_);
+  parseFooter();
   have_offset_ctx_ = true;
 }
 
@@ -814,9 +623,9 @@ void TraceShardReader::fail(const std::string& why) const {
     // The payload cursor sits just past the bytes consumed so far, which
     // is where the first corruption was detected.
     where = " (at byte " +
-            std::to_string(header_.headerSize() + header_.payload_bytes -
+            std::to_string(kTraceHeaderSize + header_.payload_bytes -
                            payloadSourceLeft());
-    if (header_.format_version >= kTraceFormatVersionV2 && blocks_loaded_ > 0)
+    if (blocks_loaded_ > 0)
       where += ", block " + std::to_string(blocks_loaded_ - 1);
     where += ")";
   }
@@ -824,90 +633,61 @@ void TraceShardReader::fail(const std::string& why) const {
 }
 
 void TraceShardReader::parseHeader() {
-  std::array<unsigned char, kTraceHeaderSizeV2> bytes{};
-  auto readHeaderBytes = [&](std::size_t offset, std::size_t count) {
-    if (usingMmap()) {
-      if (map_.size < offset + count) fail("truncated header");
-      std::memcpy(bytes.data() + offset, map_.data + offset, count);
-      return;
-    }
-    in_.read(reinterpret_cast<char*>(bytes.data() + offset),
-             static_cast<std::streamsize>(count));
-    if (in_.gcount() != static_cast<std::streamsize>(count))
+  std::array<unsigned char, kTraceHeaderSize> bytes{};
+  if (usingMmap()) {
+    if (map_.size < bytes.size()) fail("truncated header");
+    std::memcpy(bytes.data(), map_.data, bytes.size());
+  } else {
+    in_.read(reinterpret_cast<char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
+    if (in_.gcount() != static_cast<std::streamsize>(bytes.size()))
       fail("truncated header");
-  };
-
-  readHeaderBytes(0, kTraceHeaderSize);
+  }
   for (int i = 0; i < 8; ++i)
     if (bytes[static_cast<std::size_t>(i)] !=
         static_cast<unsigned char>(kTraceMagic[i]))
       fail("bad magic (not a doda binary trace shard)");
   const std::uint16_t version = loadU16(&bytes[8]);
-  const std::uint16_t header_size = loadU16(&bytes[10]);
-  if (version == kTraceFormatVersionV1) {
-    if (header_size != kTraceHeaderSize) fail("unexpected header size");
-    if (loadU64(&bytes[56]) != fnv1a(bytes.data(), 56))
-      fail("header checksum mismatch (corrupt header)");
-  } else if (version >= kTraceFormatVersionV2 &&
-             version <= kTraceFormatVersionV4) {
-    if (header_size != kTraceHeaderSizeV2) fail("unexpected header size");
-    readHeaderBytes(kTraceHeaderSize, kTraceHeaderSizeV2 - kTraceHeaderSize);
-    if (loadU64(&bytes[72]) != fnv1a(bytes.data(), 72))
-      fail("header checksum mismatch (corrupt header)");
-  } else {
+  if (version != kTraceFormatVersion)
     fail("unsupported format version " + std::to_string(version));
-  }
+  if (loadU16(&bytes[10]) != kTraceHeaderSize) fail("unexpected header size");
+  if (loadU64(&bytes[72]) != fnv1a(bytes.data(), 72))
+    fail("header checksum mismatch (corrupt header)");
 
-  header_.format_version = version;
   header_.shard_index = loadU32(&bytes[12]);
   header_.shard_count = loadU32(&bytes[16]);
+  header_.codec = loadU32(&bytes[20]);
   header_.node_count = loadU64(&bytes[24]);
   header_.trial_count = loadU64(&bytes[32]);
   header_.base_trial = loadU64(&bytes[40]);
   header_.payload_bytes = loadU64(&bytes[48]);
-  if (version >= kTraceFormatVersionV2) {
-    header_.codec = loadU32(&bytes[20]);
-    header_.raw_payload_bytes = loadU64(&bytes[56]);
-    header_.block_bytes = loadU32(&bytes[64]);
-    if (version >= kTraceFormatVersionV3) {
-      header_.footer_bytes = loadU32(&bytes[68]);
-      const std::uint32_t coded = version >= kTraceFormatVersionV4
-                                      ? kTraceCodecRansV4
-                                      : kTraceCodecRans;
-      if (header_.codec != kTraceCodecRaw && header_.codec != coded)
-        fail("unsupported payload codec " + std::to_string(header_.codec));
-      if (header_.footer_bytes < kTraceIndexFixedBytes +
-                                     kTraceIndexEntryBytes ||
-          (header_.footer_bytes - kTraceIndexFixedBytes) %
-                  kTraceIndexEntryBytes !=
-              0)
-        fail("footer size malformed (corrupt block index)");
-    } else if (header_.codec > kTraceCodecRangeCoded) {
-      fail("unsupported payload codec " + std::to_string(header_.codec));
-    }
-    if (header_.block_bytes < kTraceMinBlockBytes ||
-        header_.block_bytes > kTraceMaxBlockBytes)
-      fail("header block size out of range");
-    if (header_.raw_payload_bytes > 0 && header_.payload_bytes == 0)
-      fail("header payload sizes inconsistent");
-  } else {
-    header_.codec = kTraceCodecRaw;
-    header_.block_bytes = 0;
-    header_.raw_payload_bytes = header_.payload_bytes;
-  }
+  header_.raw_payload_bytes = loadU64(&bytes[56]);
+  header_.block_bytes = loadU32(&bytes[64]);
+  header_.footer_bytes = loadU32(&bytes[68]);
+  if (header_.codec != kTraceCodecRaw && header_.codec != kTraceCodecRansV4)
+    fail("unsupported payload codec " + std::to_string(header_.codec));
+  if (header_.footer_bytes < kTraceIndexFixedBytes + kTraceIndexEntryBytes ||
+      (header_.footer_bytes - kTraceIndexFixedBytes) %
+              kTraceIndexEntryBytes !=
+          0)
+    fail("footer size malformed (corrupt block index)");
+  if (header_.block_bytes < kTraceMinBlockBytes ||
+      header_.block_bytes > kTraceMaxBlockBytes)
+    fail("header block size out of range");
+  if (header_.raw_payload_bytes > 0 && header_.payload_bytes == 0)
+    fail("header payload sizes inconsistent");
   if (header_.node_count < 2) fail("header declares fewer than 2 nodes");
   if (header_.node_count > std::numeric_limits<NodeId>::max())
     fail("header node count exceeds the supported id range");
-  if (version >= kTraceFormatVersionV4 &&
-      header_.node_count > (std::uint64_t{1} << 31))
-    fail("header node count exceeds the v4 record-layout bound");
+  if (header_.node_count > (std::uint64_t{1} << 31))
+    fail("header node count exceeds the record-layout bound");
   if (header_.shard_count == 0 || header_.shard_index >= header_.shard_count)
     fail("header shard index/count inconsistent");
 }
 
 void TraceShardReader::parseFooter() {
   const std::size_t footer_size = header_.footer_bytes;
-  const std::uint64_t footer_at = header_.headerSize() + header_.payload_bytes;
+  const std::uint64_t footer_at = kTraceHeaderSize + header_.payload_bytes;
   std::vector<unsigned char> buf;
   const unsigned char* footer = nullptr;
   if (usingMmap()) {
@@ -920,7 +700,7 @@ void TraceShardReader::parseFooter() {
     if (in_.gcount() != static_cast<std::streamsize>(footer_size))
       fail("truncated block index (corrupt block index)");
     in_.clear();
-    in_.seekg(static_cast<std::streamoff>(header_.headerSize()));
+    in_.seekg(static_cast<std::streamoff>(kTraceHeaderSize));
     if (!in_) fail("cannot reposition after the block index");
     footer = buf.data();
   }
@@ -939,7 +719,7 @@ void TraceShardReader::parseFooter() {
   // disagree — reject before any seek trusts it.
   index_.clear();
   index_.reserve(count);
-  std::uint64_t expect_offset = header_.headerSize();
+  std::uint64_t expect_offset = kTraceHeaderSize;
   std::uint64_t expect_raw = 0;
   std::uint64_t prev_trials = 0;
   std::size_t at = 4;
@@ -978,20 +758,16 @@ void TraceShardReader::parseFooter() {
 }
 
 std::size_t TraceShardReader::maxBlockRawBytes() const noexcept {
-  // v3 blocks align to record units, so a block may exceed the configured
+  // Blocks align to record units, so a block may exceed the configured
   // size when one unit alone is larger than the whole block.
-  if (header_.format_version >= kTraceFormatVersionV3)
-    return std::max<std::size_t>(header_.block_bytes,
-                                 kTraceMaxRecordUnitBytes);
-  return header_.block_bytes;
+  return std::max<std::size_t>(header_.block_bytes, kTraceMaxRecordUnitBytes);
 }
 
 void TraceShardReader::seekToBlock(std::size_t k) {
   if (k >= index_.size())
-    throw std::out_of_range(
-        "TraceShardReader::seekToBlock: block " + std::to_string(k) + " of " +
-        std::to_string(index_.size()) +
-        (index_.empty() ? " (no block index on this shard)" : ""));
+    throw std::out_of_range("TraceShardReader::seekToBlock: block " +
+                            std::to_string(k) + " of " +
+                            std::to_string(index_.size()));
   const TraceBlockIndexEntry& entry = index_[k];
   if (usingMmap()) {
     payload_ptr_ = map_.data + entry.offset;
@@ -999,16 +775,12 @@ void TraceShardReader::seekToBlock(std::size_t k) {
     in_.clear();
     in_.seekg(static_cast<std::streamoff>(entry.offset));
     if (!in_) fail("seek failed");
-    payload_left_ =
-        header_.payload_bytes - (entry.offset - header_.headerSize());
+    payload_left_ = header_.payload_bytes - (entry.offset - kTraceHeaderSize);
   }
   sym_buf_ = nullptr;
   sym_pos_ = 0;
   sym_limit_ = 0;
-  rc_rans_ = false;
-  rc_block_raw_ = 0;
-  rc_symbols_left_ = 0;
-  v4_pending_ = false;
+  pending_ = false;
   raw_left_base_ = header_.raw_payload_bytes - entry.raw_start;
   trials_begun_ = entry.trials_begun;
   trial_length_ = entry.trial_length;
@@ -1022,20 +794,16 @@ bool TraceShardReader::seekToTrial(std::uint64_t global_trial) {
       global_trial >= header_.base_trial + header_.trial_count)
     return false;
   const std::uint64_t local = global_trial - header_.base_trial;
-  if (!index_.empty()) {
-    // Last block whose cursor is at or before the trial's record start
-    // (entries are monotone in trials_begun; entry 0 is always <= local).
-    const auto it = std::upper_bound(
-        index_.begin(), index_.end(), local,
-        [](std::uint64_t value, const TraceBlockIndexEntry& entry) {
-          return value < entry.trials_begun;
-        });
-    seekToBlock(static_cast<std::size_t>(it - index_.begin()) - 1);
-  } else if (trials_begun_ > local) {
-    fail("seekToTrial backward without a block index (reopen the shard)");
-  }
+  // Last block whose cursor is at or before the trial's record start
+  // (entries are monotone in trials_begun; entry 0 is always <= local).
+  const auto it = std::upper_bound(
+      index_.begin(), index_.end(), local,
+      [](std::uint64_t value, const TraceBlockIndexEntry& entry) {
+        return value < entry.trials_begun;
+      });
+  seekToBlock(static_cast<std::size_t>(it - index_.begin()) - 1);
   // Decode forward across at most the partial trial in front of the
-  // target (without an index: everything in front of it).
+  // target.
   while (trials_begun_ < local)
     if (!beginTrial()) return false;
   return true;
@@ -1077,260 +845,121 @@ const unsigned char* TraceShardReader::borrowPayloadBytes(std::size_t count) {
   return block_buf_.data();
 }
 
-void TraceShardReader::loadNextBlock() {
-  beginWindow();
-  if (payloadSourceLeft() == 0)
-    fail("truncated shard (payload exhausted)");
+TraceShardReader::Block TraceShardReader::readBlock(std::uint64_t raw_left) {
   ++blocks_loaded_;
   unsigned char frame[kTraceBlockFrameBytes];
   readPayloadBytes(frame, sizeof(frame));
-  const std::uint32_t raw_size = loadU32(frame);
-  const std::uint32_t stored_size = loadU32(frame + 4);
-  const std::uint8_t block_codec = frame[8];
+  Block block;
+  block.raw_size = loadU32(frame);
+  block.stored_size = loadU32(frame + 4);
+  block.codec = frame[8];
   const std::uint64_t checksum = loadU64(frame + 9);
-  if (raw_size == 0 || raw_size > maxBlockRawBytes())
+  if (block.raw_size == 0 || block.raw_size > maxBlockRawBytes())
     fail("block raw size out of range (corrupt block)");
-  if (raw_size > raw_left_base_)
+  if (block.raw_size > raw_left)
     fail("block sizes disagree with header (corrupt block)");
-  if (block_codec == kTraceCodecRaw) {
-    if (stored_size != raw_size)
+  if (block.codec == kTraceCodecRaw) {
+    if (block.stored_size != block.raw_size)
       fail("raw block sizes disagree (corrupt block)");
-  } else if (block_codec == kTraceCodecRangeCoded ||
-             block_codec == kTraceCodecRans ||
-             block_codec == kTraceCodecRansV4) {
-    if (header_.codec != block_codec)
+  } else if (block.codec == kTraceCodecRansV4) {
+    if (header_.codec != block.codec)
       fail("block codec disagrees with the shard codec (corrupt block)");
-    if (stored_size >= raw_size)
+    if (block.stored_size >= block.raw_size)
       fail("compressed block larger than raw (corrupt block)");
   } else {
     fail("unknown block codec (corrupt block)");
   }
-  const unsigned char* stored = borrowPayloadBytes(stored_size);
-  if (fnv1a(stored, stored_size) != checksum)
+  block.stored = borrowPayloadBytes(block.stored_size);
+  if (fnv1a(block.stored, block.stored_size) != checksum)
     fail("block checksum mismatch (corrupt block)");
-  if (block_codec == kTraceCodecRaw) {
-    sym_buf_ = stored;
-    sym_limit_ = raw_size;
-  } else if (block_codec == kTraceCodecRangeCoded) {
-    models_.reset();
-    decoder_.start(stored, stored_size);
-    rc_rans_ = false;
-    rc_block_raw_ = raw_size;
-    rc_symbols_left_ = raw_size;
-  } else if (block_codec == kTraceCodecRansV4) {
-    // Phase 1 of v4 decode: reconstruct the whole block's raw bytes in
-    // one bulk 8-way rANS run, then serve them as a plain byte window.
-    // The group parser (phase 2) thus always reads from contiguous
-    // memory — which is what the SWAR fast path needs.
-    decodeV4Block(stored, stored_size, raw_size);
-    sym_buf_ = v4_scratch_.data();
-    sym_limit_ = raw_size;
-  } else {
-    if (!rans_) rans_ = std::make_unique<codec::RansBlockDecoder>();
-    if (!rans_->start(stored, stored_size))
-      fail("malformed rANS tables (corrupt block)");
-    rc_rans_ = true;
-    rc_block_raw_ = raw_size;
-    rc_symbols_left_ = raw_size;
-  }
+  return block;
 }
 
-void TraceShardReader::decodeV4Block(const unsigned char* stored,
-                                     std::size_t stored_size,
-                                     std::size_t raw_size) {
-  // v4 codes every record byte as one symbol of the block's single table
-  // exactly so this pass needs no record parsing at all: the whole block
-  // reconstructs in one bulk 8-way rANS run. All structural validation
-  // (control-byte invariants, units crossing the block end) happens in
-  // phase 2, which parses the scratch bytes.
-  v4_scratch_.resize(raw_size);
-  if (!rans_v4_) rans_v4_ = std::make_unique<codec::RansV4BlockDecoder>();
-  if (!rans_v4_->decode(stored, stored_size, v4_scratch_.data(), raw_size))
+void TraceShardReader::loadNextBlock() {
+  raw_left_base_ = rawLeft();
+  sym_buf_ = nullptr;
+  sym_pos_ = 0;
+  sym_limit_ = 0;
+  if (payloadSourceLeft() == 0)
+    fail("truncated shard (payload exhausted)");
+  const Block block = readBlock(raw_left_base_);
+  if (block.codec == kTraceCodecRaw) {
+    sym_buf_ = block.stored;
+  } else {
+    // Phase 1 of decode: reconstruct the whole block's raw bytes in one
+    // bulk 8-way rANS run, then serve them as a plain byte window. The
+    // group parser (phase 2) thus always reads from contiguous memory —
+    // which is what the SWAR fast path needs.
+    decodeBlock(block.stored, block.stored_size, block.raw_size);
+    sym_buf_ = scratch_.data();
+  }
+  sym_limit_ = block.raw_size;
+}
+
+void TraceShardReader::decodeBlock(const unsigned char* stored,
+                                   std::size_t stored_size,
+                                   std::size_t raw_size) {
+  // All structural validation (control-byte invariants, units crossing
+  // the block end) happens in phase 2, which parses the scratch bytes.
+  scratch_.resize(raw_size);
+  if (!rans_) rans_ = std::make_unique<codec::RansV4BlockDecoder>();
+  if (!rans_->decode(stored, stored_size, scratch_.data(), raw_size))
     fail("malformed v4 block payload (corrupt block)");
 }
 
 void TraceShardReader::verifyPayloadChecksums() {
-  // v1 payloads are a bare record stream with no per-block framing; the
-  // constructor's size check is all the structural validation they carry.
-  if (header_.format_version < kTraceFormatVersionV2) return;
   std::uint64_t raw_total = 0;
   while (payloadSourceLeft() > 0) {
     if (payloadSourceLeft() < kTraceBlockFrameBytes)
       fail("truncated block frame (corrupt block)");
-    ++blocks_loaded_;
-    unsigned char frame[kTraceBlockFrameBytes];
-    readPayloadBytes(frame, sizeof(frame));
-    const std::uint32_t raw_size = loadU32(frame);
-    const std::uint32_t stored_size = loadU32(frame + 4);
-    const std::uint8_t block_codec = frame[8];
-    const std::uint64_t checksum = loadU64(frame + 9);
-    if (raw_size == 0 || raw_size > maxBlockRawBytes())
-      fail("block raw size out of range (corrupt block)");
-    if (raw_total + raw_size > header_.raw_payload_bytes)
-      fail("block sizes disagree with header (corrupt block)");
-    if (block_codec == kTraceCodecRaw) {
-      if (stored_size != raw_size)
-        fail("raw block sizes disagree (corrupt block)");
-    } else if (block_codec == kTraceCodecRangeCoded ||
-               block_codec == kTraceCodecRans ||
-               block_codec == kTraceCodecRansV4) {
-      if (header_.codec != block_codec)
-        fail("block codec disagrees with the shard codec (corrupt block)");
-      if (stored_size >= raw_size)
-        fail("compressed block larger than raw (corrupt block)");
-    } else {
-      fail("unknown block codec (corrupt block)");
-    }
-    const unsigned char* stored = borrowPayloadBytes(stored_size);
-    if (fnv1a(stored, stored_size) != checksum)
-      fail("block checksum mismatch (corrupt block)");
-    raw_total += raw_size;
+    raw_total += readBlock(header_.raw_payload_bytes - raw_total).raw_size;
   }
   if (raw_total != header_.raw_payload_bytes)
     fail("block raw sizes disagree with header (corrupt payload)");
 }
 
-void TraceShardReader::refillSymbols() {
-  if (header_.format_version >= kTraceFormatVersionV2) {
-    loadNextBlock();
-    return;
-  }
-  // v1: windowed refill of the bare record stream (stream backend only —
-  // the mmap backend serves the whole payload as one window).
-  beginWindow();
-  if (payload_left_ == 0) fail("truncated shard (payload exhausted)");
-  const auto want = static_cast<std::streamsize>(
-      std::min<std::uint64_t>(stream_buf_.size(), payload_left_));
-  in_.read(reinterpret_cast<char*>(stream_buf_.data()), want);
-  const auto got = static_cast<std::size_t>(in_.gcount());
-  if (got == 0) fail("truncated shard (unexpected EOF)");
-  payload_left_ -= got;
-  sym_buf_ = stream_buf_.data();
-  sym_limit_ = got;
-}
-
-std::uint8_t TraceShardReader::takeByte(codec::SymbolClass cls,
-                                        unsigned bucket) {
-  // Iterative, not recursive: the raw-window fast path must stay
-  // inlinable into the varint/record decoders (v1 and raw-block decode
-  // throughput hinges on it). Record-stream accounting is windowed
-  // (rawLeft()), so serving a byte touches no extra state.
-  for (;;) {
-    if (sym_pos_ < sym_limit_) return sym_buf_[sym_pos_++];
-    if (rc_symbols_left_ > 0) {
-      std::uint8_t byte;
-      if (rc_rans_) {
-        byte = rans_->decodeByte(codec::ransContext(cls, bucket));
-        if (rans_->overrun())
-          fail("compressed block overruns its payload (corrupt block)");
-      } else {
-        byte = decoder_.decodeByte(models_.select(cls, bucket));
-        if (decoder_.overrun())
-          fail("compressed block overruns its payload (corrupt block)");
-      }
-      --rc_symbols_left_;
-      return byte;
-    }
-    refillSymbols();
-  }
+std::uint8_t TraceShardReader::takeByte() {
+  if (sym_pos_ == sym_limit_) loadNextBlock();
+  return sym_buf_[sym_pos_++];
 }
 
 std::uint64_t TraceShardReader::rawLeft() const noexcept {
   // Record-stream bytes not yet served: the remainder when the current
-  // window (raw bytes or range-coded block) was installed, minus what the
-  // window has served since. Exactly one of the two window terms is live.
-  return raw_left_base_ - sym_pos_ - (rc_block_raw_ - rc_symbols_left_);
-}
-
-void TraceShardReader::beginWindow() {
-  raw_left_base_ = rawLeft();
-  sym_buf_ = nullptr;
-  sym_pos_ = 0;
-  sym_limit_ = 0;
-  rc_block_raw_ = 0;
-  rc_symbols_left_ = 0;
-}
-
-std::uint64_t TraceShardReader::takeVarint(codec::SymbolClass first_cls,
-                                           codec::SymbolClass cont_cls,
-                                           unsigned bucket) {
-  std::uint64_t value = 0;
-  codec::SymbolClass cls = first_cls;
-  for (int shift = 0; shift < 64; shift += 7) {
-    const std::uint8_t byte = takeByte(cls, bucket);
-    value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) return value;
-    cls = cont_cls;
-  }
-  fail("varint overrun (corrupt payload)");
-}
-
-Interaction TraceShardReader::decodeOne() {
-  // Range checks guard every decoded quantity *before* it is used in
-  // arithmetic (no signed overflow, no unsigned wrap): v1 payloads are not
-  // checksummed, and even checksummed v2 blocks defend in depth.
-  using codec::SymbolClass;
-  const std::int64_t delta = zigzagDecode(
-      takeVarint(SymbolClass::kDeltaFirst, SymbolClass::kDeltaCont,
-                 codec::contextBucket(prev_a_, bucket_shift_, bucket_cap_)));
-  const auto n = static_cast<std::int64_t>(header_.node_count);
-  const auto prev = static_cast<std::int64_t>(prev_a_);
-  if (delta < -prev || delta >= n - prev)
-    fail("decoded endpoint out of range (corrupt payload)");
-  const std::int64_t a = prev + delta;
-  const std::uint64_t gap =
-      takeVarint(SymbolClass::kGapFirst, SymbolClass::kGapCont,
-                 codec::contextBucket(static_cast<std::uint64_t>(a),
-                                      bucket_shift_, bucket_cap_));
-  if (gap >= header_.node_count - static_cast<std::uint64_t>(a) - 1)
-    fail("decoded endpoint out of range (corrupt payload)");
-  const std::uint64_t b = static_cast<std::uint64_t>(a) + 1 + gap;
-  prev_a_ = static_cast<NodeId>(a);
-  return Interaction(static_cast<NodeId>(a), static_cast<NodeId>(b));
+  // block's window was installed, minus what the window has served since.
+  return raw_left_base_ - sym_pos_;
 }
 
 bool TraceShardReader::beginTrial() {
   if (trials_begun_ > 0) skipRest();
   if (trials_begun_ == header_.trial_count) {
-    // v2 accounts the record stream exactly: a well-formed shard has no
+    // The record stream is accounted exactly: a well-formed shard has no
     // undecoded remainder once every trial is consumed.
-    if (header_.format_version >= kTraceFormatVersionV2 &&
-        (rawLeft() != 0 || payloadSourceLeft() != 0))
+    if (rawLeft() != 0 || payloadSourceLeft() != 0)
       fail("trailing bytes after the last trial (corrupt shard)");
     return false;
   }
-  if (header_.format_version >= kTraceFormatVersionV4) {
-    // v4 windows are always plain bytes (coded blocks were reconstructed
-    // at load), so takeByte's class/bucket arguments are inert here.
-    const std::uint8_t ctrl =
-        takeByte(codec::SymbolClass::kLengthFirst, 0);
-    if ((ctrl & ~0x03u) != 0)
-      fail("v4 length control byte malformed (corrupt payload)");
-    const std::size_t nbytes = std::size_t{1} << (ctrl & 3);
-    std::uint64_t length = 0;
-    for (std::size_t i = 0; i < nbytes; ++i)
-      length |= static_cast<std::uint64_t>(
-                    takeByte(codec::SymbolClass::kLengthCont, 0))
-                << (8 * i);
-    trial_length_ = length;
-  } else {
-    trial_length_ = takeVarint(codec::SymbolClass::kLengthFirst,
-                               codec::SymbolClass::kLengthCont, 0);
-  }
-  // Every interaction occupies at least two record-stream bytes (two
-  // varints), so a declared length beyond half the remaining stream is
-  // corrupt — reject it here rather than letting readRest() reserve a
-  // huge vector.
+  const std::uint8_t ctrl = takeByte();
+  if ((ctrl & ~0x03u) != 0)
+    fail("v4 length control byte malformed (corrupt payload)");
+  const std::size_t nbytes = std::size_t{1} << (ctrl & 3);
+  std::uint64_t length = 0;
+  for (std::size_t i = 0; i < nbytes; ++i)
+    length |= static_cast<std::uint64_t>(takeByte()) << (8 * i);
+  trial_length_ = length;
+  // Every interaction occupies at least two record-stream bytes (a group
+  // unit carries at most two interactions in at least five bytes), so a
+  // declared length beyond half the remaining stream is corrupt — reject
+  // it here rather than letting readRest() reserve a huge vector.
   if (trial_length_ > rawLeft() / 2)
     fail("trial length exceeds remaining payload (corrupt payload)");
   decoded_ = 0;
   prev_a_ = 0;
-  v4_pending_ = false;
+  pending_ = false;
   ++trials_begun_;
   return true;
 }
 
-Interaction TraceShardReader::takeGroupV4() {
+Interaction TraceShardReader::takeGroup() {
   // One group unit: the control byte names every field width, so the whole
   // unit parses branch-free when it (plus SWAR load slack) fits the
   // current window; near a window edge the scalar loop below reads the
@@ -1368,16 +997,13 @@ Interaction TraceShardReader::takeGroupV4() {
   } else
 #endif
   {
-    using codec::SymbolClass;
-    ctrl = takeByte(SymbolClass::kDeltaFirst, 0);
+    ctrl = takeByte();
     if (!pair && (ctrl & 0xf0u) != 0)
       fail("v4 group control byte malformed (corrupt payload)");
     auto takeField = [this](std::size_t len) {
       std::uint64_t value = 0;
       for (std::size_t i = 0; i < len; ++i)
-        value |= static_cast<std::uint64_t>(
-                     takeByte(SymbolClass::kDeltaCont, 0))
-                 << (8 * i);
+        value |= static_cast<std::uint64_t>(takeByte()) << (8 * i);
       return value;
     };
     delta0 = takeField(1 + (ctrl & 3));
@@ -1388,8 +1014,9 @@ Interaction TraceShardReader::takeGroupV4() {
     }
   }
 
-  // Range validation identical to decodeOne (defense in depth for raw
-  // blocks and corrupt streams).
+  // Range checks guard every decoded quantity *before* it is used in
+  // arithmetic (no signed overflow, no unsigned wrap): raw blocks carry
+  // only a checksum, so the parser defends in depth.
   const auto n = static_cast<std::int64_t>(header_.node_count);
   const std::int64_t d0 = zigzagDecode(delta0);
   const auto prev = static_cast<std::int64_t>(prev_a_);
@@ -1406,9 +1033,9 @@ Interaction TraceShardReader::takeGroupV4() {
     const std::int64_t a1 = a0 + d1;
     if (gap1 >= header_.node_count - static_cast<std::uint64_t>(a1) - 1)
       fail("decoded endpoint out of range (corrupt payload)");
-    v4_pend_a_ = static_cast<NodeId>(a1);
-    v4_pend_b_ = static_cast<NodeId>(static_cast<std::uint64_t>(a1) + 1 + gap1);
-    v4_pending_ = true;
+    pend_a_ = static_cast<NodeId>(a1);
+    pend_b_ = static_cast<NodeId>(static_cast<std::uint64_t>(a1) + 1 + gap1);
+    pending_ = true;
     prev_a_ = static_cast<NodeId>(a1);
   } else {
     prev_a_ = static_cast<NodeId>(a0);
@@ -1416,16 +1043,16 @@ Interaction TraceShardReader::takeGroupV4() {
   return Interaction(static_cast<NodeId>(a0), static_cast<NodeId>(b0));
 }
 
-std::uint64_t TraceShardReader::bulkGroupsV4(Interaction* dst,
+std::uint64_t TraceShardReader::bulkGroups(Interaction* dst,
                                              std::uint64_t count) {
 #if DODA_TRACE_LITTLE_ENDIAN
   if (force_scalar_) return 0;
-  // Same parse and the same range validation as takeGroupV4, with the
+  // Same parse and the same range validation as takeGroup, with the
   // reader state hoisted into locals for the whole run: one group is a
   // control byte plus four masked unaligned loads, no pending buffering,
   // no per-group call. Only pair groups are handled — the loop stops two
   // interactions short of the trial end, so an odd final group always
-  // goes through takeGroupV4.
+  // goes through takeGroup.
   std::uint64_t produced = 0;
   const unsigned char* const buf = sym_buf_;
   std::size_t pos = sym_pos_;
@@ -1489,17 +1116,12 @@ std::uint64_t TraceShardReader::bulkGroupsV4(Interaction* dst,
 
 std::optional<Interaction> TraceShardReader::next() {
   if (decoded_ == trial_length_) return std::nullopt;
-  if (header_.format_version >= kTraceFormatVersionV4) {
-    if (v4_pending_) {
-      v4_pending_ = false;
-      ++decoded_;
-      return Interaction(v4_pend_a_, v4_pend_b_);
-    }
-    const Interaction i = takeGroupV4();
+  if (pending_) {
+    pending_ = false;
     ++decoded_;
-    return i;
+    return Interaction(pend_a_, pend_b_);
   }
-  const Interaction i = decodeOne();
+  const Interaction i = takeGroup();  // reads decoded_ before the bump
   ++decoded_;
   return i;
 }
@@ -1508,48 +1130,34 @@ InteractionSequence TraceShardReader::readRest() {
   const auto count = static_cast<std::size_t>(remainingInTrial());
   std::vector<Interaction> interactions(count, Interaction(0, 1));
   Interaction* dst = interactions.data();
-  if (header_.format_version >= kTraceFormatVersionV4) {
-    std::uint64_t k = 0;
-    while (k < count) {
-      if (v4_pending_) {
-        v4_pending_ = false;
-        dst[k++] = Interaction(v4_pend_a_, v4_pend_b_);
-        ++decoded_;
-        continue;
-      }
-      const std::uint64_t got = bulkGroupsV4(dst + k, count - k);
-      if (got > 0) {
-        k += got;
-        continue;
-      }
-      dst[k++] = takeGroupV4();
+  std::uint64_t k = 0;
+  while (k < count) {
+    if (pending_) {
+      pending_ = false;
+      dst[k++] = Interaction(pend_a_, pend_b_);
       ++decoded_;
+      continue;
     }
-  } else {
-    for (std::size_t k = 0; k < count; ++k) {
-      dst[k] = decodeOne();
-      ++decoded_;
+    const std::uint64_t got = bulkGroups(dst + k, count - k);
+    if (got > 0) {
+      k += got;
+      continue;
     }
+    dst[k++] = takeGroup();
+    ++decoded_;
   }
   return InteractionSequence(std::move(interactions));
 }
 
 void TraceShardReader::skipRest() {
-  if (header_.format_version >= kTraceFormatVersionV4) {
-    while (decoded_ < trial_length_) {
-      if (v4_pending_) {
-        v4_pending_ = false;
-        ++decoded_;
-        continue;
-      }
-      if (bulkGroupsV4(nullptr, trial_length_ - decoded_) > 0) continue;
-      takeGroupV4();
-      ++decoded_;
-    }
-    return;
-  }
   while (decoded_ < trial_length_) {
-    decodeOne();
+    if (pending_) {
+      pending_ = false;
+      ++decoded_;
+      continue;
+    }
+    if (bulkGroups(nullptr, trial_length_ - decoded_) > 0) continue;
+    takeGroup();
     ++decoded_;
   }
 }
@@ -1569,7 +1177,7 @@ TraceShardReader TraceStore::openShard(std::size_t shard_index,
   // shard_paths_ records where each usable shard actually lives: after a
   // partial open the k-th usable shard need not be the k-th file on disk,
   // and in a composite store it need not even be in directory_.
-  return TraceShardReader(shardPath(shard_index), kTraceBlockBytes, backend);
+  return TraceShardReader(shardPath(shard_index), backend);
 }
 
 std::uint64_t TraceStore::totalFileBytes() const noexcept {
@@ -1604,9 +1212,8 @@ TraceStore TraceStore::openComposite(const std::vector<std::string>& part_dirs,
   // count, the scan probes forward over the files actually present.
   //
   // Global invariants span parts: one node count, and base trials
-  // contiguous from 0 across the concatenated parts. Shard count and
-  // format version are per-part (a compacted v4 generation can precede
-  // v1 append segments).
+  // contiguous from 0 across the concatenated parts. Shard count is
+  // per-part.
   std::optional<TraceShardHeader> first;  // first usable header overall
   std::uint64_t next_base = 0;  // contiguity cursor over usable shards
   bool gap = false;             // a shard has been quarantined
@@ -1622,8 +1229,7 @@ TraceStore TraceStore::openComposite(const std::vector<std::string>& part_dirs,
          ++k) {
       TraceShardHeader header;
       try {
-        TraceShardReader probe(pathOf(k), kTraceBlockBytes,
-                               TraceReadBackend::kStream);
+        TraceShardReader probe(pathOf(k), TraceReadBackend::kStream);
         header = probe.header();
         if (options.verify_payloads) probe.verifyPayloadChecksums();
       } catch (const std::runtime_error& e) {
@@ -1646,10 +1252,6 @@ TraceStore TraceStore::openComposite(const std::vector<std::string>& part_dirs,
         // Across segments the node universe may only grow (an appended
         // import can add nodes); a shrink means mismatched segments.
         why = "node count shrank relative to an earlier segment";
-      } else if (reference &&
-                 header.format_version != reference->format_version) {
-        why = "format version disagrees with shard " +
-              std::to_string(reference->shard_index);
       } else if (header.base_trial != next_base &&
                  !(gap && header.base_trial > next_base)) {
         // After a quarantined shard the base can only be checked for

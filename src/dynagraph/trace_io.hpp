@@ -10,7 +10,6 @@
 #include <memory>
 
 #include "dynagraph/interaction_sequence.hpp"
-#include "dynagraph/trace_codec.hpp"
 #include "dynagraph/trace_rans.hpp"
 
 namespace doda::storage {
@@ -69,117 +68,45 @@ LoadedTrace loadTrace(const std::string& path);
 // shard to one task and streams its trials without ever materializing the
 // shard.
 //
-// The on-disk formats all share the "DODATRC1" magic and are told apart by
-// the header's version field. Every past version stays fully readable.
-//
-// v1 shard layout (all integers little-endian):
+// Shard layout (all integers little-endian; docs/FORMATS.md has the same
+// spec with its rationale):
 //
 //   offset size
 //   0      8    magic "DODATRC1"
-//   8      2    u16 format version (1)
-//   10     2    u16 header size (64)
-//   12     4    u32 shard index
-//   16     4    u32 shard count of the store
-//   20     4    u32 reserved (0)
-//   24     8    u64 node count
-//   32     8    u64 trial count in this shard
-//   40     8    u64 base trial (global index of this shard's first trial)
-//   48     8    u64 payload bytes following the header
-//   56     8    u64 FNV-1a checksum of header bytes [0, 56)
-//
-// The v1 payload is the bare *record stream*, a run of trial records:
-//
-//   varint  interaction count L
-//   L x     delta-encoded interaction: zigzag-varint(a - prev_a) followed
-//           by varint(b - a - 1), where {a, b} is the normalized pair
-//           (a < b) and prev_a is the previous interaction's `a` (0 at the
-//           start of each trial)
-//
-// Varints are LEB128 (7 bits per byte, little-endian groups).
-//
-// v2 shard layout (the current writer default):
-//
-//   offset size
-//   0      8    magic "DODATRC1"
-//   8      2    u16 format version (2)
+//   8      2    u16 format version (4; readers reject every other value)
 //   10     2    u16 header size (80)
 //   12     4    u32 shard index
 //   16     4    u32 shard count of the store
-//   20     4    u32 codec (0 = raw blocks, 1 = range-coded blocks allowed)
+//   20     4    u32 codec (0 = raw blocks, 3 = rANS blocks allowed)
 //   24     8    u64 node count
 //   32     8    u64 trial count in this shard
-//   40     8    u64 base trial
+//   40     8    u64 base trial (global index of this shard's first trial)
 //   48     8    u64 payload bytes following the header (block frames
-//               included)
+//               included, footer excluded)
 //   56     8    u64 raw payload bytes (length of the decoded record stream)
 //   64     4    u32 block capacity (max raw bytes per block)
-//   68     4    u32 reserved (0)
+//   68     4    u32 footer size (bytes of the block index after the payload)
 //   72     8    u64 FNV-1a checksum of header bytes [0, 72)
 //
-// The v2 payload is a run of independently checksummed *blocks* framing the
-// same record stream (a trial — even a varint — may span blocks):
+// The payload is a run of independently checksummed *blocks* framing the
+// record stream:
 //
-//   u32  raw size      decoded bytes of this block, in (0, block capacity]
+//   u32  raw size      decoded bytes of this block
 //   u32  stored size   bytes stored on disk (== raw size when codec 0,
-//                      < raw size when codec 1)
-//   u8   codec         0 = raw copy of the record stream, 1 = range-coded
-//                      (trace_codec.hpp: adaptive binary range coder with
-//                      per-class bit-tree byte models, reset per block)
+//                      < raw size when codec 3)
+//   u8   codec         0 = raw copy of the record stream, 3 = rANS
+//                      (trace_rans.hpp RansV4Block{Encoder,Decoder})
 //   u64  FNV-1a checksum of the stored bytes
 //   ...  stored bytes
 //
 // A writer that finds a block incompressible stores it raw (codec 0), so a
-// v2 store never expands beyond framing overhead. Readers verify the block
-// checksum before decoding, making payload corruption detectable even when
-// the damaged bytes would happen to decode in range.
+// compressed store never expands beyond framing overhead. Readers verify
+// the block checksum before decoding, making payload corruption detectable
+// even when the damaged bytes would happen to decode in range.
 //
-// v3 shard layout (the current writer default) reuses the v2 header byte
-// for byte with version = 3 and two changes:
-//
-//   * the u32 at offset 20 may additionally be 2 (static-table interleaved
-//     rANS blocks allowed — dynagraph/trace_rans.hpp); block frames carry
-//     codec 2 with the same frame fields, and incompressible blocks still
-//     fall back to raw (codec 0),
-//   * the reserved u32 at offset 68 becomes the *footer size*: a block
-//     index appended after the payload so readers can seek without
-//     sequential skipping.
-//
-// v3 blocks additionally align to record-unit boundaries (a trial-length
-// varint, or one interaction's delta+gap varint pair, is never split
-// across blocks), so every block boundary is describable by the record
-// cursor — which is exactly what the footer stores:
-//
-//   offset size
-//   0      4    u32 block count K (>= 1)
-//   4      56*K per block, in payload order:
-//               u64 file offset of the block frame
-//               u32 raw size          (== the frame's, cross-checked)
-//               u32 stored size
-//               u64 raw start         (record-stream bytes before the block)
-//               u64 trials begun      (trials whose record started before
-//                                      the block's first byte, shard-local)
-//               u64 trial length      (of the trial open at the boundary)
-//               u64 decoded           (its interactions already consumed)
-//               u64 prev_a            (the record-layer delta anchor)
-//   ...    8    u64 FNV-1a of every preceding footer byte
-//
-// The index is validated at open (offsets must chain exactly through the
-// payload, raw starts must sum to the header's raw payload size, trial
-// cursors must be monotone) so a footer that disagrees with its payload is
-// rejected before any seek. v1/v2 stores have no footer; seekToTrial on
-// them falls back to sequential skipping.
-//
-// v4 shard layout (the current writer default) reuses the v3 container —
-// header, block frames, raw fallback for incompressible blocks,
-// record-unit-aligned blocks, footer index — byte for byte with version =
-// 4, with compressed blocks carrying codec 3 instead of 2 (header codec:
-// 0 or 3). Two things change. The *record stream* under the entropy coder:
-// the sequential LEB128 varints become byte-aligned units whose control
-// byte names every field width up front, so a whole unit decodes
-// branch-free (SWAR: one unaligned 64-bit load + mask per field) instead
-// of byte-at-a-time. And the *entropy coder* itself: codec 3 is an 8-way
-// interleaved rANS over ONE frequency table (trace_rans.hpp
-// RansV4Block{Encoder,Decoder}) instead of v3's 2-way, 20-context coder.
+// The *record stream* is a run of byte-aligned units whose control byte
+// names every field width up front, so a whole unit decodes branch-free
+// (SWAR: one unaligned 64-bit load + mask per field):
 //
 //   trial-length unit:
 //     u8   control      bits 0..1 = size code c (data bytes = 1 << c, i.e.
@@ -198,51 +125,61 @@ LoadedTrace loadTrace(const std::string& path);
 //                       the high nibble must be zero
 //     .    the named value bytes, little-endian, in field order
 //
-// Values are the v1-v3 delta/gap quantities unchanged (a < b normalized,
-// prev_a reset to 0 per trial; within a group the second delta anchors on
-// a0). A v4 writer requires node_count <= 2^31 so every field fits 4 bytes
-// and the largest unit is 1 + 4*4 = 17 bytes <= kTraceMaxRecordUnitBytes.
-// Units never split across blocks (same alignment rule as v3), so the
-// footer cursor semantics carry over unchanged and every block decodes
-// independently given its index entry.
+// {a, b} is the normalized pair (a < b); prev_a is the previous
+// interaction's a, reset to 0 at each trial start (within a group the
+// second delta anchors on a0). A writer requires node_count <= 2^31 so
+// every field fits 4 bytes and the largest unit is 1 + 4*4 = 17 bytes
+// (kTraceMaxRecordUnitBytes).
 //
-// A codec-3 block codes EVERY record byte — control and value alike — as
-// one symbol of its single table. One table trades a little compression
-// ratio for decode speed: phase 1 reconstructs a whole coded block in one
-// bulk 8-way rANS run (a fused slot table, branchless renormalization, no
-// per-symbol context steering, no record parsing), and phase 2 parses
+// Units never split across blocks, so every block boundary is describable
+// by the record cursor — which is exactly what the footer stores:
+//
+//   offset size
+//   0      4    u32 block count K (>= 1)
+//   4      56*K per block, in payload order:
+//               u64 file offset of the block frame
+//               u32 raw size          (== the frame's, cross-checked)
+//               u32 stored size
+//               u64 raw start         (record-stream bytes before the block)
+//               u64 trials begun      (trials whose record started before
+//                                      the block's first byte, shard-local)
+//               u64 trial length      (of the trial open at the boundary)
+//               u64 decoded           (its interactions already consumed)
+//               u64 prev_a            (the record-layer delta anchor)
+//   ...    8    u64 FNV-1a of every preceding footer byte
+//
+// The index is validated at open (offsets must chain exactly through the
+// payload, raw starts must sum to the header's raw payload size, trial
+// cursors must be monotone) so a footer that disagrees with its payload is
+// rejected before any seek, and every block decodes independently given
+// its index entry.
+//
+// A codec-3 block codes EVERY record byte as one symbol of its single
+// table: phase 1 reconstructs the whole block in one bulk 8-way rANS run
+// (no per-symbol context steering, no record parsing), and phase 2 parses
 // units from the contiguous buffer, where ALL structural validation lives
-// (control-byte invariants plus the same delta/gap range checks as
-// v1-v3). The contiguous scratch buffer is also what enables the SWAR
-// fast path.
+// (control-byte invariants plus the delta/gap range checks). The
+// contiguous buffer is also what enables the SWAR fast path.
 // ---------------------------------------------------------------------------
 
-inline constexpr std::uint16_t kTraceFormatVersionV1 = 1;
-inline constexpr std::uint16_t kTraceFormatVersionV2 = 2;
-inline constexpr std::uint16_t kTraceFormatVersionV3 = 3;
-inline constexpr std::uint16_t kTraceFormatVersionV4 = 4;
-/// Default format written by TraceStoreWriter.
-inline constexpr std::uint16_t kTraceFormatVersion = kTraceFormatVersionV4;
-inline constexpr std::uint16_t kTraceHeaderSize = 64;    // v1
-inline constexpr std::uint16_t kTraceHeaderSizeV2 = 80;  // v2 and v3
+inline constexpr std::uint16_t kTraceFormatVersion = 4;
+inline constexpr std::uint16_t kTraceHeaderSize = 80;
 inline constexpr std::size_t kTraceBlockBytes = std::size_t{1} << 16;
 inline constexpr std::size_t kTraceBlockFrameBytes = 17;
-/// Footer sizes (v3): fixed trailer fields and one index entry.
+/// Footer sizes: fixed trailer fields and one index entry.
 inline constexpr std::size_t kTraceIndexEntryBytes = 56;
 inline constexpr std::size_t kTraceIndexFixedBytes = 12;  // count + checksum
-/// Upper bound of one unsplittable record unit: two 10-byte varints (v3)
-/// or a 17-byte v4 group; a v3/v4 block may exceed the configured block
-/// size by at most this much minus one when a single unit is larger than
-/// the whole block.
-inline constexpr std::size_t kTraceMaxRecordUnitBytes = 20;
+/// Upper bound of one unsplittable record unit (a two-interaction group
+/// with 4-byte fields); a block may exceed the configured block size by at
+/// most this much minus one when a single unit is larger than the whole
+/// block.
+inline constexpr std::size_t kTraceMaxRecordUnitBytes = 17;
 
-/// Block codec ids (v2+ headers and block frames).
+/// Block codec ids (header and block frames).
 inline constexpr std::uint32_t kTraceCodecRaw = 0;
-inline constexpr std::uint32_t kTraceCodecRangeCoded = 1;
-inline constexpr std::uint32_t kTraceCodecRans = 2;
 inline constexpr std::uint32_t kTraceCodecRansV4 = 3;
 
-/// One v3 block-index entry: where the block lives in the file and the
+/// One block-index entry: where the block lives in the file and the
 /// record-layer cursor at its first byte (enough to resume decoding there).
 struct TraceBlockIndexEntry {
   std::uint64_t offset = 0;      ///< file offset of the block frame
@@ -257,52 +194,39 @@ struct TraceBlockIndexEntry {
 
 /// Decoded, validated shard header.
 struct TraceShardHeader {
-  std::uint16_t format_version = kTraceFormatVersionV1;
   std::uint32_t shard_index = 0;
   std::uint32_t shard_count = 0;
-  /// v2: kTraceCodecRaw or kTraceCodecRangeCoded; v3: kTraceCodecRaw or
-  /// kTraceCodecRans; v4: kTraceCodecRaw or kTraceCodecRansV4; always 0
-  /// for v1.
+  /// kTraceCodecRaw or kTraceCodecRansV4.
   std::uint32_t codec = 0;
-  /// v2/v3: max raw bytes per block; 0 for v1.
+  /// Max raw bytes per block.
   std::uint32_t block_bytes = 0;
-  /// v3: on-disk bytes of the block-index footer after the payload; 0
-  /// for v1/v2 (no footer).
+  /// On-disk bytes of the block-index footer after the payload.
   std::uint32_t footer_bytes = 0;
   std::uint64_t node_count = 0;
   std::uint64_t trial_count = 0;
   std::uint64_t base_trial = 0;
   /// On-disk payload bytes following the header (footer excluded).
   std::uint64_t payload_bytes = 0;
-  /// Decoded record-stream bytes (== payload_bytes for v1).
+  /// Decoded record-stream bytes.
   std::uint64_t raw_payload_bytes = 0;
 
-  std::uint16_t headerSize() const noexcept {
-    return format_version >= kTraceFormatVersionV2 ? kTraceHeaderSizeV2
-                                                   : kTraceHeaderSize;
-  }
   /// Total shard file size implied by this header.
   std::uint64_t fileBytes() const noexcept {
-    return headerSize() + payload_bytes + footer_bytes;
+    return kTraceHeaderSize + payload_bytes + footer_bytes;
   }
 };
 
 /// Canonical shard file name within a store directory ("shard-00007.trace").
 std::string traceShardFileName(std::uint32_t shard_index);
 
-/// Writer-side format knobs. Defaults produce a compressed, block-indexed
-/// v4 store.
+/// Writer-side format knobs. Defaults produce a compressed store.
 struct TraceWriterOptions {
-  /// Any past version reproduces its historical format byte for byte
-  /// (v1 = bare varints, v2 = adaptive range coder, v3 = rANS varints,
-  /// v4 = rANS group units). v4 additionally requires node_count <= 2^31.
-  std::uint16_t format_version = kTraceFormatVersion;
-  /// v2 and newer: entropy-code blocks (incompressible blocks fall back
-  /// to raw storage automatically). false writes raw, checksummed blocks.
+  /// Entropy-code blocks (incompressible blocks fall back to raw storage
+  /// automatically). false writes raw, checksummed blocks.
   bool compress = true;
-  /// v2 and newer: raw bytes per block. Smaller blocks localize corruption
-  /// and reset the models/tables more often; larger blocks compress
-  /// slightly better and keep the v3 index smaller.
+  /// Raw bytes per block. Smaller blocks localize corruption and reset the
+  /// tables more often; larger blocks compress slightly better and keep
+  /// the index smaller.
   std::size_t block_bytes = kTraceBlockBytes;
   /// Global trial id of this writer's first trial. Shard headers carry
   /// base_trial plus the shard's local offset, so a segment written behind
@@ -391,21 +315,17 @@ class TraceStoreWriter {
  private:
   void openShard(std::uint32_t index);
   void closeShard();
-  void putByte(std::uint8_t byte, codec::SymbolClass cls, unsigned bucket);
-  void putVarint(std::uint64_t value, codec::SymbolClass first_cls,
-                 codec::SymbolClass cont_cls, unsigned bucket);
-  /// v4: emits one record byte (one symbol of the block's single table).
-  void putByteV4(std::uint8_t byte);
-  /// v4: emits one group unit (the second interaction may be absent for
-  /// the final unit of an odd-length trial) and advances the record
-  /// cursor.
-  void emitGroupV4(Interaction first, const Interaction* second);
-  void flushChunk();  // v1: buffered write of the bare record stream
-  void flushBlock();  // v2/v3: seal and emit the current block
-  /// v3: flushes the current block when the next `unit_bytes`-byte record
-  /// unit would overflow it (units never split across v3 blocks).
+  /// Emits one record byte (one symbol of the block's table), opening a
+  /// block index entry when it starts a block.
+  void putByte(std::uint8_t byte);
+  /// Emits one group unit (the second interaction may be absent for the
+  /// final unit of an odd-length trial) and advances the record cursor.
+  void emitGroup(Interaction first, const Interaction* second);
+  void flushBlock();  // seal and emit the current block
+  /// Flushes the current block when the next `unit_bytes`-byte record
+  /// unit would overflow it (units never split across blocks).
   void alignBlockForUnit(std::size_t unit_bytes);
-  void writeFooter();  // v3: block index + checksum after the payload
+  void writeFooter();  // block index + checksum after the payload
   std::uint64_t trialsInShard(std::uint32_t index) const;
 
   std::string directory_;
@@ -413,50 +333,42 @@ class TraceStoreWriter {
   std::uint64_t total_trials_;
   std::uint32_t shard_count_;
   TraceWriterOptions options_;
-  unsigned bucket_shift_ = 0;
-  std::size_t bucket_cap_ = codec::kContextBuckets;
   std::unique_ptr<storage::WritableFile> out_;
-  std::vector<char> chunk_;                // v1 write buffer
-  std::vector<std::uint8_t> raw_block_;    // v2/v3: raw record bytes
-  std::vector<std::uint8_t> ctx_block_;    // v3: per-byte rANS context ids
-  std::vector<std::uint8_t> encoded_;      // entropy-coder output
-  codec::RangeEncoder encoder_;
-  codec::TraceModels models_;
-  std::unique_ptr<codec::RansBlockEncoder> rans_;  // v3 compress only
-  std::unique_ptr<codec::RansV4BlockEncoder> rans_v4_;  // v4 compress only
-  std::vector<TraceBlockIndexEntry> index_;        // v3 footer entries
+  std::vector<std::uint8_t> raw_block_;  // raw record bytes of the block
+  std::vector<std::uint8_t> encoded_;    // entropy-coder output
+  std::unique_ptr<codec::RansV4BlockEncoder> rans_;  // compress only
+  std::vector<TraceBlockIndexEntry> index_;          // footer entries
   std::uint32_t current_shard_ = 0;
   std::uint64_t trials_appended_ = 0;
   std::uint64_t trials_in_current_ = 0;
   std::uint64_t payload_bytes_ = 0;
   std::uint64_t raw_payload_bytes_ = 0;
-  // Record cursor mirrored into v3 index entries (shard-local).
+  // Record cursor mirrored into index entries (shard-local).
   std::uint64_t cur_trials_begun_ = 0;
   std::uint64_t cur_trial_length_ = 0;
   std::uint64_t cur_decoded_ = 0;
   std::uint64_t cur_prev_a_ = 0;
   std::uint64_t pending_interactions_ = 0;  // of the open streamed trial
-  // v4: first interaction of a not-yet-emitted group unit.
-  Interaction v4_pending_{0, 1};
-  bool v4_have_pending_ = false;
+  // First interaction of a not-yet-emitted group unit.
+  Interaction held_{0, 1};
+  bool have_held_ = false;
   bool trial_open_ = false;
   bool finished_ = false;
 };
 
 /// Streams one shard file: validates the header on open (magic, version,
 /// checksum, and that the file size matches the declared payload — a short
-/// file fails fast as "truncated"), then decodes trials sequentially. The
-/// backend is mmap where available (zero-copy for raw payloads) with a
-/// buffered-stream fallback; v2 block payloads are additionally verified
-/// against their per-block checksum before decoding. The whole shard is
-/// never resident beyond the mapping.
+/// file fails fast as "truncated") and the block index, then decodes
+/// trials sequentially. The backend is mmap where available (zero-copy for
+/// raw blocks) with a buffered-stream fallback; every block is verified
+/// against its checksum before decoding. The whole shard is never resident
+/// beyond the mapping.
 class TraceShardReader {
  public:
   /// Opens and validates `path`. Throws std::runtime_error on a missing
-  /// file, corrupt header, truncated payload, or (backend kMmap) when mmap
-  /// is unavailable.
+  /// file, corrupt header or index, truncated payload, or (backend kMmap)
+  /// when mmap is unavailable.
   explicit TraceShardReader(std::string path,
-                            std::size_t block_bytes = kTraceBlockBytes,
                             TraceReadBackend backend = TraceReadBackend::kAuto);
 
   /// Whether this platform can mmap shard files at all.
@@ -467,24 +379,19 @@ class TraceShardReader {
   /// Whether this reader serves bytes from a memory mapping.
   bool usingMmap() const noexcept { return map_.data != nullptr; }
 
-  /// Whether this shard carries a block index (v3 footers). Without one,
-  /// seekToTrial degrades to sequential skipping and seekToBlock throws.
-  bool hasBlockIndex() const noexcept { return !index_.empty(); }
-  /// The validated block index (empty for v1/v2 shards).
+  /// The validated block index (at least one entry).
   const std::vector<TraceBlockIndexEntry>& blockIndex() const noexcept {
     return index_;
   }
 
   /// Repositions the decode cursor at the first byte of block `k`,
-  /// restoring the record cursor from the index. Requires hasBlockIndex();
-  /// throws std::out_of_range past the last block.
+  /// restoring the record cursor from the index. Throws std::out_of_range
+  /// past the last block.
   void seekToBlock(std::size_t k);
 
   /// Positions the reader so the next beginTrial() begins the trial with
   /// the given *global* index. Returns false when the trial is not in this
-  /// shard. O(log blocks + one partial block decode) with a block index;
-  /// without one, decodes forward from the current position (and throws
-  /// std::runtime_error on a backward seek, which would need a reopen).
+  /// shard. O(log blocks + one partial block decode).
   bool seekToTrial(std::uint64_t global_trial);
 
   /// Positions at the next trial (skipping any undecoded remainder of the
@@ -506,8 +413,8 @@ class TraceShardReader {
 
   /// Decodes the next interaction of the current trial; std::nullopt at
   /// trial end. Throws std::runtime_error on a truncated or corrupt
-  /// payload (out-of-range endpoint, varint overrun, block checksum
-  /// mismatch, unexpected EOF).
+  /// payload (out-of-range endpoint, malformed control byte, block
+  /// checksum mismatch, unexpected EOF).
   std::optional<Interaction> next();
 
   /// Materializes the undecoded remainder of the current trial.
@@ -516,13 +423,12 @@ class TraceShardReader {
   /// Decodes and discards the remainder of the current trial.
   void skipRest();
 
-  /// Test hook: forces the scalar v4 unit parser even when the SWAR fast
+  /// Test hook: forces the scalar unit parser even when the SWAR fast
   /// path would apply (fuzzing parity between the two).
   void setForceScalarDecode(bool force) noexcept { force_scalar_ = force; }
 
   /// Walks every block frame of the payload and verifies its geometry and
-  /// checksum without decoding (no-op for v1, whose payload carries no
-  /// per-block checksums). Throws like next() does, with the byte offset
+  /// checksum without decoding. Throws like next() does, with the byte offset
   /// and block index of the first corruption. Consumes the payload
   /// cursor — use on a throwaway reader (TraceStoreOpenOptions::
   /// verify_payloads does) and open a fresh one to decode.
@@ -530,9 +436,9 @@ class TraceShardReader {
 
  private:
   /// Throws std::runtime_error naming the shard path; once the header is
-  /// validated, appends the payload cursor's byte offset and (v2+) the
-  /// ordinal of the block being read, so a quarantine reason pinpoints
-  /// the first corruption.
+  /// validated, appends the payload cursor's byte offset and the ordinal
+  /// of the block being read, so a quarantine reason pinpoints the first
+  /// corruption.
   [[noreturn]] void fail(const std::string& why) const;
   void parseHeader();
   void parseFooter();
@@ -540,65 +446,63 @@ class TraceShardReader {
   void readPayloadBytes(unsigned char* dst, std::size_t count);
   const unsigned char* borrowPayloadBytes(std::size_t count);
   std::uint64_t payloadSourceLeft() const noexcept;
-  void refillSymbols();
+  /// One block frame and its checksum-verified stored bytes (valid until
+  /// the next payload read).
+  struct Block {
+    const unsigned char* stored = nullptr;
+    std::uint32_t raw_size = 0;
+    std::uint32_t stored_size = 0;
+    std::uint8_t codec = 0;
+  };
+  /// Reads the next block, validating its frame against the `raw_left`
+  /// record bytes still expected and its stored bytes against the
+  /// checksum.
+  Block readBlock(std::uint64_t raw_left);
   void loadNextBlock();
-  void beginWindow();
+  /// rANS-decodes a whole coded block payload into scratch_ in one bulk
+  /// 8-way run, so the block is then served as a plain byte window. A
+  /// function of its own so the compiler inlines the codec's bulk loop
+  /// here; called from loadNextBlock directly, it stays out of line and
+  /// compiles differently.
+  void decodeBlock(const unsigned char* stored, std::size_t stored_size,
+                   std::size_t raw_size);
   std::uint64_t rawLeft() const noexcept;
-  std::uint8_t takeByte(codec::SymbolClass cls, unsigned bucket);
-  std::uint64_t takeVarint(codec::SymbolClass first_cls,
-                           codec::SymbolClass cont_cls, unsigned bucket);
-  Interaction decodeOne();
-  /// v4: rANS-decodes a whole coded block payload into v4_scratch_ in
-  /// one bulk 8-way run, so the block is then served as a plain byte
-  /// window. All structural validation happens in the group parser.
-  void decodeV4Block(const unsigned char* stored, std::size_t stored_size,
-                     std::size_t raw_size);
-  /// v4: parses the next group unit from the window, returns its first
+  std::uint8_t takeByte();
+  /// Parses the next group unit from the window, returns its first
   /// interaction, and buffers the second (if the unit carries one).
-  Interaction takeGroupV4();
-  /// v4 bulk fast path: parses consecutive PAIR groups straight from the
+  Interaction takeGroup();
+  /// Bulk fast path: parses consecutive PAIR groups straight from the
   /// current window into `dst` (skip-only when null), advancing decoded_.
   /// Returns the interactions produced (always even); 0 when the window
   /// is near its edge, the trial is near its end, or under force-scalar —
-  /// the callers then fall back to takeGroupV4 for one group and retry.
-  std::uint64_t bulkGroupsV4(Interaction* dst, std::uint64_t count);
+  /// the callers then fall back to takeGroup for one group and retry.
+  std::uint64_t bulkGroups(Interaction* dst, std::uint64_t count);
 
   std::string path_;
   detail::MmapRegion map_;
   std::ifstream in_;
-  std::vector<unsigned char> stream_buf_;  // stream backend read window
-  std::vector<unsigned char> block_buf_;   // stream backend block bytes
+  std::vector<unsigned char> block_buf_;  // stream backend block bytes
   TraceShardHeader header_;
-  std::vector<TraceBlockIndexEntry> index_;  // v3 block index (validated)
-  unsigned bucket_shift_ = 0;
-  std::size_t bucket_cap_ = codec::kContextBuckets;
-  std::size_t stream_block_bytes_ = 0;
+  std::vector<TraceBlockIndexEntry> index_;  // validated at open
   // On-disk payload cursor.
   const unsigned char* payload_ptr_ = nullptr;  // mmap backend
   const unsigned char* payload_end_ = nullptr;
   std::uint64_t payload_left_ = 0;  // stream backend: undelivered file bytes
-  // Decoded-symbol window (raw blocks / v1 payloads serve directly from it).
+  // Decoded-byte window of the current block: the stored bytes of a raw
+  // block, or scratch_ for an rANS block.
   const unsigned char* sym_buf_ = nullptr;
   std::size_t sym_pos_ = 0;
   std::size_t sym_limit_ = 0;
-  // Entropy-coded block state (v2 adaptive range coder or v3 rANS).
-  codec::RangeDecoder decoder_;
-  codec::TraceModels models_;
-  std::unique_ptr<codec::RansBlockDecoder> rans_;  // lazy, v3 blocks only
-  std::unique_ptr<codec::RansV4BlockDecoder> rans_v4_;  // lazy, v4 blocks
-  bool rc_rans_ = false;               // live coded block is rANS
-  std::uint64_t rc_block_raw_ = 0;     // raw size of the live coded block
-  std::uint64_t rc_symbols_left_ = 0;
   std::uint64_t raw_left_base_ = 0;  // rawLeft() when the window began
+  std::unique_ptr<codec::RansV4BlockDecoder> rans_;  // lazy, rANS blocks
+  std::vector<unsigned char> scratch_;  // rANS block, reconstructed
   std::uint64_t trials_begun_ = 0;
   std::uint64_t trial_length_ = 0;
   std::uint64_t decoded_ = 0;
   NodeId prev_a_ = 0;
-  // v4 record-layer state.
-  std::vector<unsigned char> v4_scratch_;  // coded block, reconstructed
-  NodeId v4_pend_a_ = 0;  // second interaction of a parsed group
-  NodeId v4_pend_b_ = 1;
-  bool v4_pending_ = false;
+  NodeId pend_a_ = 0;  // second interaction of a parsed group
+  NodeId pend_b_ = 1;
+  bool pending_ = false;
   bool force_scalar_ = false;
   // Diagnostics context for fail(): valid once construction completed.
   bool have_offset_ctx_ = false;
@@ -621,8 +525,8 @@ struct TraceStoreOpenOptions {
 };
 
 /// A validated handle on a sharded store directory: opens every shard
-/// header once, checks cross-shard consistency (same node count, shard
-/// count and format, shard indices and base trials contiguous), and hands
+/// header once, checks cross-shard consistency (same node count and shard
+/// count, shard indices and base trials contiguous), and hands
 /// out per-shard readers. Copyable; holds no file descriptors.
 class TraceStore {
  public:
@@ -656,8 +560,7 @@ class TraceStore {
   /// across segments (quarantine gaps permitting, as in open). Node count
   /// may grow from one segment to the next (an appended import can add
   /// nodes; nodeCount() reports the maximum) but never shrink; shard
-  /// count and format version are per-segment, so a compacted v4
-  /// generation can sit behind v1 history.
+  /// count is per-segment.
   static TraceStore openComposite(const std::vector<std::string>& part_dirs,
                                   const TraceStoreOpenOptions& options = {});
 
@@ -665,9 +568,6 @@ class TraceStore {
   std::size_t nodeCount() const noexcept { return node_count_; }
   std::uint64_t trialCount() const noexcept { return trial_count_; }
   std::size_t shardCount() const noexcept { return shards_.size(); }
-  std::uint16_t formatVersion() const noexcept {
-    return shards_.empty() ? kTraceFormatVersion : shards_[0].format_version;
-  }
   const std::vector<TraceShardHeader>& shardHeaders() const noexcept {
     return shards_;
   }

@@ -5,83 +5,22 @@
 #include <cstdint>
 #include <vector>
 
-#include "dynagraph/trace_codec.hpp"
-
 namespace doda::dynagraph::codec {
 
 // ---------------------------------------------------------------------------
-// Entropy codec of the v3 trace block payload (see trace_io.hpp for the
-// container format; the v2 adaptive binary range coder in trace_codec.hpp
-// stays readable as codec 1).
+// Entropy codec of the trace block payload (block codec id 3; see
+// trace_io.hpp for the container format): a static per-block frequency
+// table over every record byte driving an 8-way interleaved rANS.
 //
-// Where v2 pays ~8 adaptive binary decisions per record byte, v3 codes each
-// byte in ONE table-driven rANS step: the writer histograms the block,
-// normalizes per-context frequency tables to a 12-bit total, serializes the
-// tables into the block, then runs a 2-way interleaved rANS (32-bit states,
-// byte-wise renormalization — the ryg_rans construction) over the bytes in
-// reverse so the decoder streams them forward. Static tables trade a little
-// ratio (quantization + table bytes, amortized over the block) for a decode
-// loop that is a mask, two table loads, one multiply and a rare byte refill
-// — several times faster than bit-tree adaptation.
-//
-// Contexts are the v2 record-aware classes with the value-conditioned
-// classes bucketed coarser (8 buckets instead of 32), because every used
-// context must ship its table in the block header:
-//
-//   0                length first bytes
-//   1                length continuation bytes
-//   2                delta continuation bytes
-//   3                gap continuation bytes
-//   4 .. 11          delta first byte, bucket(prev_a) of 8
-//   12 .. 19         gap first byte, bucket(a) of 8
-//
-// Table serialization (per block, before the rANS payload), per context in
-// the fixed order above: varint symbol count (0 = context unused in this
-// block), then per present symbol in ascending order a varint symbol delta
+// Table serialization (before the rANS payload): varint present-symbol
+// count, then per present symbol in ascending order a varint symbol delta
 // (the first symbol verbatim, then gap-1 to the previous) and varint
-// freq-1. Frequencies of a used context sum to exactly kRansTotal.
-//
-// The rANS payload is u32-LE initial states x0, x1 followed by the renorm
-// byte stream; symbol i of the block decodes from state i & 1.
+// freq-1. Frequencies sum to exactly kRansTotal.
 // ---------------------------------------------------------------------------
 
 inline constexpr unsigned kRansScaleBits = 12;
 inline constexpr std::uint32_t kRansTotal = 1u << kRansScaleBits;
-inline constexpr std::uint32_t kRansLowBound = 1u << 23;  // renorm threshold
-inline constexpr std::size_t kRansContextBuckets = 8;
-inline constexpr std::size_t kRansContexts = 4 + 2 * kRansContextBuckets;
-
-// Trace format v4 (trace_io.hpp) keeps the block container but swaps this
-// codec for its own (block codec id 3, RansV4Block{Encoder,Decoder}
-// below): ONE frequency table over every record byte and EIGHT interleaved
-// rANS states instead of two. One table is a deliberate ratio-for-speed
-// trade — the decoder reconstructs a whole block in a single bulk run with
-// no per-symbol context selection or record parsing — and the 8-way
-// interleave plus a fused slot table and branchless renormalization keep
-// eight dependency chains in flight, so the loop is bounded by execution
-// throughput rather than the latency of one serial load-multiply-refill
-// chain.
 inline constexpr std::size_t kRansV4Interleave = 8;
-
-/// Flat context id of a (class, bucket) pair; the bucket is only
-/// significant for the first-byte classes.
-inline unsigned ransContext(SymbolClass cls, unsigned bucket) noexcept {
-  switch (cls) {
-    case SymbolClass::kLengthFirst:
-      return 0;
-    case SymbolClass::kLengthCont:
-      return 1;
-    case SymbolClass::kDeltaCont:
-      return 2;
-    case SymbolClass::kGapCont:
-      return 3;
-    case SymbolClass::kDeltaFirst:
-      return 4 + bucket;
-    case SymbolClass::kGapFirst:
-    default:
-      return 4 + static_cast<unsigned>(kRansContextBuckets) + bucket;
-  }
-}
 
 namespace rans_detail {
 
@@ -166,184 +105,29 @@ inline void serializeTable(std::vector<std::uint8_t>& out,
 
 }  // namespace rans_detail
 
-/// Encodes one block: collect (byte, context) pairs, then seal() emits the
-/// serialized tables followed by the interleaved-rANS payload. Reusable
-/// across blocks via reset().
-class RansBlockEncoder {
- public:
-  void reset() noexcept {
-    for (auto& table : counts_) table.fill(0);
-  }
-
-  void count(std::uint8_t byte, unsigned ctx) noexcept {
-    ++counts_[ctx][byte];
-  }
-
-  /// Serializes tables + payload for `bytes` (whose i-th element was
-  /// counted with context `contexts[i]`) into `out` (cleared first).
-  void seal(const std::uint8_t* bytes, const std::uint8_t* contexts,
-            std::size_t size, std::vector<std::uint8_t>& out) {
-    out.clear();
-    normalizeAll();
-    serializeTables(out);
-
-    // rANS runs backwards: encode the last symbol first, collect renorm
-    // bytes in emission order, then append them reversed so the decoder
-    // reads forward. Symbol i uses state i & 1 on both sides.
-    rev_.clear();
-    std::uint32_t states[2] = {kRansLowBound, kRansLowBound};
-    for (std::size_t i = size; i-- > 0;) {
-      const unsigned ctx = contexts[i];
-      const std::uint8_t sym = bytes[i];
-      const std::uint32_t f = freq_[ctx][sym];
-      const std::uint32_t c = cum_[ctx][sym];
-      std::uint32_t& x = states[i & 1];
-      const std::uint32_t x_max = ((kRansLowBound >> kRansScaleBits) << 8) * f;
-      while (x >= x_max) {
-        rev_.push_back(static_cast<std::uint8_t>(x));
-        x >>= 8;
-      }
-      x = ((x / f) << kRansScaleBits) + (x % f) + c;
-    }
-    for (const std::uint32_t x : {states[0], states[1]})
-      for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<std::uint8_t>(x >> (8 * i)));
-    out.insert(out.end(), rev_.rbegin(), rev_.rend());
-  }
-
- private:
-  void normalizeAll() noexcept {
-    for (std::size_t ctx = 0; ctx < kRansContexts; ++ctx)
-      rans_detail::normalizeTable(counts_[ctx].data(), freq_[ctx].data(),
-                                  cum_[ctx].data());
-  }
-
-  void serializeTables(std::vector<std::uint8_t>& out) const {
-    for (std::size_t ctx = 0; ctx < kRansContexts; ++ctx)
-      rans_detail::serializeTable(out, freq_[ctx].data());
-  }
-
-  std::array<std::array<std::uint32_t, 256>, kRansContexts> counts_{};
-  std::array<std::array<std::uint32_t, 256>, kRansContexts> freq_{};
-  std::array<std::array<std::uint32_t, 256>, kRansContexts> cum_{};
-  std::vector<std::uint8_t> rev_;
-};
-
-/// Decodes one block: start() parses the tables and initial states (false =
-/// malformed tables, a corrupt block), then decodeByte() streams the raw
-/// bytes forward. Reading past the payload feeds zeros and raises the
-/// overrun flag, mirroring RangeDecoder's contract.
-class RansBlockDecoder {
- public:
-  RansBlockDecoder()
-      : lookup_(kRansContexts * kRansTotal, 0),
-        freq_(kRansContexts * 256, 0),
-        cum_(kRansContexts * 256, 0) {}
-
-  bool start(const std::uint8_t* data, std::size_t size) {
-    data_ = data;
-    size_ = size;
-    pos_ = 0;
-    symbols_ = 0;
-    overrun_ = false;
-    if (!parseTables()) return false;
-    for (auto& x : states_) {
-      x = 0;
-      for (int i = 0; i < 4; ++i)
-        x |= static_cast<std::uint32_t>(takeByte()) << (8 * i);
-    }
-    return !overrun_;
-  }
-
-  std::uint8_t decodeByte(unsigned ctx) {
-    if (!present_[ctx]) {
-      // The record layer asked for a context this block's tables never
-      // populated: structurally corrupt. Surface it as an overrun so the
-      // caller fails the block.
-      overrun_ = true;
-      return 0;
-    }
-    std::uint32_t& x = states_[symbols_++ & 1];
-    const std::uint32_t slot = x & (kRansTotal - 1);
-    const std::uint8_t sym = lookup_[ctx * kRansTotal + slot];
-    const std::size_t at = ctx * 256 + sym;
-    x = freq_[at] * (x >> kRansScaleBits) + slot - cum_[at];
-    while (x < kRansLowBound)
-      x = (x << 8) | takeByte();
-    return sym;
-  }
-
-  bool overrun() const noexcept { return overrun_; }
-
- private:
-  std::uint8_t takeByte() {
-    if (pos_ < size_) return data_[pos_++];
-    overrun_ = true;
-    return 0;
-  }
-
-  bool parseTables() {
-    for (std::size_t ctx = 0; ctx < kRansContexts; ++ctx) {
-      std::uint64_t present = 0;
-      if (!rans_detail::takeVarint(data_, size_, pos_, present)) return false;
-      present_[ctx] = present != 0;
-      if (present == 0) continue;
-      if (present > 256) return false;
-      std::uint8_t* const lookup = lookup_.data() + ctx * kRansTotal;
-      std::uint32_t* const freq = freq_.data() + ctx * 256;
-      std::uint32_t* const cum = cum_.data() + ctx * 256;
-      std::uint64_t symbol = 0;
-      std::uint32_t running = 0;
-      for (std::uint64_t i = 0; i < present; ++i) {
-        std::uint64_t delta = 0, f_minus_1 = 0;
-        if (!rans_detail::takeVarint(data_, size_, pos_, delta)) return false;
-        if (!rans_detail::takeVarint(data_, size_, pos_, f_minus_1))
-          return false;
-        symbol = i == 0 ? delta : symbol + 1 + delta;
-        const std::uint64_t f = f_minus_1 + 1;
-        if (symbol > 255 || f > kRansTotal - running) return false;
-        const auto sym = static_cast<std::uint8_t>(symbol);
-        freq[sym] = static_cast<std::uint32_t>(f);
-        cum[sym] = running;
-        for (std::uint32_t s = 0; s < f; ++s) lookup[running + s] = sym;
-        running += static_cast<std::uint32_t>(f);
-      }
-      if (running != kRansTotal) return false;
-    }
-    return true;
-  }
-
-  const std::uint8_t* data_ = nullptr;
-  std::size_t size_ = 0;
-  std::size_t pos_ = 0;
-  std::uint64_t symbols_ = 0;
-  std::uint32_t states_[2] = {0, 0};
-  bool overrun_ = false;
-  std::array<bool, kRansContexts> present_{};
-  std::vector<std::uint8_t> lookup_;   // kRansContexts x kRansTotal
-  std::vector<std::uint32_t> freq_;    // kRansContexts x 256
-  std::vector<std::uint32_t> cum_;     // kRansContexts x 256
-};
-
 // ---------------------------------------------------------------------------
-// v4 block codec (block codec id 3): 8-way interleaved rANS over one table.
+// Block codec 3: 8-way interleaved rANS over one table.
 //
-// Payload layout: one serialized frequency table (rans_detail format, same
-// as a single v3 context), then kRansV4Interleave u32-LE initial states,
-// then the renorm stream of little-endian 16-bit words. Symbol i of the
-// block decodes from state i & 7; the encoder runs backward so the decoder
-// streams forward. Every record byte of the block — control and value
-// alike — is one symbol of the single table.
+// Payload layout: one serialized frequency table (rans_detail format),
+// then kRansV4Interleave u32-LE initial states, then the renorm stream of
+// little-endian 16-bit words. Symbol i of the block decodes from state
+// i & 7; the encoder runs backward so the decoder streams forward. Every
+// record byte of the block — control and value alike — is one symbol of
+// the single table. One table is a deliberate ratio-for-speed trade: the
+// decoder reconstructs a whole block in a single bulk run with no
+// per-symbol context selection or record parsing, and the 8-way
+// interleave keeps eight dependency chains in flight, so the loop is
+// bounded by execution throughput rather than the latency of one serial
+// load-multiply-refill chain.
 //
-// Unlike the v3 coder's byte-wise renormalization, codec 3 renormalizes
-// 16 bits at a time against a 2^16 lower bound: a decode step leaves the
-// state >= 2^4, so exactly zero or one refill restores the invariant —
-// one flag, one selectable word, no loop.
+// Renormalization moves 16 bits at a time against a 2^16 lower bound: a
+// decode step leaves the state >= 2^4, so exactly zero or one refill
+// restores the invariant — one flag, one selectable word, no loop.
 // ---------------------------------------------------------------------------
 
 inline constexpr std::uint32_t kRansV4LowBound = 1u << 16;
 
-/// Encodes one v4 block: count() histograms the bytes, seal() emits the
+/// Encodes one block: count() histograms the bytes, seal() emits the
 /// table + payload. Reusable across blocks via reset().
 class RansV4BlockEncoder {
  public:
@@ -388,7 +172,7 @@ class RansV4BlockEncoder {
   std::vector<std::uint8_t> rev_;
 };
 
-/// Decodes one v4 block payload into `dst` (exactly `count` bytes, the
+/// Decodes one block payload into `dst` (exactly `count` bytes, the
 /// frame's raw size). Returns false on malformed tables, a payload
 /// overrun, or final states that do not return to the encoder's seed —
 /// all the block-corrupt conditions the caller surfaces as one error.
@@ -397,8 +181,7 @@ class RansV4BlockEncoder {
 /// table packs (freq-1, slot - cum, symbol) into one u32 so each step is
 /// a single dependent load, and renormalization selects its (zero or one)
 /// 16-bit refill word with mask arithmetic instead of a data-dependent
-/// branch — mispredicted refill branches are what bound the 2-way coder
-/// above. The unguarded reads stay within the payload because the fast
+/// branch. The unguarded reads stay within the payload because the fast
 /// path requires 2 * kRansV4Interleave spare bytes; a guarded tail loop
 /// finishes the block.
 class RansV4BlockDecoder {

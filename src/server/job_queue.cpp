@@ -121,53 +121,64 @@ Json JobQueue::result(std::uint64_t id) const {
 }
 
 bool JobQueue::cancel(std::uint64_t id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end())
-    throw ProtocolError(ErrorCode::kUnknownJob,
-                        "unknown job " + std::to_string(id));
-  Job& job = *it->second;
-  switch (job.phase) {
-    case Phase::kQueued: {
-      // Not started yet: finish it here and now.
-      job.cancel.store(true, std::memory_order_relaxed);
-      const auto pos = std::find(pending_.begin(), pending_.end(), id);
-      if (pos != pending_.end()) pending_.erase(pos);
-      job.phase = Phase::kCancelled;
-      finished_order_.push_back(id);
-      --open_;
-      emitLocked(job, completionFrame(job));
-      job.subscribers.clear();
-      drain_cv_.notify_all();
-      return true;
+  std::vector<Subscriber> subscribers;
+  Json frame;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = jobs_.find(id);
+    if (it == jobs_.end())
+      throw ProtocolError(ErrorCode::kUnknownJob,
+                          "unknown job " + std::to_string(id));
+    Job& job = *it->second;
+    switch (job.phase) {
+      case Phase::kQueued: {
+        // Not started yet: finish it here and now.
+        job.cancel.store(true, std::memory_order_relaxed);
+        const auto pos = std::find(pending_.begin(), pending_.end(), id);
+        if (pos != pending_.end()) pending_.erase(pos);
+        job.phase = Phase::kCancelled;
+        finished_order_.push_back(id);
+        --open_;
+        frame = completionFrame(job);
+        subscribers.swap(job.subscribers);
+        ++delivering_;
+        break;
+      }
+      case Phase::kRunning:
+        // Cooperative: the measurement polls the flag between trials.
+        job.cancel.store(true, std::memory_order_relaxed);
+        return true;
+      default:
+        return false;
     }
-    case Phase::kRunning:
-      // Cooperative: the measurement polls the flag between trials.
-      job.cancel.store(true, std::memory_order_relaxed);
-      return true;
-    default:
-      return false;
   }
+  deliverCompletion(subscribers, frame);
+  return true;
 }
 
 void JobQueue::subscribe(std::uint64_t id, StreamSink sink) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end())
-    throw ProtocolError(ErrorCode::kUnknownJob,
-                        "unknown job " + std::to_string(id));
-  Job& job = *it->second;
-  if (job.phase == Phase::kQueued || job.phase == Phase::kRunning) {
-    job.subscribers.push_back(std::move(sink));
-    return;
+  Json frame;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = jobs_.find(id);
+    if (it == jobs_.end())
+      throw ProtocolError(ErrorCode::kUnknownJob,
+                          "unknown job " + std::to_string(id));
+    Job& job = *it->second;
+    if (job.phase == Phase::kQueued || job.phase == Phase::kRunning) {
+      job.subscribers.push_back(
+          std::make_shared<const StreamSink>(std::move(sink)));
+      return;
+    }
+    frame = completionFrame(job);
   }
-  sink(completionFrame(job));  // already finished: terminal frame only
+  sink(frame);  // already finished: terminal frame only
 }
 
 void JobQueue::drain() {
   std::unique_lock<std::mutex> lock(mutex_);
   accepting_ = false;
-  drain_cv_.wait(lock, [this] { return open_ == 0; });
+  drain_cv_.wait(lock, [this] { return open_ == 0 && delivering_ == 0; });
 }
 
 std::size_t JobQueue::openJobs() const {
@@ -175,9 +186,20 @@ std::size_t JobQueue::openJobs() const {
   return open_;
 }
 
-void JobQueue::emitLocked(Job& job, const Json& frame) {
-  std::erase_if(job.subscribers,
-                [&frame](const StreamSink& sink) { return !sink(frame); });
+std::vector<const StreamSink*> JobQueue::deliver(
+    const std::vector<Subscriber>& subscribers, const Json& frame) {
+  std::vector<const StreamSink*> dead;
+  for (const Subscriber& subscriber : subscribers)
+    if (!(*subscriber)(frame)) dead.push_back(subscriber.get());
+  return dead;
+}
+
+void JobQueue::deliverCompletion(const std::vector<Subscriber>& subscribers,
+                                 const Json& frame) {
+  deliver(subscribers, frame);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  --delivering_;
+  drain_cv_.notify_all();
 }
 
 Json JobQueue::completionFrame(const Job& job) const {
@@ -209,16 +231,29 @@ void JobQueue::runnerLoop() {
 void JobQueue::runJob(Job& job) {
   JobContext context;
   context.cancel = &job.cancel;
+  // The measurement calls this serially (under its fold mutex), so one
+  // job's frames reach each subscriber in folded order.
   context.progress = [this, &job](std::uint64_t folded, Json stats) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    job.folded = folded;
-    if (job.subscribers.empty()) return;
+    std::vector<Subscriber> subscribers;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      job.folded = folded;
+      if (job.subscribers.empty()) return;
+      subscribers = job.subscribers;
+    }
     Json params = Json::object();
     params.set("job", job.id);
     params.set("folded", folded);
     params.set("total", job.total);
     params.set("stats", std::move(stats));
-    emitLocked(job, makeNotification("job.progress", std::move(params)));
+    const std::vector<const StreamSink*> dead = deliver(
+        subscribers, makeNotification("job.progress", std::move(params)));
+    if (dead.empty()) return;
+    const std::lock_guard<std::mutex> lock(mutex_);
+    std::erase_if(job.subscribers, [&dead](const Subscriber& subscriber) {
+      return std::find(dead.begin(), dead.end(), subscriber.get()) !=
+             dead.end();
+    });
   };
 
   Json payload;
@@ -233,19 +268,24 @@ void JobQueue::runJob(Job& job) {
     error = e.what();
   }
 
-  std::lock_guard<std::mutex> lock(mutex_);
-  job.phase = outcome;
-  job.payload = std::move(payload);
-  job.error = std::move(error);
-  finished_order_.push_back(job.id);
-  --open_;
-  emitLocked(job, completionFrame(job));
-  job.subscribers.clear();
-  while (finished_order_.size() > options_.retain_finished) {
-    jobs_.erase(finished_order_.front());
-    finished_order_.pop_front();
+  std::vector<Subscriber> subscribers;
+  Json frame;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    job.phase = outcome;
+    job.payload = std::move(payload);
+    job.error = std::move(error);
+    finished_order_.push_back(job.id);
+    --open_;
+    frame = completionFrame(job);
+    subscribers.swap(job.subscribers);
+    ++delivering_;
+    while (finished_order_.size() > options_.retain_finished) {
+      jobs_.erase(finished_order_.front());  // may destroy `job` itself
+      finished_order_.pop_front();
+    }
   }
-  drain_cv_.notify_all();
+  deliverCompletion(subscribers, frame);
 }
 
 }  // namespace doda::server

@@ -99,6 +99,10 @@ class JobQueue {
   enum class Phase { kQueued, kRunning, kDone, kFailed, kCancelled };
   static const char* phaseName(Phase phase);
 
+  /// Shared so a snapshot of the subscriber list taken under mutex_ can be
+  /// called after unlocking, and a dead sink dropped by identity.
+  using Subscriber = std::shared_ptr<const StreamSink>;
+
   struct Job {
     std::uint64_t id = 0;
     std::string method;
@@ -110,14 +114,21 @@ class JobQueue {
     Json payload;
     std::string error;
     std::uint64_t folded = 0;
-    std::vector<StreamSink> subscribers;
+    std::vector<Subscriber> subscribers;
   };
 
   void runnerLoop();
   void runJob(Job& job);
-  /// Emits `frame` to the job's subscribers, dropping dead ones. Caller
-  /// holds mutex_.
-  void emitLocked(Job& job, const Json& frame);
+  /// Calls every sink with `frame`; the caller must NOT hold mutex_ (a
+  /// sink is a blocking socket write, so a subscriber that stops reading
+  /// may stall only the thread writing to it). Returns the sinks that
+  /// reported a dead peer.
+  static std::vector<const StreamSink*> deliver(
+      const std::vector<Subscriber>& subscribers, const Json& frame);
+  /// Sends a finished job's job.complete to the subscribers taken from it
+  /// (outside mutex_), then retires the delivery drain() waits for.
+  void deliverCompletion(const std::vector<Subscriber>& subscribers,
+                         const Json& frame);
   Json completionFrame(const Job& job) const;
 
   JobQueueOptions options_;
@@ -129,6 +140,7 @@ class JobQueue {
   std::deque<std::uint64_t> finished_order_;   // eviction order
   std::uint64_t next_id_ = 1;
   std::size_t open_ = 0;
+  std::size_t delivering_ = 0;  // job.complete deliveries in flight
   bool accepting_ = true;
   bool stopping_ = false;
   std::vector<std::thread> runners_;

@@ -94,14 +94,15 @@ void Server::stop() {
     if (stopped_) return;
     stopped_ = true;
   }
+  // shutdown unblocks accept() on every platform we care about. The
+  // descriptor is closed only once the accept thread has exited, because
+  // that thread reads listen_fd_ until then.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    // shutdown unblocks accept() on every platform we care about; close
-    // finishes the job.
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
 
   std::vector<std::shared_ptr<Connection>> connections;
   {

@@ -24,20 +24,19 @@ using dynagraph::TraceStore;
 namespace {
 
 /// One contiguous run of selected trials inside one shard — the unit of
-/// pool work. Indexed (v3) shards contribute several spans so workers
-/// load-balance within a shard; v1/v2 shards contribute exactly one.
+/// pool work. A shard contributes several spans so workers load-balance
+/// within it.
 struct ReplaySpan {
   std::size_t shard = 0;
   std::uint64_t begin = 0;  // global trial ids, half-open
   std::uint64_t end = 0;
 };
 
-/// Runs one span: seek to its first trial (an indexed seek on v3, a
-/// sequential skip on v1/v2), then stream its trials through `body`,
-/// storing outcomes into the window's slot array. The reader realigns
-/// itself at each beginTrial, so a body that stops decoding early
-/// (streamed replay terminating before the trace ends) cannot desync the
-/// cursor.
+/// Runs one span: seek to its first trial through the shard's block index,
+/// then stream its trials through `body`, storing outcomes into the
+/// window's slot array. The reader realigns itself at each beginTrial, so
+/// a body that stops decoding early (streamed replay terminating before
+/// the trace ends) cannot desync the cursor.
 void runSpan(const TraceStore& store, const ReplaySpan& span,
              std::uint64_t window_first, const ReplayTrialBody& body,
              core::Engine::Scratch& scratch,
@@ -85,27 +84,18 @@ MeasureResult replayShards(const TraceStore& store, std::size_t threads,
   if (first >= last) return {};
   const auto selected = static_cast<std::size_t>(last - first);
 
-  // Carve the window into spans. Indexed (v3) stores split shards into a
-  // few spans per worker so a handful of shards (or one huge one) still
-  // feeds the whole pool; without an index a span per shard is the best
-  // we can do (each extra span would re-skip the shard's prefix).
-  const bool indexed =
-      store.formatVersion() >= dynagraph::kTraceFormatVersionV3;
+  // Carve the window into spans: a few per worker, so a handful of shards
+  // (or one huge one) still feeds the whole pool. Each span seeks through
+  // its shard's block index, so extra spans cost one partial block decode.
   const std::size_t workers = resolveThreads(threads, selected);
   const std::uint64_t span_target =
-      indexed ? std::max<std::uint64_t>(1, (last - first) / (workers * 4))
-              : 0;
+      std::max<std::uint64_t>(1, (last - first) / (workers * 4));
   std::vector<ReplaySpan> spans;
   for (std::size_t shard = 0; shard < store.shardCount(); ++shard) {
     const auto& header = store.shardHeaders()[shard];
     std::uint64_t begin = std::max(first, header.base_trial);
     const std::uint64_t end =
         std::min(last, header.base_trial + header.trial_count);
-    if (begin >= end) continue;
-    if (span_target == 0) {
-      spans.push_back({shard, begin, end});
-      continue;
-    }
     while (begin < end) {
       const std::uint64_t stop = std::min(end, begin + span_target);
       spans.push_back({shard, begin, stop});

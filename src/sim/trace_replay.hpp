@@ -34,10 +34,9 @@ struct ReplayConfig {
   /// affects the statistics, only the I/O path.
   dynagraph::TraceReadBackend backend = dynagraph::TraceReadBackend::kAuto;
   /// Partial replay window. The statistics of a ranged replay are
-  /// bit-identical to folding the same trials out of a full replay: block-
-  /// indexed (v3) stores seek straight to the window, v1/v2 stores skip
-  /// forward sequentially — the range never changes the statistics, only
-  /// the work.
+  /// bit-identical to folding the same trials out of a full replay: the
+  /// reader seeks straight to the window through each shard's block index
+  /// — the range never changes the statistics, only the work.
   ReplayTrialRange trial_range;
   /// Optional cooperative control (progress observer + cancel flag), as
   /// MeasureConfig::control. Not owned; must outlive the replay.
@@ -57,12 +56,11 @@ using ReplayTrialBody = std::function<TrialOutcome(
 /// Deterministic shard-parallel replay executor — the recorded-trace
 /// counterpart of runTrials.
 ///
-/// Work splits by the shards' *block indices* where available: a v3
-/// shard's selected trials are carved into several contiguous spans (a few
-/// per worker) that each seek to their first trial, so trial-level
-/// parallelism load-balances inside a shard instead of stopping at shard
-/// granularity. v1/v2 shards (no index) stay one span per shard, skipped
-/// into sequentially. Each span's trials store their outcome in a
+/// Work splits by the shards' *block indices*: a shard's selected trials
+/// are carved into several contiguous spans (a few per worker) that each
+/// seek to their first trial, so trial-level parallelism load-balances
+/// inside a shard instead of stopping at shard granularity. Each span's
+/// trials store their outcome in a
 /// per-trial slot; the slots are then folded into the MeasureResult in
 /// global trial order. Results are therefore bit-identical for every
 /// thread count and every span shape. An exception thrown by any trial
@@ -109,8 +107,9 @@ using TrialGenerator = std::function<dynagraph::InteractionSequence(
 /// `directory`. Per-trial randomness uses the same pre-drawn seed scheme
 /// as runTrials (trial i's RNG is seeded with the i-th draw from a master
 /// RNG seeded with `master_seed`), the determinism anchor every recorded
-/// workload shares. `writer_options` picks the store format (compressed
-/// v2 by default); the recorded *content* is identical for every format.
+/// workload shares. `writer_options` picks the block encoding (rANS by
+/// default, raw with compress = false); the recorded *content* is
+/// identical for every choice.
 void recordTrials(const std::string& directory, std::size_t node_count,
                   std::size_t trials, std::uint64_t master_seed,
                   std::uint32_t shard_count, const TrialGenerator& generator,

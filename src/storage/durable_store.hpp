@@ -118,12 +118,12 @@ class DurableTraceStore {
                      const ImportDelta* import = nullptr);
 
   /// Offline compaction: rewrites the whole store — every committed
-  /// segment, whatever its format — into one new segment written in the
-  /// format `writer_options` selects (default: indexed v4), then commits
-  /// it as a replacement generation and deletes the old segments. The
-  /// source must open strictly (a store with quarantined shards cannot
-  /// be compacted without deciding about the gap). shard_count 0 keeps
-  /// the first segment's recorded shard count.
+  /// segment, whatever its block encoding and shard count — into one new
+  /// segment written with `writer_options` (default: rANS blocks), then
+  /// commits it as a replacement generation and deletes the old segments.
+  /// The source must open strictly (a store with quarantined shards cannot
+  /// be compacted without deciding about the gap). shard_count 0 keeps the
+  /// first segment's recorded shard count.
   void compact(dynagraph::TraceWriterOptions writer_options = {},
                std::uint32_t shard_count = 0);
 

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -12,7 +13,10 @@ namespace {
 
 class CsvWriterTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/doda_csv_test.csv";
+  // ctest runs each test in its own process, possibly concurrently, so the
+  // file name is unique per process.
+  std::string path_ = ::testing::TempDir() + "/doda_csv_test_" +
+                      std::to_string(::getpid()) + ".csv";
 
   void TearDown() override { std::remove(path_.c_str()); }
 

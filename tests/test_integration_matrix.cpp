@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 #include "algorithms/full_knowledge.hpp"
 #include "algorithms/future_aware.hpp"
@@ -35,6 +36,13 @@ struct MatrixCase {
   std::string trace_name;
   std::string algorithm_name;
 };
+
+/// Prints a case as "trace/algorithm" in gtest output, and so in the ctest
+/// test names. Without it gtest dumps the struct's raw bytes, which start
+/// with a heap pointer and change from build to build.
+void PrintTo(const MatrixCase& matrix_case, std::ostream* os) {
+  *os << matrix_case.trace_name << '/' << matrix_case.algorithm_name;
+}
 
 /// Trace families under test, all with node 0 as sink and >= 9 nodes.
 InteractionSequence makeTrace(const std::string& name, std::size_t& n,

@@ -444,15 +444,21 @@ TEST(JobLifecycle, DrainFinishesOpenJobsAndRefusesNew) {
 
 /// A minimal line-delimited JSON-RPC client over a blocking socket, with a
 /// receive timeout so a server bug fails the test instead of hanging ctest.
+/// A nonzero `receive_buffer` shrinks SO_RCVBUF before connecting.
 class Client {
  public:
-  explicit Client(std::uint16_t port) {
+  explicit Client(std::uint16_t port,
+                  std::chrono::seconds receive_timeout = 30s,
+                  int receive_buffer = 0) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     EXPECT_GE(fd_, 0);
     const int one = 1;
     ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    timeval tv{30, 0};
+    timeval tv{static_cast<time_t>(receive_timeout.count()), 0};
     ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    if (receive_buffer > 0)
+      ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &receive_buffer,
+                   sizeof(receive_buffer));
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(port);
@@ -724,6 +730,73 @@ TEST(Transport, SubscribeStreamsOverTheWire) {
     EXPECT_GT(folded, last_folded);
     last_folded = folded;
   }
+}
+
+/// A subscriber that stops reading stalls only its own connection: the
+/// job runner blocks writing progress frames into its full socket, but
+/// every other client's job.* calls must still answer promptly, and the
+/// stalled job must still cancel and the server stop.
+TEST(Transport, SlowSubscriberDoesNotStallOtherClients) {
+  LiveServer live;  // one job runner
+  Client stalled(live.server.port(), 30s, /*receive_buffer=*/1024);
+  const Json submitted = stalled.call(
+      "{\"id\":1,\"method\":\"job.submit\",\"params\":{\"kind\":"
+      "\"randomized\",\"n\":8,\"trials\":1000000,\"seed\":9,"
+      "\"threads\":1}}");
+  ASSERT_EQ(errorCode(submitted), 0);
+  const std::string job =
+      std::to_string(resultOf(submitted).find("job")->asInt());
+  stalled.sendLine(
+      "{\"id\":2,\"method\":\"job.subscribe\",\"params\":{\"job\":" +
+      job + "}}");  // ...and never read again
+
+  Client other(live.server.port(), 5s);
+  const auto timedCall = [&other](const std::string& line, Json& reply) {
+    const auto start = std::chrono::steady_clock::now();
+    reply = other.call(line);
+    return std::chrono::steady_clock::now() - start;
+  };
+  const std::string status_line =
+      "{\"id\":3,\"method\":\"job.status\",\"params\":{\"job\":" + job +
+      "}}";
+
+  // The stalled socket is full once `folded` stops advancing.
+  const auto deadline = std::chrono::steady_clock::now() + 20s;
+  std::int64_t last_folded = -1;
+  for (;;) {
+    Json status;
+    const auto took = timedCall(status_line, status);
+    const Json* result = status.find("result");
+    ASSERT_NE(result, nullptr) << "job.status got no reply within 5 s";
+    EXPECT_LT(took, 2s);
+    ASSERT_EQ(result->find("state")->asString(), "running");
+    const std::int64_t folded = result->find("folded")->asInt();
+    if (folded == last_folded) break;
+    last_folded = folded;
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the subscriber's socket never filled";
+    std::this_thread::sleep_for(200ms);
+  }
+
+  Json reply;
+  EXPECT_LT(timedCall(status_line, reply), 2s);
+  EXPECT_EQ(errorCode(reply), 0);
+  EXPECT_LT(timedCall("{\"id\":4,\"method\":\"job.submit\",\"params\":{"
+                      "\"kind\":\"randomized\",\"n\":8,\"trials\":4}}",
+                      reply),
+            2s);
+  EXPECT_EQ(errorCode(reply), 0);  // queued behind the stalled job
+
+  EXPECT_LT(timedCall("{\"id\":5,\"method\":\"job.cancel\",\"params\":{"
+                      "\"job\":" + job + "}}",
+                      reply),
+            2s);
+  ASSERT_EQ(errorCode(reply), 0);
+  EXPECT_TRUE(resultOf(reply).find("cancelled")->asBool());
+  // Closing the stalled peer fails the runner's blocked write; the runner
+  // drops the subscriber and the measurement observes the cancel.
+  stalled.close();
+  EXPECT_EQ(awaitTerminal(live.service, std::stoull(job), 10s), "cancelled");
 }
 
 // ----------------------------------------------------------- socket fuzz

@@ -12,7 +12,6 @@
 // acceptable outcome, silent wrong data never is.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -34,6 +33,7 @@
 #include "storage/durable_store.hpp"
 #include "storage/env.hpp"
 #include "storage/manifest.hpp"
+#include "trace_test_helpers.hpp"
 #include "util/rng.hpp"
 
 namespace doda {
@@ -51,52 +51,13 @@ using storage::Env;
 using storage::EnvCrash;
 using storage::FaultyEnv;
 using storage::FaultyEnvPlan;
-
-std::string scratchDir(const std::string& tag) {
-  static int counter = 0;
-  const auto dir = std::filesystem::path(testing::TempDir()) /
-                   ("doda_storage_" + tag + "_" + std::to_string(::getpid()) +
-                    "_" + std::to_string(counter++));
-  std::filesystem::remove_all(dir);
-  return dir.string();
-}
+using namespace trace_test;
 
 void copyTree(const std::string& from, const std::string& to) {
   std::filesystem::remove_all(to);
   if (!from.empty() && std::filesystem::exists(from))
     std::filesystem::copy(from, to,
                           std::filesystem::copy_options::recursive);
-}
-
-std::vector<InteractionSequence> sampleTrials(std::size_t n,
-                                              std::size_t count,
-                                              core::Time length,
-                                              std::uint64_t seed) {
-  util::Rng rng(seed);
-  std::vector<InteractionSequence> trials;
-  trials.reserve(count);
-  for (std::size_t i = 0; i < count; ++i)
-    trials.push_back(dynagraph::traces::uniformRandom(n, length, rng));
-  return trials;
-}
-
-std::vector<InteractionSequence> decodeAll(const TraceStore& store) {
-  std::vector<InteractionSequence> trials;
-  for (std::size_t s = 0; s < store.shardCount(); ++s) {
-    auto reader = store.openShard(s);
-    while (reader.beginTrial()) trials.push_back(reader.readRest());
-  }
-  return trials;
-}
-
-void expectTrialsEqual(const std::vector<InteractionSequence>& a,
-                       const std::vector<InteractionSequence>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].length(), b[i].length()) << "trial " << i;
-    for (core::Time t = 0; t < a[i].length(); ++t)
-      ASSERT_EQ(a[i].at(t), b[i].at(t)) << "trial " << i << " t=" << t;
-  }
 }
 
 MeasureResult replayStats(const TraceStore& store) {
@@ -106,15 +67,6 @@ MeasureResult replayStats(const TraceStore& store) {
   sim::ReplayConfig serial;
   serial.threads = 1;
   return sim::replayTrace(store, serial, factory);
-}
-
-void expectIdentical(const MeasureResult& a, const MeasureResult& b) {
-  EXPECT_EQ(a.interactions.count(), b.interactions.count());
-  EXPECT_EQ(a.interactions.mean(), b.interactions.mean());
-  EXPECT_EQ(a.interactions.variance(), b.interactions.variance());
-  EXPECT_EQ(a.interactions.min(), b.interactions.min());
-  EXPECT_EQ(a.interactions.max(), b.interactions.max());
-  EXPECT_EQ(a.failed_trials, b.failed_trials);
 }
 
 /// Flips one byte of a file in place.
@@ -445,7 +397,7 @@ TEST(DurableStore, RecordCommitRoundTrip) {
   EXPECT_EQ(reopened.version().generation, 1u);
   EXPECT_TRUE(reopened.removedOrphans().empty());
   EXPECT_FALSE(reopened.repairedManifestTail());
-  expectTrialsEqual(decodeAll(reopened.openStore()), trials);
+  expectTrialsEqual(decodeStore(reopened.openStore()), trials);
 }
 
 TEST(DurableStore, AppendedSegmentsReplayLikeOneStore) {
@@ -467,44 +419,48 @@ TEST(DurableStore, AppendedSegmentsReplayLikeOneStore) {
     writer.finish();
   }
   const TraceStore composite = store.openStore();
-  expectTrialsEqual(decodeAll(composite), all);
+  expectTrialsEqual(decodeStore(composite), all);
   expectIdentical(replayStats(composite), replayStats(TraceStore::open(flat)));
 }
 
 TEST(DurableStore, CompactMergesLegacySegmentsIntoIndexedV4) {
+  // Two raw-block segments of different shapes (tiny blocks over two
+  // shards, default blocks in one) compact into one rANS-block segment.
   const std::string dir = scratchDir("cmp");
   DurableTraceStore store = DurableTraceStore::create(dir);
   const auto first = sampleTrials(12, 3, 30, 91);
   const auto second = sampleTrials(12, 2, 30, 92);
-  TraceWriterOptions v2;
-  v2.format_version = dynagraph::kTraceFormatVersionV2;
-  store.commitSegment(12, 3, 2, v2, [&](TraceStoreWriter& writer) {
+  TraceWriterOptions tiny_raw;
+  tiny_raw.compress = false;
+  tiny_raw.block_bytes = 16;
+  store.commitSegment(12, 3, 2, tiny_raw, [&](TraceStoreWriter& writer) {
     for (const auto& trial : first) writer.appendTrial(trial);
   });
-  TraceWriterOptions v3;
-  v3.format_version = dynagraph::kTraceFormatVersionV3;
-  store.commitSegment(12, 2, 1, v3, [&](TraceStoreWriter& writer) {
+  TraceWriterOptions raw;
+  raw.compress = false;
+  store.commitSegment(12, 2, 1, raw, [&](TraceStoreWriter& writer) {
     for (const auto& trial : second) writer.appendTrial(trial);
   });
   auto all = first;
   for (const auto& trial : second) all.push_back(trial);
   const MeasureResult before = replayStats(store.openStore());
 
-  store.compact();  // default writer options: indexed v4
+  store.compact();  // default writer options: rANS blocks
 
   EXPECT_EQ(store.version().generation, 3u);
   ASSERT_EQ(store.version().segments.size(), 1u);
   EXPECT_EQ(store.trialCount(), 5u);
   const TraceStore compacted = store.openStore();
-  EXPECT_EQ(compacted.formatVersion(), dynagraph::kTraceFormatVersionV4);
-  expectTrialsEqual(decodeAll(compacted), all);
+  for (const auto& header : compacted.shardHeaders())
+    EXPECT_EQ(header.codec, dynagraph::kTraceCodecRansV4);
+  expectTrialsEqual(decodeStore(compacted), all);
   expectIdentical(replayStats(compacted), before);
 
   // The old generations are gone from disk and a reopen sees no orphans.
   DurableTraceStore reopened = DurableTraceStore::open(dir);
   EXPECT_TRUE(reopened.removedOrphans().empty());
   ASSERT_EQ(reopened.version().segments.size(), 1u);
-  expectTrialsEqual(decodeAll(reopened.openStore()), all);
+  expectTrialsEqual(decodeStore(reopened.openStore()), all);
 }
 
 TEST(DurableStore, OpenSweepsOrphansButKeepsForeignFiles) {
@@ -522,7 +478,7 @@ TEST(DurableStore, OpenSweepsOrphansButKeepsForeignFiles) {
   EXPECT_FALSE(env.exists(dir + "/seg-000042"));
   EXPECT_FALSE(env.exists(dir + "/idmap-000033.map"));
   EXPECT_EQ(env.readFile(dir + "/notes.txt"), "keep me");
-  expectTrialsEqual(decodeAll(store.openStore()), sampleTrials(12, 3, 30, 77));
+  expectTrialsEqual(decodeStore(store.openStore()), sampleTrials(12, 3, 30, 77));
 }
 
 TEST(DurableStore, UncommittedGenerationIsInvisibleAfterTornManifestTail) {
@@ -545,7 +501,7 @@ TEST(DurableStore, UncommittedGenerationIsInvisibleAfterTornManifestTail) {
                           [](const std::string& path) {
                             return path.find("seg-000002") != std::string::npos;
                           }));
-  expectTrialsEqual(decodeAll(store.openStore()), sampleTrials(12, 3, 30, 77));
+  expectTrialsEqual(decodeStore(store.openStore()), sampleTrials(12, 3, 30, 77));
   // ...and the repaired tail accepts new commits.
   appendSecondSegment(dir, nullptr);
   EXPECT_EQ(DurableTraceStore::open(dir).trialCount(), 5u);
@@ -599,7 +555,7 @@ TEST(DurableStoreRecovery, CorruptCommittedShardQuarantinesWithByteOffset) {
             std::string::npos);
   EXPECT_NE(opened.quarantined()[0].reason.find("block"), std::string::npos);
   EXPECT_EQ(opened.trialCount(), 3u);
-  expectTrialsEqual(decodeAll(opened), sampleTrials(12, 3, 30, 77));
+  expectTrialsEqual(decodeStore(opened), sampleTrials(12, 3, 30, 77));
 }
 
 TEST(DurableStoreRecovery, QuarantinedShardZeroProbesForward) {
@@ -624,7 +580,7 @@ TEST(DurableStoreRecovery, QuarantinedShardZeroProbesForward) {
   // The usable shards serve exactly trials 2..7 under their recorded ids.
   EXPECT_EQ(opened.shardHeaders().front().base_trial, 2u);
   expectTrialsEqual(
-      decodeAll(opened),
+      decodeStore(opened),
       std::vector<InteractionSequence>(trials.begin() + 2, trials.end()));
 }
 
@@ -638,7 +594,7 @@ TEST(DurableStoreRecovery, OrphanTempSegmentNeverShadowsTheCommit) {
   EXPECT_NE(store.removedOrphans()[0].find("tmp-seg-000002"),
             std::string::npos);
   EXPECT_EQ(store.trialCount(), 3u);
-  expectTrialsEqual(decodeAll(store.openStore()), sampleTrials(12, 3, 30, 77));
+  expectTrialsEqual(decodeStore(store.openStore()), sampleTrials(12, 3, 30, 77));
 }
 
 // ------------------------------------------------------ incremental import
@@ -666,8 +622,8 @@ TEST(DurableImport, FreshImportMatchesPlainImporter) {
   EXPECT_EQ(store.nodeCount(), 9u);
   EXPECT_EQ(store.loadIdMap(),
             (std::vector<std::uint64_t>{3, 8, 15, 21, 34, 55, 100, 101, 102}));
-  expectTrialsEqual(decodeAll(store.openStore()),
-                    decodeAll(TraceStore::open(plain)));
+  expectTrialsEqual(decodeStore(store.openStore()),
+                    decodeStore(TraceStore::open(plain)));
 }
 
 TEST(DurableImport, GrownLogAppendsOnlyNewEvents) {
@@ -706,8 +662,8 @@ TEST(DurableImport, GrownLogAppendsOnlyNewEvents) {
   const std::string scratch = scratchDir("grow_scratch");
   storage::importContactTraceDurable(log100, scratch, 1, full_options);
   DurableTraceStore reference = DurableTraceStore::open(scratch);
-  expectTrialsEqual(decodeAll(store.openStore()),
-                    decodeAll(reference.openStore()));
+  expectTrialsEqual(decodeStore(store.openStore()),
+                    decodeStore(reference.openStore()));
   expectIdentical(replayStats(store.openStore()),
                   replayStats(reference.openStore()));
   EXPECT_EQ(store.loadIdMap(), reference.loadIdMap());
@@ -768,7 +724,7 @@ StoreContent contentOf(const std::string& dir) {
     DurableTraceStore store = DurableTraceStore::open(dir);
     content.generation = store.version().generation;
     content.id_map = store.loadIdMap();
-    if (store.trialCount() > 0) content.trials = decodeAll(store.openStore());
+    if (store.trialCount() > 0) content.trials = decodeStore(store.openStore());
   } catch (const std::exception&) {
     content.open_failed = true;
   }
@@ -938,7 +894,7 @@ TEST(StorageRecoveryFuzz, DrawnFaultSchedulesNeverYieldATornStore) {
       state.generation = store.version().generation;
       state.id_map = store.loadIdMap();
       if (store.trialCount() > 0)
-        state.trials = decodeAll(store.openStore());
+        state.trials = decodeStore(store.openStore());
       EXPECT_TRUE(sameContent(state, before) || sameContent(state, after))
           << "iter " << iter << " (seed schedule " << plan.seed
           << "): recovered store is a third state (generation="

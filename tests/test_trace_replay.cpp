@@ -5,11 +5,9 @@
 // thread-safe bulk-built inverted timeline.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -19,6 +17,7 @@
 #include "dynagraph/trace_io.hpp"
 #include "dynagraph/traces.hpp"
 #include "sim/trace_replay.hpp"
+#include "trace_test_helpers.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -31,37 +30,11 @@ using dynagraph::TraceShardReader;
 using dynagraph::TraceStore;
 using dynagraph::TraceStoreWriter;
 using sim::MeasureConfig;
-using sim::MeasureResult;
-
-/// Fresh scratch directory under the test temp root. ctest runs each test
-/// in its own process, possibly concurrently, so the name must be unique
-/// per call *and* per process (tag + pid + counter).
-std::string scratchDir(const std::string& tag) {
-  static int counter = 0;
-  const auto dir = std::filesystem::path(testing::TempDir()) /
-                   ("doda_trace_" + tag + "_" + std::to_string(::getpid()) +
-                    "_" + std::to_string(counter++));
-  std::filesystem::remove_all(dir);
-  return dir.string();
-}
+using namespace trace_test;
 
 InteractionSequence randomSequence(std::size_t n, core::Time length,
                                    util::Rng& rng) {
   return dynagraph::traces::uniformRandom(n, length, rng);
-}
-
-void expectIdentical(const MeasureResult& a, const MeasureResult& b) {
-  // EXPECT_EQ on doubles on purpose: the fold order is fixed, so results
-  // must be bit-identical, not merely close.
-  EXPECT_EQ(a.interactions.count(), b.interactions.count());
-  EXPECT_EQ(a.interactions.mean(), b.interactions.mean());
-  EXPECT_EQ(a.interactions.variance(), b.interactions.variance());
-  EXPECT_EQ(a.interactions.min(), b.interactions.min());
-  EXPECT_EQ(a.interactions.max(), b.interactions.max());
-  EXPECT_EQ(a.cost.count(), b.cost.count());
-  EXPECT_EQ(a.cost.mean(), b.cost.mean());
-  EXPECT_EQ(a.cost.variance(), b.cost.variance());
-  EXPECT_EQ(a.failed_trials, b.failed_trials);
 }
 
 TEST(TraceStoreRoundTrip, PreservesEveryTrialAcrossShards) {
@@ -173,34 +146,67 @@ TEST(TraceStoreWriterErrors, EnforcesDeclaredTrialCountAndNodeRange) {
   EXPECT_FALSE(reader.beginTrial());
 }
 
-// Corruption handling of the *v1* container (bare record stream, no
-// payload checksums — decode-time range checks are the only defense).
-// The v2 container's corruption paths live in test_trace_v2.cpp.
+// Corruption handling of a raw-block shard. The tests that edit the
+// record stream re-seal the block checksum afterwards, so the decoder's
+// structural checks (not the checksum) must reject the edit. Shard 0 holds
+// one block whose record stream starts with trial 0 (one interaction):
+//   [0] length control 0x00, [1] length 1,
+//   [2] group control 0x00 (one interaction, 1-byte fields),
+//   [3] zigzag(a - 0), [4] b - a - 1, then trial 1's length unit.
+// Block-level corruption of compressed shards lives in test_trace_v2.cpp.
 class TraceStoreCorruption : public testing::Test {
  protected:
+  static constexpr std::size_t kFrame = dynagraph::kTraceHeaderSize;
+  static constexpr std::size_t kRecord =
+      kFrame + dynagraph::kTraceBlockFrameBytes;
+
   void SetUp() override {
     dir_ = scratchDir("corrupt");
     util::Rng rng(5);
-    dynagraph::TraceWriterOptions v1;
-    v1.format_version = dynagraph::kTraceFormatVersionV1;
-    TraceStoreWriter writer(dir_, 12, 3, 2, v1);
-    for (int i = 0; i < 3; ++i)
-      writer.appendTrial(randomSequence(12, 200, rng));
+    dynagraph::TraceWriterOptions raw;
+    raw.compress = false;
+    TraceStoreWriter writer(dir_, 12, 3, 2, raw);
+    for (const core::Time length : {1, 200, 201})
+      writer.appendTrial(randomSequence(12, length, rng));
     writer.finish();
     shard0_ = (std::filesystem::path(dir_) /
                dynagraph::traceShardFileName(0))
                   .string();
+    const auto bytes = readFile(shard0_);
+    ASSERT_GT(bytes.size(), kRecord + 5);
+    ASSERT_EQ(bytes[kRecord], 0x00);      // 1-byte length unit
+    ASSERT_EQ(bytes[kRecord + 1], 0x01);  // trial 0 has one interaction
+    ASSERT_EQ(bytes[kRecord + 2], 0x00);  // its one-interaction group
   }
 
-  std::vector<char> readFile(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    return std::vector<char>((std::istreambuf_iterator<char>(in)),
-                             std::istreambuf_iterator<char>());
+  /// Re-seals block 0's FNV-1a (frame offset 9) over its stored bytes.
+  static void resealBlock(std::vector<char>& bytes) {
+    const auto* data = reinterpret_cast<const unsigned char*>(bytes.data());
+    std::uint32_t stored = 0;
+    for (int i = 0; i < 4; ++i)
+      stored |= static_cast<std::uint32_t>(data[kFrame + 4 + i]) << (8 * i);
+    const std::uint64_t hash = fnv1a(data + kRecord, stored);
+    for (int i = 0; i < 8; ++i)
+      bytes[kFrame + 9 + i] = static_cast<char>(hash >> (8 * i));
   }
 
-  void writeFile(const std::string& path, const std::vector<char>& bytes) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  /// Decodes shard 0 fully on both backends; each must throw
+  /// std::runtime_error mentioning `what`.
+  void expectDecodeFailure(const std::string& what) {
+    for (const auto backend : {dynagraph::TraceReadBackend::kStream,
+                               dynagraph::TraceReadBackend::kMmap}) {
+      if (backend == dynagraph::TraceReadBackend::kMmap &&
+          !TraceShardReader::mmapSupported())
+        continue;
+      try {
+        TraceShardReader reader(shard0_, backend);
+        while (reader.beginTrial()) reader.skipRest();
+        ADD_FAILURE() << "decode succeeded on " << what;
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << "actual: " << e.what();
+      }
+    }
   }
 
   std::string dir_;
@@ -261,32 +267,45 @@ TEST_F(TraceStoreCorruption, TrailingGarbageIsRejected) {
 }
 
 TEST_F(TraceStoreCorruption, CorruptPayloadEndpointIsRejected) {
+  // zigzag(0xff) = -128: an endpoint below node 0. The decoder must fail
+  // loudly, never return a garbage interaction.
   auto bytes = readFile(shard0_);
-  // Stomp a run of payload bytes; the decoder must fail loudly (endpoint
-  // out of range or varint overrun), never return garbage interactions.
-  for (std::size_t i = dynagraph::kTraceHeaderSize + 3;
-       i < bytes.size() && i < dynagraph::kTraceHeaderSize + 40; ++i)
-    bytes[i] = static_cast<char>(0xff);
+  bytes[kRecord + 3] = static_cast<char>(0xff);
+  resealBlock(bytes);
   writeFile(shard0_, bytes);
-  TraceShardReader reader(shard0_);
-  EXPECT_THROW(
-      {
-        while (reader.beginTrial()) reader.skipRest();
-      },
-      std::runtime_error);
+  expectDecodeFailure("decoded endpoint out of range");
 }
 
 TEST_F(TraceStoreCorruption, OversizedTrialLengthIsRejected) {
+  // Widen the first trial's length unit to 8 bytes holding a huge value:
+  // the reader must reject it against the remaining payload size instead
+  // of letting readRest() attempt a giant reserve.
   auto bytes = readFile(shard0_);
-  // Rewrite the first trial's length varint to a huge value: the reader
-  // must reject it against the remaining payload size instead of letting
-  // readRest() attempt a giant reserve.
-  for (std::size_t i = 0; i < 8; ++i)
-    bytes[dynagraph::kTraceHeaderSize + i] = static_cast<char>(0xff);
-  bytes[dynagraph::kTraceHeaderSize + 8] = 0x7f;
+  bytes[kRecord] = 0x03;
+  for (std::size_t i = 1; i < 8; ++i)
+    bytes[kRecord + i] = static_cast<char>(0xff);
+  bytes[kRecord + 8] = 0x7f;
+  resealBlock(bytes);
   writeFile(shard0_, bytes);
-  TraceShardReader reader(shard0_);
-  EXPECT_THROW(reader.beginTrial(), std::runtime_error);
+  expectDecodeFailure("trial length exceeds remaining payload");
+}
+
+TEST_F(TraceStoreCorruption, MalformedLengthControlByteIsRejected) {
+  // Bits 2..7 of a length control byte must be zero.
+  auto bytes = readFile(shard0_);
+  bytes[kRecord] = 0x04;
+  resealBlock(bytes);
+  writeFile(shard0_, bytes);
+  expectDecodeFailure("length control byte malformed");
+}
+
+TEST_F(TraceStoreCorruption, MalformedGroupControlByteIsRejected) {
+  // A one-interaction group uses the control byte's low nibble only.
+  auto bytes = readFile(shard0_);
+  bytes[kRecord + 2] = 0x10;
+  resealBlock(bytes);
+  writeFile(shard0_, bytes);
+  expectDecodeFailure("group control byte malformed");
 }
 
 TEST_F(TraceStoreCorruption, MissingShardFailsStoreOpen) {

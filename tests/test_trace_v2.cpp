@@ -1,11 +1,11 @@
-// Tests of the v2 trace container (dynagraph/trace_io): compressed
-// round-trips (block-spanning trials, raw/uncompressed blocks), the mmap
-// and buffered-stream reader backends, block-level corruption paths,
-// v1 <-> v2 cross-version reads, randomized decoder fuzz, and the external
-// contact-trace importer (dynagraph/trace_import).
+// Tests of the trace block container (dynagraph/trace_io): rANS and raw
+// block round-trips (block-spanning trials), the mmap and buffered-stream
+// reader backends, raw-vs-rANS replay identity, block-level and header
+// corruption paths (including shards of other format versions),
+// randomized decoder fuzz over raw blocks, and the external contact-trace
+// importer (dynagraph/trace_import).
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstdint>
 #include <cstdlib>
@@ -22,6 +22,7 @@
 #include "dynagraph/trace_io.hpp"
 #include "dynagraph/traces.hpp"
 #include "sim/trace_replay.hpp"
+#include "trace_test_helpers.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -36,117 +37,45 @@ using dynagraph::TraceStore;
 using dynagraph::TraceStoreWriter;
 using dynagraph::TraceWriterOptions;
 using sim::MeasureConfig;
-using sim::MeasureResult;
+using namespace trace_test;
 
-std::string scratchDir(const std::string& tag) {
-  static int counter = 0;
-  const auto dir = std::filesystem::path(testing::TempDir()) /
-                   ("doda_trace_v2_" + tag + "_" + std::to_string(::getpid()) +
-                    "_" + std::to_string(counter++));
-  std::filesystem::remove_all(dir);
-  return dir.string();
-}
-
-TraceWriterOptions v1Options() {
-  TraceWriterOptions options;
-  options.format_version = dynagraph::kTraceFormatVersionV1;
-  return options;
-}
-
-/// This suite pins the v2 container (the writer default moved to v3).
-TraceWriterOptions v2Options() {
-  TraceWriterOptions options;
-  options.format_version = dynagraph::kTraceFormatVersionV2;
-  return options;
-}
-
-std::vector<InteractionSequence> sampleTrials(std::size_t n,
-                                              std::size_t count,
-                                              core::Time length,
-                                              std::uint64_t seed) {
-  util::Rng rng(seed);
-  std::vector<InteractionSequence> trials;
-  trials.reserve(count);
-  for (std::size_t i = 0; i < count; ++i)
-    trials.push_back(dynagraph::traces::uniformRandom(n, length, rng));
-  return trials;
-}
-
-void writeStore(const std::string& dir, std::size_t n,
-                const std::vector<InteractionSequence>& trials,
-                std::uint32_t shards, const TraceWriterOptions& options) {
-  TraceStoreWriter writer(dir, n, trials.size(), shards, options);
-  for (const auto& trial : trials) writer.appendTrial(trial);
-  writer.finish();
-}
-
-std::vector<InteractionSequence> decodeStore(const TraceStore& store,
-                                             TraceReadBackend backend) {
-  std::vector<InteractionSequence> trials;
-  for (std::size_t s = 0; s < store.shardCount(); ++s) {
-    auto reader = store.openShard(s, backend);
-    while (reader.beginTrial()) trials.push_back(reader.readRest());
-  }
-  return trials;
-}
-
-std::vector<char> readFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::vector<char>((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
-}
-
-void writeFile(const std::string& path, const std::vector<char>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-std::uint64_t fnv1a(const unsigned char* data, std::size_t size) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-void expectIdentical(const MeasureResult& a, const MeasureResult& b) {
-  EXPECT_EQ(a.interactions.count(), b.interactions.count());
-  EXPECT_EQ(a.interactions.mean(), b.interactions.mean());
-  EXPECT_EQ(a.interactions.variance(), b.interactions.variance());
-  EXPECT_EQ(a.cost.count(), b.cost.count());
-  EXPECT_EQ(a.cost.mean(), b.cost.mean());
-  EXPECT_EQ(a.cost.variance(), b.cost.variance());
-  EXPECT_EQ(a.failed_trials, b.failed_trials);
+/// Rewrites a shard's header version field (re-sealed), so only the
+/// version check can reject the result.
+void forgeVersion(const std::string& path, std::uint16_t version) {
+  auto bytes = readFile(path);
+  bytes[8] = static_cast<char>(version);
+  bytes[9] = static_cast<char>(version >> 8);
+  resealHeader(bytes);
+  writeFile(path, bytes);
 }
 
 // ------------------------------------------------------------- round trip
 
 TEST(TraceV2RoundTrip, CompressedStorePreservesEveryTrialAndShrinks) {
   const auto trials = sampleTrials(24, 6, 3000, 99);
-  const std::string dir_v2 = scratchDir("rt_v2");
-  const std::string dir_v1 = scratchDir("rt_v1");
-  writeStore(dir_v2, 24, trials, 3, v2Options());
-  writeStore(dir_v1, 24, trials, 3, v1Options());
+  const std::string dir_rans = scratchDir("rt_rans");
+  const std::string dir_raw = scratchDir("rt_raw");
+  writeStore(dir_rans, 24, trials, 3, TraceWriterOptions{});
+  writeStore(dir_raw, 24, trials, 3, rawOptions());
 
-  const auto store = TraceStore::open(dir_v2);
-  EXPECT_EQ(store.formatVersion(), dynagraph::kTraceFormatVersionV2);
+  const auto store = TraceStore::open(dir_rans);
+  EXPECT_EQ(store.shardHeaders()[0].codec, dynagraph::kTraceCodecRansV4);
   EXPECT_EQ(store.trialCount(), trials.size());
   const auto decoded = decodeStore(store, TraceReadBackend::kAuto);
   ASSERT_EQ(decoded.size(), trials.size());
   for (std::size_t i = 0; i < trials.size(); ++i)
     EXPECT_EQ(decoded[i], trials[i]) << "trial " << i;
 
-  // The whole point of v2: the same content takes fewer bytes.
-  const auto v1 = TraceStore::open(dir_v1);
-  EXPECT_EQ(v1.formatVersion(), dynagraph::kTraceFormatVersionV1);
-  EXPECT_LT(store.totalFileBytes(), v1.totalFileBytes());
+  // The whole point of rANS blocks: the same content takes fewer bytes.
+  const auto raw = TraceStore::open(dir_raw);
+  EXPECT_EQ(raw.shardHeaders()[0].codec, dynagraph::kTraceCodecRaw);
+  EXPECT_LT(store.totalFileBytes(), raw.totalFileBytes());
 }
 
 TEST(TraceV2RoundTrip, TinyBlocksSpanTrialsAndVarints) {
-  // Minimum block size: every trial (and some varints) straddles many
-  // block boundaries, exercising model resets mid-record.
-  TraceWriterOptions options = v2Options();
+  // Minimum block size with raw blocks: every trial straddles many block
+  // boundaries, and the record cursor carries across each of them.
+  TraceWriterOptions options = rawOptions();
   options.block_bytes = 16;
   const auto trials = sampleTrials(200, 4, 700, 5);
   const std::string dir = scratchDir("tiny_blocks");
@@ -159,11 +88,9 @@ TEST(TraceV2RoundTrip, TinyBlocksSpanTrialsAndVarints) {
 }
 
 TEST(TraceV2RoundTrip, UncompressedStoreRoundTrips) {
-  TraceWriterOptions options = v2Options();
-  options.compress = false;
   const auto trials = sampleTrials(24, 5, 800, 7);
   const std::string dir = scratchDir("raw_blocks");
-  writeStore(dir, 24, trials, 2, options);
+  writeStore(dir, 24, trials, 2, rawOptions());
   const auto store = TraceStore::open(dir);
   EXPECT_EQ(store.shardHeaders()[0].codec, dynagraph::kTraceCodecRaw);
   const auto decoded = decodeStore(store, TraceReadBackend::kAuto);
@@ -178,7 +105,7 @@ TEST(TraceV2RoundTrip, EmptyAndSingleInteractionTrials) {
   trials.push_back(InteractionSequence{Interaction(0, 1)});
   trials.push_back(InteractionSequence{});
   const std::string dir = scratchDir("degenerate");
-  writeStore(dir, 4, trials, 1, v2Options());
+  writeStore(dir, 4, trials, 1, TraceWriterOptions{});
   const auto decoded =
       decodeStore(TraceStore::open(dir), TraceReadBackend::kAuto);
   ASSERT_EQ(decoded.size(), trials.size());
@@ -189,10 +116,13 @@ TEST(TraceV2RoundTrip, EmptyAndSingleInteractionTrials) {
 // --------------------------------------------------------------- backends
 
 TEST(TraceV2Backends, MmapMatchesStreamOnBothFormats) {
-  for (const bool v2 : {false, true}) {
-    const auto trials = sampleTrials(32, 5, 1200, v2 ? 21 : 22);
-    const std::string dir = scratchDir(v2 ? "backend_v2" : "backend_v1");
-    writeStore(dir, 32, trials, 2, v2 ? v2Options() : v1Options());
+  // Both block encodings: raw blocks serve straight from the mapping,
+  // rANS blocks decode into scratch first.
+  for (const bool compress : {false, true}) {
+    const auto trials = sampleTrials(32, 5, 1200, compress ? 21 : 22);
+    const std::string dir = scratchDir(compress ? "backend_rans" : "backend_raw");
+    writeStore(dir, 32, trials, 2,
+               compress ? TraceWriterOptions{} : rawOptions());
     const auto store = TraceStore::open(dir);
     const auto streamed = decodeStore(store, TraceReadBackend::kStream);
     ASSERT_EQ(streamed.size(), trials.size());
@@ -215,7 +145,7 @@ TEST(TraceV2Backends, MmapMatchesStreamOnBothFormats) {
 TEST(TraceV2Backends, StreamBackendNeverMaps) {
   const auto trials = sampleTrials(16, 3, 100, 1);
   const std::string dir = scratchDir("stream_only");
-  writeStore(dir, 16, trials, 1, v2Options());
+  writeStore(dir, 16, trials, 1, TraceWriterOptions{});
   auto reader =
       TraceStore::open(dir).openShard(0, TraceReadBackend::kStream);
   EXPECT_FALSE(reader.usingMmap());
@@ -224,7 +154,6 @@ TEST(TraceV2Backends, StreamBackendNeverMaps) {
 TEST(TraceV2Backends, MmapBackendRejectsMissingFile) {
   if (!TraceShardReader::mmapSupported()) GTEST_SKIP();
   EXPECT_THROW(TraceShardReader(scratchDir("absent") + "/nope.trace",
-                                dynagraph::kTraceBlockBytes,
                                 TraceReadBackend::kMmap),
                std::runtime_error);
 }
@@ -232,9 +161,10 @@ TEST(TraceV2Backends, MmapBackendRejectsMissingFile) {
 // ----------------------------------------------- replay golden bit-identity
 
 TEST(TraceV2Replay, CompressedReplayBitIdenticalToV1AndInMemory) {
-  // The tentpole acceptance contract: a compressed v2 store replays
-  // bit-identical to the v1 store of the same workload and to the
-  // in-memory synthetic run, at threads 1, 2 and 8, on both backends.
+  // The block encoding is a container choice, never a semantics choice:
+  // an rANS-block store replays bit-identical to the raw-block store of
+  // the same workload and to the in-memory synthetic run, at threads 1, 2
+  // and 8, on both backends.
   MeasureConfig config;
   config.node_count = 10;
   config.trials = 12;
@@ -249,13 +179,13 @@ TEST(TraceV2Replay, CompressedReplayBitIdenticalToV1AndInMemory) {
   ASSERT_EQ(in_memory.failed_trials, 0u);
   ASSERT_GT(in_memory.interactions.count(), 0u);
 
-  const std::string dir_v1 = scratchDir("replay_v1");
-  const std::string dir_v2 = scratchDir("replay_v2");
-  sim::recordSynthetic(dir_v1, config, length, 4, v1Options());
-  sim::recordSynthetic(dir_v2, config, length, 4, v2Options());
-  const auto store_v1 = TraceStore::open(dir_v1);
-  const auto store_v2 = TraceStore::open(dir_v2);
-  EXPECT_LT(store_v2.totalFileBytes(), store_v1.totalFileBytes());
+  const std::string dir_raw = scratchDir("replay_raw");
+  const std::string dir_rans = scratchDir("replay_rans");
+  sim::recordSynthetic(dir_raw, config, length, 4, rawOptions());
+  sim::recordSynthetic(dir_rans, config, length, 4);
+  const auto store_raw = TraceStore::open(dir_raw);
+  const auto store_rans = TraceStore::open(dir_rans);
+  EXPECT_LT(store_rans.totalFileBytes(), store_raw.totalFileBytes());
 
   for (const auto backend :
        {TraceReadBackend::kAuto, TraceReadBackend::kStream}) {
@@ -264,10 +194,8 @@ TEST(TraceV2Replay, CompressedReplayBitIdenticalToV1AndInMemory) {
       replay.threads = threads;
       replay.compute_cost = true;
       replay.backend = backend;
-      const auto from_v1 = replayTrace(store_v1, replay, factory);
-      const auto from_v2 = replayTrace(store_v2, replay, factory);
-      expectIdentical(in_memory, from_v1);
-      expectIdentical(in_memory, from_v2);
+      expectIdentical(in_memory, replayTrace(store_raw, replay, factory));
+      expectIdentical(in_memory, replayTrace(store_rans, replay, factory));
     }
   }
 }
@@ -279,13 +207,13 @@ class TraceV2Corruption : public testing::Test {
   void SetUp() override {
     dir_ = scratchDir("corrupt");
     const auto trials = sampleTrials(12, 3, 400, 13);
-    writeStore(dir_, 12, trials, 2, v2Options());
+    writeStore(dir_, 12, trials, 2, TraceWriterOptions{});
     shard0_ = (std::filesystem::path(dir_) /
                dynagraph::traceShardFileName(0))
                   .string();
     pristine_ = readFile(shard0_);
     ASSERT_GT(pristine_.size(),
-              dynagraph::kTraceHeaderSizeV2 +
+              dynagraph::kTraceHeaderSize +
                   dynagraph::kTraceBlockFrameBytes + 8);
   }
 
@@ -294,7 +222,7 @@ class TraceV2Corruption : public testing::Test {
   void expectDecodeFailure(const std::string& what,
                            TraceReadBackend backend) {
     try {
-      TraceShardReader reader(shard0_, dynagraph::kTraceBlockBytes, backend);
+      TraceShardReader reader(shard0_, backend);
       while (reader.beginTrial()) reader.skipRest();
       FAIL() << "decode succeeded on " << what;
     } catch (const std::runtime_error& e) {
@@ -309,7 +237,7 @@ class TraceV2Corruption : public testing::Test {
       expectDecodeFailure(what, TraceReadBackend::kMmap);
   }
 
-  static constexpr std::size_t kFrameStart = dynagraph::kTraceHeaderSizeV2;
+  static constexpr std::size_t kFrameStart = dynagraph::kTraceHeaderSize;
   static constexpr std::size_t kStoredStart =
       kFrameStart + dynagraph::kTraceBlockFrameBytes;
 
@@ -357,7 +285,7 @@ TEST_F(TraceV2Corruption, TruncatedShardIsDetectedAtOpen) {
 
 TEST_F(TraceV2Corruption, TruncatedToMidHeaderIsDetectedAtOpen) {
   auto bytes = pristine_;
-  bytes.resize(dynagraph::kTraceHeaderSizeV2 - 6);
+  bytes.resize(dynagraph::kTraceHeaderSize - 6);
   writeFile(shard0_, bytes);
   expectDecodeFailureBothBackends("truncated");
 }
@@ -385,8 +313,7 @@ TEST_F(TraceV2Corruption, FlippedHeaderFieldFailsHeaderChecksum) {
 
 TEST_F(TraceV2Corruption, InflatedRawPayloadDeclarationIsRejected) {
   // Bump the declared raw payload size and re-seal the header checksum:
-  // every block then decodes, but the accounted record stream ends short,
-  // which the end-of-shard check must report.
+  // the block index no longer sums to the header, which open must report.
   auto bytes = pristine_;
   auto* raw = reinterpret_cast<unsigned char*>(bytes.data());
   std::uint64_t declared = 0;
@@ -395,61 +322,42 @@ TEST_F(TraceV2Corruption, InflatedRawPayloadDeclarationIsRejected) {
   declared += 2;
   for (int i = 0; i < 8; ++i)
     raw[56 + i] = static_cast<unsigned char>(declared >> (8 * i));
-  const std::uint64_t checksum = fnv1a(raw, 72);
-  for (int i = 0; i < 8; ++i)
-    raw[72 + i] = static_cast<unsigned char>(checksum >> (8 * i));
+  resealHeader(bytes);
   writeFile(shard0_, bytes);
   expectDecodeFailureBothBackends("corrupt");
 }
 
 // ------------------------------------------------------------ cross-version
 
-TEST(TraceV2CrossVersion, V1AndV2StoresDecodeIdentically) {
-  const auto trials = sampleTrials(20, 5, 900, 31);
-  const std::string dir_v1 = scratchDir("cross_v1");
-  const std::string dir_v2 = scratchDir("cross_v2");
-  writeStore(dir_v1, 20, trials, 2, v1Options());
-  writeStore(dir_v2, 20, trials, 2, v2Options());
-  const auto from_v1 =
-      decodeStore(TraceStore::open(dir_v1), TraceReadBackend::kAuto);
-  const auto from_v2 =
-      decodeStore(TraceStore::open(dir_v2), TraceReadBackend::kAuto);
-  ASSERT_EQ(from_v1.size(), from_v2.size());
-  for (std::size_t i = 0; i < from_v1.size(); ++i) {
-    EXPECT_EQ(from_v1[i], trials[i]);
-    EXPECT_EQ(from_v2[i], trials[i]);
-  }
-}
-
 TEST(TraceV2CrossVersion, MixedVersionStoreIsRejected) {
-  const auto trials = sampleTrials(16, 4, 200, 3);
-  const std::string dir_v1 = scratchDir("mixed_v1");
-  const std::string dir_v2 = scratchDir("mixed_v2");
-  writeStore(dir_v1, 16, trials, 2, v1Options());
-  writeStore(dir_v2, 16, trials, 2, v2Options());
-  // Splice a v1 shard into the v2 store: same shape, same content, but the
-  // cross-shard format check must refuse the franken-store.
-  std::filesystem::copy_file(
-      std::filesystem::path(dir_v1) / dynagraph::traceShardFileName(1),
-      std::filesystem::path(dir_v2) / dynagraph::traceShardFileName(1),
-      std::filesystem::copy_options::overwrite_existing);
+  // Readers accept format version 4 only. A store with one shard of an
+  // older version (same shape, same content, header otherwise intact) must
+  // be refused by the version check.
+  const std::string dir = scratchDir("mixed");
+  writeStore(dir, 16, sampleTrials(16, 4, 200, 3), 2, TraceWriterOptions{});
+  forgeVersion(
+      (std::filesystem::path(dir) / dynagraph::traceShardFileName(1)).string(),
+      3);
   EXPECT_THROW(
-      try { TraceStore::open(dir_v2); } catch (const std::runtime_error& e) {
-        EXPECT_NE(std::string(e.what()).find("format version"),
-                  std::string::npos);
+      try { TraceStore::open(dir); } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("unsupported format version 3"),
+                  std::string::npos)
+            << e.what();
         throw;
       },
       std::runtime_error);
 }
 
 TEST(TraceV2CrossVersion, WriterRejectsUnknownVersionAndBadBlockSize) {
-  TraceWriterOptions bad_version;
-  bad_version.format_version = 5;
-  EXPECT_THROW(TraceStoreWriter(scratchDir("bad_opt"), 8, 2, 1, bad_version),
+  // The writer takes no version (it writes the one format); block sizes
+  // outside [16, 2^26] bytes are refused.
+  TraceWriterOptions small_block;
+  small_block.block_bytes = 4;
+  EXPECT_THROW(TraceStoreWriter(scratchDir("bad_opt"), 8, 2, 1, small_block),
                std::invalid_argument);
-  TraceWriterOptions bad_block;
-  bad_block.block_bytes = 4;  // below the format's minimum
-  EXPECT_THROW(TraceStoreWriter(scratchDir("bad_opt"), 8, 2, 1, bad_block),
+  TraceWriterOptions huge_block;
+  huge_block.block_bytes = (std::size_t{1} << 26) + 1;
+  EXPECT_THROW(TraceStoreWriter(scratchDir("bad_opt"), 8, 2, 1, huge_block),
                std::invalid_argument);
 }
 
@@ -457,13 +365,14 @@ TEST(TraceV2CrossVersion, WriterRejectsUnknownVersionAndBadBlockSize) {
 
 TEST(TraceV2Fuzz, MutatedShardsFailCleanlyOrDecodeInRange) {
   // Randomized robustness sweep over the decoder: mutate a few bytes of a
-  // valid compressed shard and fully decode it on both backends. Every
+  // valid raw-block shard and fully decode it on both backends. Every
   // outcome must be either a clean std::runtime_error or a successful
   // decode of in-range interactions — never a crash, hang, or sanitizer
   // finding (the ASan+UBSan CI job runs this with DODA_FUZZ_ITERS=2000).
+  // TraceV3Fuzz covers rANS blocks under seek.
   const std::string dir = scratchDir("fuzz");
   {
-    TraceWriterOptions options = v2Options();
+    TraceWriterOptions options = rawOptions();
     options.block_bytes = 512;  // many small blocks -> frames get mutated too
     writeStore(dir, 24, sampleTrials(24, 4, 600, 77), 1, options);
   }
@@ -493,8 +402,7 @@ TEST(TraceV2Fuzz, MutatedShardsFailCleanlyOrDecodeInRange) {
           !TraceShardReader::mmapSupported())
         continue;
       try {
-        TraceShardReader reader(shard0, dynagraph::kTraceBlockBytes,
-                                backend);
+        TraceShardReader reader(shard0, backend);
         while (reader.beginTrial()) {
           while (const auto i = reader.next())
             ASSERT_LT(i->b(), reader.header().node_count);
@@ -582,7 +490,7 @@ TEST(ContactImport, MaxEventsCapsIngestion) {
 }
 
 TEST(ContactImport, ImportedStoreRoundTripsAndReplays) {
-  // End to end: event file -> sharded v2 store -> decoded trials match the
+  // End to end: event file -> sharded store -> decoded trials match the
   // parsed segments, and the store replays through the executor.
   const std::string input = scratchDir("events") + ".csv";
   {

@@ -1,13 +1,12 @@
-// Tests of the v3 trace container (dynagraph/trace_io + trace_rans):
-// static-table interleaved-rANS round-trips, the per-shard block-index
-// footer (structure, corruption, index/payload mismatch), random access
-// (seekToTrial / seekToBlock on both backends, sequential fallback on
-// v1/v2), ranged replay bit-identity against a full replay, mixed-codec
-// stores, the incremental writer API, the streaming two-pass importer,
-// and a randomized indexed-seek fuzz (DODA_FUZZ_ITERS-scalable).
+// Tests of the trace store's rANS blocks and block index
+// (dynagraph/trace_io + trace_rans): round-trips, the per-shard
+// block-index footer (structure, corruption, index/payload mismatch),
+// random access (seekToTrial / seekToBlock on both backends), ranged
+// replay bit-identity against a full replay, mixed-codec stores, the
+// incremental writer API, the streaming two-pass importer, and a
+// randomized indexed-seek fuzz (DODA_FUZZ_ITERS-scalable).
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstdint>
 #include <cstdlib>
@@ -24,6 +23,7 @@
 #include "dynagraph/trace_io.hpp"
 #include "dynagraph/traces.hpp"
 #include "sim/trace_replay.hpp"
+#include "trace_test_helpers.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -39,94 +39,19 @@ using dynagraph::TraceStoreWriter;
 using dynagraph::TraceWriterOptions;
 using sim::MeasureResult;
 using sim::ReplayTrialRange;
-
-std::string scratchDir(const std::string& tag) {
-  static int counter = 0;
-  const auto dir = std::filesystem::path(testing::TempDir()) /
-                   ("doda_trace_v3_" + tag + "_" + std::to_string(::getpid()) +
-                    "_" + std::to_string(counter++));
-  std::filesystem::remove_all(dir);
-  return dir.string();
-}
-
-TraceWriterOptions versionOptions(std::uint16_t version) {
-  TraceWriterOptions options;
-  options.format_version = version;
-  return options;
-}
-
-std::vector<InteractionSequence> sampleTrials(std::size_t n,
-                                              std::size_t count,
-                                              core::Time length,
-                                              std::uint64_t seed) {
-  util::Rng rng(seed);
-  std::vector<InteractionSequence> trials;
-  trials.reserve(count);
-  for (std::size_t i = 0; i < count; ++i)
-    trials.push_back(dynagraph::traces::uniformRandom(n, length, rng));
-  return trials;
-}
-
-void writeStore(const std::string& dir, std::size_t n,
-                const std::vector<InteractionSequence>& trials,
-                std::uint32_t shards, const TraceWriterOptions& options) {
-  TraceStoreWriter writer(dir, n, trials.size(), shards, options);
-  for (const auto& trial : trials) writer.appendTrial(trial);
-  writer.finish();
-}
-
-std::vector<InteractionSequence> decodeStore(const TraceStore& store,
-                                             TraceReadBackend backend) {
-  std::vector<InteractionSequence> trials;
-  for (std::size_t s = 0; s < store.shardCount(); ++s) {
-    auto reader = store.openShard(s, backend);
-    while (reader.beginTrial()) trials.push_back(reader.readRest());
-  }
-  return trials;
-}
-
-std::vector<char> readFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::vector<char>((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
-}
-
-void writeFile(const std::string& path, const std::vector<char>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-std::uint64_t fnv1a(const unsigned char* data, std::size_t size) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-void expectIdentical(const MeasureResult& a, const MeasureResult& b) {
-  EXPECT_EQ(a.interactions.count(), b.interactions.count());
-  EXPECT_EQ(a.interactions.mean(), b.interactions.mean());
-  EXPECT_EQ(a.interactions.variance(), b.interactions.variance());
-  EXPECT_EQ(a.cost.count(), b.cost.count());
-  EXPECT_EQ(a.cost.mean(), b.cost.mean());
-  EXPECT_EQ(a.cost.variance(), b.cost.variance());
-  EXPECT_EQ(a.failed_trials, b.failed_trials);
-}
+using namespace trace_test;
 
 // ------------------------------------------------------------- round trip
 
 TEST(TraceV3RoundTrip, DefaultStoreIsV4AndPreservesEveryTrial) {
   const auto trials = sampleTrials(24, 6, 3000, 99);
-  const std::string dir_v3 = scratchDir("rt_v3");
-  const std::string dir_v1 = scratchDir("rt_v1");
-  writeStore(dir_v3, 24, trials, 3, TraceWriterOptions{});
-  writeStore(dir_v1, 24, trials, 3,
-             versionOptions(dynagraph::kTraceFormatVersionV1));
+  const std::string dir_rans = scratchDir("rt_rans");
+  const std::string dir_raw = scratchDir("rt_raw");
+  writeStore(dir_rans, 24, trials, 3, TraceWriterOptions{});
+  writeStore(dir_raw, 24, trials, 3, rawOptions());
 
-  const auto store = TraceStore::open(dir_v3);
-  EXPECT_EQ(store.formatVersion(), dynagraph::kTraceFormatVersion);
+  const auto store = TraceStore::open(dir_rans);
+  EXPECT_EQ(store.shardHeaders()[0].codec, dynagraph::kTraceCodecRansV4);
   EXPECT_EQ(store.trialCount(), trials.size());
   for (const auto backend :
        {TraceReadBackend::kAuto, TraceReadBackend::kStream}) {
@@ -136,9 +61,9 @@ TEST(TraceV3RoundTrip, DefaultStoreIsV4AndPreservesEveryTrial) {
       EXPECT_EQ(decoded[i], trials[i]) << "trial " << i;
   }
 
-  // Compressed v3 beats the raw v1 stream even with the index footer.
-  const auto v1 = TraceStore::open(dir_v1);
-  EXPECT_LT(store.totalFileBytes(), v1.totalFileBytes());
+  // rANS blocks beat raw blocks of the same content.
+  EXPECT_LT(store.totalFileBytes(),
+            TraceStore::open(dir_raw).totalFileBytes());
 }
 
 TEST(TraceV3RoundTrip, TinyBlocksAlignToRecordUnits) {
@@ -157,15 +82,13 @@ TEST(TraceV3RoundTrip, TinyBlocksAlignToRecordUnits) {
 }
 
 TEST(TraceV3RoundTrip, UncompressedStoreRoundTripsWithIndex) {
-  TraceWriterOptions options;
-  options.compress = false;
   const auto trials = sampleTrials(24, 5, 800, 7);
   const std::string dir = scratchDir("raw_blocks");
-  writeStore(dir, 24, trials, 2, options);
+  writeStore(dir, 24, trials, 2, rawOptions());
   const auto store = TraceStore::open(dir);
   EXPECT_EQ(store.shardHeaders()[0].codec, dynagraph::kTraceCodecRaw);
   auto reader = store.openShard(0);
-  EXPECT_TRUE(reader.hasBlockIndex());
+  EXPECT_FALSE(reader.blockIndex().empty());
   const auto decoded = decodeStore(store, TraceReadBackend::kAuto);
   ASSERT_EQ(decoded.size(), trials.size());
   for (std::size_t i = 0; i < trials.size(); ++i)
@@ -241,11 +164,10 @@ TEST(TraceV3Index, EntriesDescribeThePayloadExactly) {
   const auto store = TraceStore::open(dir);
   for (std::size_t s = 0; s < store.shardCount(); ++s) {
     auto reader = store.openShard(s);
-    ASSERT_TRUE(reader.hasBlockIndex());
     const auto& index = reader.blockIndex();
     ASSERT_GT(index.size(), 1u);
     const auto& header = reader.header();
-    std::uint64_t offset = header.headerSize();
+    std::uint64_t offset = dynagraph::kTraceHeaderSize;
     std::uint64_t raw = 0;
     std::uint64_t trials_begun = 0;
     for (const auto& entry : index) {
@@ -257,29 +179,8 @@ TEST(TraceV3Index, EntriesDescribeThePayloadExactly) {
       raw += entry.raw_size;
       trials_begun = entry.trials_begun;
     }
-    EXPECT_EQ(offset, header.headerSize() + header.payload_bytes);
+    EXPECT_EQ(offset, dynagraph::kTraceHeaderSize + header.payload_bytes);
     EXPECT_EQ(raw, header.raw_payload_bytes);
-  }
-}
-
-TEST(TraceV3Index, OlderFormatsHaveNoIndexAndSeekFallsBack) {
-  const auto trials = sampleTrials(20, 6, 400, 29);
-  for (const std::uint16_t version :
-       {dynagraph::kTraceFormatVersionV1, dynagraph::kTraceFormatVersionV2}) {
-    const std::string dir = scratchDir("no_index_v" + std::to_string(version));
-    writeStore(dir, 20, trials, 2, versionOptions(version));
-    const auto store = TraceStore::open(dir);
-    auto reader = store.openShard(0);
-    EXPECT_FALSE(reader.hasBlockIndex());
-    EXPECT_THROW(reader.seekToBlock(0), std::out_of_range);
-    // Forward fallback: sequential skip positions exactly like the index.
-    const std::uint64_t count = reader.header().trial_count;
-    ASSERT_GE(count, 2u);
-    ASSERT_TRUE(reader.seekToTrial(count - 1));
-    ASSERT_TRUE(reader.beginTrial());
-    EXPECT_EQ(reader.readRest(), trials[static_cast<std::size_t>(count - 1)]);
-    // Backward needs an index.
-    EXPECT_THROW(reader.seekToTrial(0), std::runtime_error);
   }
 }
 
@@ -343,21 +244,22 @@ TEST(TraceV3Index, SeekToBlockResumesFromEveryBlock) {
 TEST(TraceV3RangedReplay, WindowStatsMatchFoldedFullReplay) {
   // The acceptance contract: replaying trials [a, b) produces Stats
   // bit-identical to folding the same trials out of a full replay — on
-  // every format, both backends, threads 1/2/8.
+  // rANS, raw and tiny (many blocks per trial) stores, both backends,
+  // threads 1/2/8.
   sim::MeasureConfig config;
   config.node_count = 12;
   config.trials = 30;
   config.seed = 20260728;
   const core::Time length = 1024;
 
-  const std::string dir_v1 = scratchDir("ranged_v1");
-  const std::string dir_v2 = scratchDir("ranged_v2");
-  const std::string dir_v3 = scratchDir("ranged_v3");
-  sim::recordSynthetic(dir_v1, config, length, 4,
-                       versionOptions(dynagraph::kTraceFormatVersionV1));
-  sim::recordSynthetic(dir_v2, config, length, 4,
-                       versionOptions(dynagraph::kTraceFormatVersionV2));
-  sim::recordSynthetic(dir_v3, config, length, 4);
+  const std::string dir_raw = scratchDir("ranged_raw");
+  const std::string dir_tiny = scratchDir("ranged_tiny");
+  const std::string dir_rans = scratchDir("ranged_rans");
+  sim::recordSynthetic(dir_raw, config, length, 4, rawOptions());
+  TraceWriterOptions tiny;
+  tiny.block_bytes = 64;
+  sim::recordSynthetic(dir_tiny, config, length, 4, tiny);
+  sim::recordSynthetic(dir_rans, config, length, 4);
 
   const auto body = [](std::size_t global, TraceShardReader& reader,
                        core::Engine::Scratch&) {
@@ -372,14 +274,14 @@ TEST(TraceV3RangedReplay, WindowStatsMatchFoldedFullReplay) {
     return outcome;
   };
 
-  const auto store_v3 = TraceStore::open(dir_v3);
-  const auto full = sim::replayShards(store_v3, 1, body);
+  const auto store_rans = TraceStore::open(dir_rans);
+  const auto full = sim::replayShards(store_rans, 1, body);
   ASSERT_EQ(full.interactions.count(), config.trials);
 
   // Reference: fold the window's outcomes out of a full replay.
   const ReplayTrialRange window{7, 23};
   std::vector<sim::TrialOutcome> outcomes(config.trials);
-  sim::replayShards(store_v3, 1,
+  sim::replayShards(store_rans, 1,
                     [&](std::size_t global, TraceShardReader& reader,
                         core::Engine::Scratch& scratch) {
                       const auto outcome = body(global, reader, scratch);
@@ -390,7 +292,7 @@ TEST(TraceV3RangedReplay, WindowStatsMatchFoldedFullReplay) {
   for (std::uint64_t g = window.first; g < window.last; ++g)
     foldOutcome(folded, outcomes[static_cast<std::size_t>(g)]);
 
-  for (const std::string& dir : {dir_v1, dir_v2, dir_v3}) {
+  for (const std::string& dir : {dir_raw, dir_tiny, dir_rans}) {
     const auto store = TraceStore::open(dir);
     for (const auto backend :
          {TraceReadBackend::kAuto, TraceReadBackend::kStream}) {
@@ -404,10 +306,10 @@ TEST(TraceV3RangedReplay, WindowStatsMatchFoldedFullReplay) {
 
   // Degenerate windows.
   expectIdentical(full,
-                  sim::replayShards(store_v3, 2, body,
+                  sim::replayShards(store_rans, 2, body,
                                     TraceReadBackend::kAuto,
                                     ReplayTrialRange{0, ~std::uint64_t{0}}));
-  const auto empty = sim::replayShards(store_v3, 2, body,
+  const auto empty = sim::replayShards(store_rans, 2, body,
                                        TraceReadBackend::kAuto,
                                        ReplayTrialRange{9, 9});
   EXPECT_EQ(empty.interactions.count(), 0u);
@@ -518,15 +420,12 @@ TEST(TraceV3MixedCodec, IncompressibleBlocksFallBackToRawWithinAShard) {
 
 TEST(TraceV3MixedCodec, StoreMayMixRawAndRansShards) {
   // Shards are self-describing: a store whose shards disagree on codec
-  // (e.g. a re-compressed shard next to a raw one) still decodes — only
-  // the format *version* must agree across shards.
+  // (e.g. a re-compressed shard next to a raw one) still decodes.
   const auto trials = sampleTrials(24, 6, 500, 43);
   const std::string dir_rans = scratchDir("mix_rans");
   const std::string dir_raw = scratchDir("mix_raw");
   writeStore(dir_rans, 24, trials, 2, TraceWriterOptions{});
-  TraceWriterOptions raw;
-  raw.compress = false;
-  writeStore(dir_raw, 24, trials, 2, raw);
+  writeStore(dir_raw, 24, trials, 2, rawOptions());
   std::filesystem::copy_file(
       std::filesystem::path(dir_raw) / dynagraph::traceShardFileName(1),
       std::filesystem::path(dir_rans) / dynagraph::traceShardFileName(1),
@@ -541,17 +440,30 @@ TEST(TraceV3MixedCodec, StoreMayMixRawAndRansShards) {
 }
 
 TEST(TraceV3MixedCodec, MixedVersionStoreIsStillRejected) {
-  const auto trials = sampleTrials(16, 4, 200, 3);
-  const std::string dir_v2 = scratchDir("franken_v2");
-  const std::string dir_v3 = scratchDir("franken_v3");
-  writeStore(dir_v2, 16, trials, 2,
-             versionOptions(dynagraph::kTraceFormatVersionV2));
-  writeStore(dir_v3, 16, trials, 2, TraceWriterOptions{});
-  std::filesystem::copy_file(
-      std::filesystem::path(dir_v2) / dynagraph::traceShardFileName(1),
-      std::filesystem::path(dir_v3) / dynagraph::traceShardFileName(1),
-      std::filesystem::copy_options::overwrite_existing);
-  EXPECT_THROW(TraceStore::open(dir_v3), std::runtime_error);
+  // Mixing codecs is fine, mixing format versions is not: give shard 1 a
+  // checksum-valid header in the 64-byte version-1 layout (the version
+  // field, header size, and FNV-1a of bytes [0, 56) at offset 56).
+  const std::string dir = scratchDir("franken");
+  writeStore(dir, 16, sampleTrials(16, 4, 200, 3), 2, TraceWriterOptions{});
+  const std::string shard1 =
+      (std::filesystem::path(dir) / dynagraph::traceShardFileName(1))
+          .string();
+  auto bytes = readFile(shard1);
+  auto* data = reinterpret_cast<unsigned char*>(bytes.data());
+  data[8] = 1;
+  data[10] = 64;
+  const std::uint64_t checksum = fnv1a(data, 56);
+  for (int i = 0; i < 8; ++i)
+    data[56 + i] = static_cast<unsigned char>(checksum >> (8 * i));
+  writeFile(shard1, bytes);
+  try {
+    TraceStore::open(dir);
+    FAIL() << "a store with a version-1 shard must not open";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported format version 1"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ------------------------------------------------------- footer corruption
@@ -597,7 +509,7 @@ class TraceV3FooterCorruption : public testing::Test {
 
   void expectOpenFailure(const std::string& what, TraceReadBackend backend) {
     try {
-      TraceShardReader reader(shard0_, dynagraph::kTraceBlockBytes, backend);
+      TraceShardReader reader(shard0_, backend);
       FAIL() << "open succeeded on " << what;
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
@@ -681,14 +593,10 @@ TEST_F(TraceV3FooterCorruption, ResealedCursorOutOfRangeIsRejected) {
 
 TEST_F(TraceV3FooterCorruption, ZeroFooterSizeInHeaderIsRejected) {
   // Claim "no footer" in the header (re-sealing the header checksum): the
-  // v3 reader requires an index, and the file size no longer lines up.
+  // reader requires an index, and the file size no longer lines up.
   auto bytes = pristine_;
-  auto* data = reinterpret_cast<unsigned char*>(bytes.data());
-  for (int i = 0; i < 4; ++i) data[68 + static_cast<std::size_t>(i)] = 0;
-  const std::uint64_t checksum = fnv1a(data, 72);
-  for (int i = 0; i < 8; ++i)
-    data[72 + static_cast<std::size_t>(i)] =
-        static_cast<unsigned char>(checksum >> (8 * i));
+  for (std::size_t i = 0; i < 4; ++i) bytes[68 + i] = 0;
+  resealHeader(bytes);
   writeFile(shard0_, bytes);
   expectOpenFailureBothBackends("footer size malformed");
 }
@@ -697,14 +605,13 @@ TEST_F(TraceV3FooterCorruption, PayloadEditBreaksIndexValidation) {
   // Growing a stored size in the *payload* frame (with the footer intact)
   // must be caught: the index chain no longer matches the frames.
   auto bytes = pristine_;
-  const std::size_t frame0 = dynagraph::kTraceHeaderSizeV2;
+  const std::size_t frame0 = dynagraph::kTraceHeaderSize;
   bytes[frame0 + 4] = static_cast<char>(bytes[frame0 + 4] ^ 0x01);
   writeFile(shard0_, bytes);
   // Either the index validation or the block checksum fires first
   // depending on backend ordering — both are clean rejections.
   try {
-    TraceShardReader reader(shard0_, dynagraph::kTraceBlockBytes,
-                            TraceReadBackend::kStream);
+    TraceShardReader reader(shard0_, TraceReadBackend::kStream);
     while (reader.beginTrial()) reader.skipRest();
     FAIL() << "decode succeeded on payload/index mismatch";
   } catch (const std::runtime_error& e) {
@@ -716,7 +623,7 @@ TEST_F(TraceV3FooterCorruption, PayloadEditBreaksIndexValidation) {
 // ------------------------------------------------------------------- fuzz
 
 TEST(TraceV3Fuzz, MutatedShardsFailCleanlyOrDecodeInRangeUnderSeek) {
-  // Randomized robustness sweep over the v3 decoder *and* the seek path:
+  // Randomized robustness sweep over the rANS decoder *and* the seek path:
   // mutate a few bytes of a valid shard, then (a) fully decode and (b)
   // seek to a random trial and decode from there, on both backends. Every
   // outcome must be a clean std::runtime_error or an in-range decode —
@@ -755,8 +662,7 @@ TEST(TraceV3Fuzz, MutatedShardsFailCleanlyOrDecodeInRangeUnderSeek) {
           !TraceShardReader::mmapSupported())
         continue;
       try {
-        TraceShardReader reader(shard0, dynagraph::kTraceBlockBytes,
-                                backend);
+        TraceShardReader reader(shard0, backend);
         if (reader.seekToTrial(reader.header().base_trial + target)) {
           while (reader.beginTrial()) {
             while (const auto i = reader.next())
@@ -803,7 +709,6 @@ TEST(TraceV3StreamingImport, TimeOrderedFileStreamsAndMatchesMaterialized) {
   EXPECT_EQ(stats.t_max, reference.stats.t_max);
 
   const auto store = TraceStore::open(dir);
-  EXPECT_EQ(store.formatVersion(), dynagraph::kTraceFormatVersion);
   const auto decoded = decodeStore(store, TraceReadBackend::kAuto);
   std::size_t offset = 0;
   for (const auto& trial : decoded) {

@@ -1,12 +1,12 @@
-// Tests of the v4 record layout (dynagraph/trace_io): group-unit
+// Tests of the trace record layout (dynagraph/trace_io): group-unit
 // round-trips over both backends, SWAR-vs-scalar decode parity under a
 // randomized fuzz (DODA_FUZZ_ITERS-scalable), threaded replay of a
-// one-shard store of huge trials, cross-format v1..v4 statistic identity,
-// and the v4 writer-side validation (node-count bound).
+// one-shard store of huge trials, the writer-side validation (node-count
+// bound), and byte goldens of the written shard files.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -18,6 +18,7 @@
 #include "dynagraph/trace_io.hpp"
 #include "dynagraph/traces.hpp"
 #include "sim/trace_replay.hpp"
+#include "trace_test_helpers.hpp"
 #include "util/rng.hpp"
 
 namespace doda {
@@ -31,72 +32,7 @@ using dynagraph::TraceStore;
 using dynagraph::TraceStoreWriter;
 using dynagraph::TraceWriterOptions;
 using sim::MeasureResult;
-
-std::string scratchDir(const std::string& tag) {
-  static int counter = 0;
-  const auto dir = std::filesystem::path(testing::TempDir()) /
-                   ("doda_trace_v4_" + tag + "_" + std::to_string(::getpid()) +
-                    "_" + std::to_string(counter++));
-  std::filesystem::remove_all(dir);
-  return dir.string();
-}
-
-TraceWriterOptions versionOptions(std::uint16_t version) {
-  TraceWriterOptions options;
-  options.format_version = version;
-  return options;
-}
-
-std::vector<InteractionSequence> sampleTrials(std::size_t n,
-                                              std::size_t count,
-                                              core::Time length,
-                                              std::uint64_t seed) {
-  util::Rng rng(seed);
-  std::vector<InteractionSequence> trials;
-  trials.reserve(count);
-  for (std::size_t i = 0; i < count; ++i)
-    trials.push_back(dynagraph::traces::uniformRandom(n, length, rng));
-  return trials;
-}
-
-void writeStore(const std::string& dir, std::size_t n,
-                const std::vector<InteractionSequence>& trials,
-                std::uint32_t shards, const TraceWriterOptions& options) {
-  TraceStoreWriter writer(dir, n, trials.size(), shards, options);
-  for (const auto& trial : trials) writer.appendTrial(trial);
-  writer.finish();
-}
-
-std::vector<InteractionSequence> decodeStore(const TraceStore& store,
-                                             TraceReadBackend backend,
-                                             bool force_scalar = false) {
-  std::vector<InteractionSequence> trials;
-  for (std::size_t s = 0; s < store.shardCount(); ++s) {
-    auto reader = store.openShard(s, backend);
-    reader.setForceScalarDecode(force_scalar);
-    while (reader.beginTrial()) trials.push_back(reader.readRest());
-  }
-  return trials;
-}
-
-void expectTrialsEqual(const std::vector<InteractionSequence>& a,
-                       const std::vector<InteractionSequence>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].length(), b[i].length()) << "trial " << i;
-    for (core::Time t = 0; t < a[i].length(); ++t)
-      ASSERT_EQ(a[i].at(t), b[i].at(t)) << "trial " << i << " t=" << t;
-  }
-}
-
-void expectIdentical(const MeasureResult& a, const MeasureResult& b) {
-  EXPECT_EQ(a.interactions.count(), b.interactions.count());
-  EXPECT_EQ(a.interactions.mean(), b.interactions.mean());
-  EXPECT_EQ(a.interactions.variance(), b.interactions.variance());
-  EXPECT_EQ(a.interactions.min(), b.interactions.min());
-  EXPECT_EQ(a.interactions.max(), b.interactions.max());
-  EXPECT_EQ(a.failed_trials, b.failed_trials);
-}
+using namespace trace_test;
 
 // ------------------------------------------------------------ round trip
 
@@ -114,7 +50,6 @@ TEST(TraceV4RoundTrip, GroupUnitsPreserveEveryTrialOnBothBackends) {
   writeStore(dir, 20, trials, 2, options);
 
   const auto store = TraceStore::open(dir);
-  EXPECT_EQ(store.formatVersion(), dynagraph::kTraceFormatVersionV4);
   for (const auto backend :
        {TraceReadBackend::kAuto, TraceReadBackend::kStream})
     expectTrialsEqual(decodeStore(store, backend), trials);
@@ -146,15 +81,14 @@ TEST(TraceV4RoundTrip, UncompressedBlocksRoundTrip) {
 }
 
 TEST(TraceV4Writer, RejectsNodeCountAboveRecordLayoutBound) {
-  // v4 group fields are at most 4 bytes, so the writer refuses stores it
-  // could not encode; v3 still accepts the same node count.
-  const std::size_t too_many = (std::size_t{1} << 31) + 1;
-  EXPECT_THROW(TraceStoreWriter(scratchDir("huge"), too_many, 1, 1,
+  // Group fields are at most 4 bytes, so the writer refuses stores it
+  // could not encode; the bound itself is accepted.
+  const std::size_t bound = std::size_t{1} << 31;
+  EXPECT_THROW(TraceStoreWriter(scratchDir("huge"), bound + 1, 1, 1,
                                 TraceWriterOptions{}),
                std::invalid_argument);
-  EXPECT_NO_THROW(TraceStoreWriter(
-      scratchDir("huge_v3"), too_many, 1, 1,
-      versionOptions(dynagraph::kTraceFormatVersionV3)));
+  EXPECT_NO_THROW(TraceStoreWriter(scratchDir("bound"), bound, 1, 1,
+                                   TraceWriterOptions{}));
 }
 
 // --------------------------------------------------- SWAR/scalar parity
@@ -224,26 +158,42 @@ TEST(TraceV4Parallel, ThreadedOneShardReplayMatchesSerial) {
   }
 }
 
-// ------------------------------------------------------- cross format
+// -------------------------------------------------------- byte goldens
 
-TEST(TraceV4CrossVersion, AllFormatsDecodeToIdenticalTrials) {
-  const auto trials = sampleTrials(40, 5, 3000, 55);
-  std::vector<std::vector<InteractionSequence>> decoded;
-  for (const std::uint16_t version :
-       {dynagraph::kTraceFormatVersionV1, dynagraph::kTraceFormatVersionV2,
-        dynagraph::kTraceFormatVersionV3,
-        dynagraph::kTraceFormatVersionV4}) {
-    const std::string dir =
-        scratchDir("xfmt_v" + std::to_string(version));
-    writeStore(dir, 40, trials, 2, versionOptions(version));
-    const auto store = TraceStore::open(dir);
-    EXPECT_EQ(store.formatVersion(), version);
-    decoded.push_back(decodeStore(store, TraceReadBackend::kAuto));
-    expectTrialsEqual(decoded.back(), trials);
+TEST(TraceV4Golden, ShardFileBytesArePinned) {
+  // The on-disk format is a compatibility contract: stores recorded by
+  // earlier builds must replay unchanged. A fixed workload recorded with
+  // the default options (rANS blocks) and with small raw blocks must hash
+  // to these FNV-1a values, shard file by shard file. A deliberate format
+  // change has to bump the header version and update them.
+  const auto trials = sampleTrials(24, 4, 600, 2016);
+  TraceWriterOptions raw;
+  raw.compress = false;
+  raw.block_bytes = 512;
+  struct Case {
+    const char* tag;
+    TraceWriterOptions options;
+    std::array<std::uint64_t, 2> shard_fnv;
+  };
+  const Case cases[] = {
+      {"rans", TraceWriterOptions{},
+       {0x466daa05d893a176ULL, 0xa74bbfa68fb89a3cULL}},
+      {"raw512", raw, {0x29a6d18642664567ULL, 0xc6a1c40bcfcdb64aULL}},
+  };
+  for (const Case& c : cases) {
+    const std::string dir = scratchDir(std::string("golden_") + c.tag);
+    writeStore(dir, 24, trials, 2, c.options);
+    for (std::uint32_t shard = 0; shard < 2; ++shard) {
+      const auto bytes = readFile(
+          (std::filesystem::path(dir) / dynagraph::traceShardFileName(shard))
+              .string());
+      EXPECT_EQ(fnv1a(reinterpret_cast<const unsigned char*>(bytes.data()),
+                      bytes.size()),
+                c.shard_fnv[shard])
+          << c.tag << " shard " << shard;
+    }
     std::filesystem::remove_all(dir);
   }
-  for (std::size_t i = 1; i < decoded.size(); ++i)
-    expectTrialsEqual(decoded[i], decoded[0]);
 }
 
 }  // namespace
