@@ -8,27 +8,24 @@
 
 namespace doda::dynagraph {
 
-/// A growable interaction sequence backed by a generator function.
+/// A growable interaction sequence backed by a block generator.
 ///
 /// The randomized adversary (paper §4) conceptually commits to an infinite
 /// random sequence; algorithms with `meetTime` or `future` knowledge read
 /// that committed randomness. LazySequence realizes this: interactions are
 /// generated on demand and, once generated, never change — so the oracle
-/// answers and the actual execution always agree.
+/// answers and the actual execution always agree. A replayed trace trial is
+/// served the same way, its generator decoding from the shard reader, so a
+/// trial is realized only as far as it is read.
 ///
-/// Two generator flavours:
-///  * the per-item Generator produces exactly the interactions demanded
-///    (generatedLength() == t+1 after ensure(t));
-///  * the batched BlockGenerator produces whole chunks, amortizing the
-///    std::function dispatch over kChunk interactions — the engine hot
-///    path's per-interaction generation cost collapses to a bounds check.
-///    Chunked generation commits randomness slightly ahead of demand,
-///    which is exactly the committed-randomness model (the values at any
-///    given time are identical either way; only how far the prefix has
-///    been realized differs).
+/// The generator produces whole chunks, amortizing the std::function
+/// dispatch over kChunk interactions — the engine hot path's
+/// per-interaction cost collapses to a bounds check. Chunked generation
+/// commits slightly ahead of demand, which is exactly the
+/// committed-randomness model (the values at any given time are fixed;
+/// only how far the prefix has been realized depends on the chunking).
 class LazySequence {
  public:
-  using Generator = std::function<Interaction(Time)>;
   /// Appends exactly `count` interactions (times begin, begin+1, ...) to
   /// `out`. Must be a pure function of its own captured state called with
   /// contiguous, strictly increasing blocks.
@@ -36,17 +33,14 @@ class LazySequence {
       std::function<void(Time begin, std::size_t count,
                          std::vector<Interaction>& out)>;
 
-  /// Interactions generated per BlockGenerator call.
+  /// Interactions generated per BlockGenerator call (fewer only at
+  /// max_length).
   static constexpr std::size_t kChunk = 256;
 
-  /// `generator(t)` must return I_t and be called with strictly increasing t.
-  /// `max_length` bounds total generation (throws std::length_error beyond
-  /// it) as a runaway-experiment guard.
-  explicit LazySequence(Generator generator,
-                        Time max_length = Time{1} << 34);
-
-  /// Batched flavour: `generator(begin, count, out)` appends the block
-  /// [begin, begin + count) in one call.
+  /// `generator(begin, count, out)` appends the block [begin, begin +
+  /// count) in one call. `max_length` bounds total generation (throws
+  /// std::length_error beyond it): a runaway-experiment guard, or a
+  /// replayed trial's recorded length.
   explicit LazySequence(BlockGenerator generator,
                         Time max_length = Time{1} << 34);
 
@@ -54,8 +48,8 @@ class LazySequence {
   /// if needed.
   const Interaction& at(Time t);
 
-  /// Extends generation so that times [0, t] exist (a block generator may
-  /// commit up to a chunk further).
+  /// Extends generation so that times [0, t] exist (up to a chunk further,
+  /// never past max_length).
   void ensure(Time t);
 
   /// How many interactions exist so far.
@@ -67,8 +61,7 @@ class LazySequence {
   const InteractionSequence& committed() const noexcept { return buffer_; }
 
  private:
-  Generator generator_;
-  BlockGenerator block_generator_;
+  BlockGenerator generator_;
   InteractionSequence buffer_;
   std::vector<Interaction> chunk_scratch_;
   Time max_length_;

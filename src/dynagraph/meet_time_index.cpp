@@ -49,8 +49,13 @@ void MeetTimeIndex::scanUpTo(Time end) {
 
 bool MeetTimeIndex::tryExtendBacking() {
   if (!lazy_) return false;
-  const Time target = lazy_->generatedLength() + extension_chunk_;
-  if (target >= lazy_->maxLength()) return false;
+  const Time length = lazy_->generatedLength();
+  if (length >= lazy_->maxLength()) return false;
+  // The last extension commits the final, possibly partial, chunk: a
+  // meeting there is as real as any other (a replayed trial's backing ends
+  // exactly at its recorded length).
+  const Time target =
+      std::min(lazy_->maxLength(), length + extension_chunk_);
   lazy_->ensure(target - 1);
   return true;
 }

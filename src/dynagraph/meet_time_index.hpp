@@ -13,11 +13,12 @@ namespace doda::dynagraph {
 ///   s.meetTime(t) = t (identity, by definition)
 ///
 /// Two backings are supported:
-///  * a fixed InteractionSequence (oblivious adversary, trace replay), where
-///    a query past the last meeting returns kNever;
-///  * a LazySequence (randomized adversary), where the index extends the
-///    committed randomness on demand until a meeting is found or the
-///    sequence's max-length guard trips (then kNever).
+///  * a fixed InteractionSequence (oblivious adversary), where a query
+///    past the last meeting returns kNever;
+///  * a LazySequence (randomized adversary, trace replay), where the index
+///    extends the committed sequence on demand until a meeting is found or
+///    the sequence reaches its max_length (then kNever, exactly as a fixed
+///    backing of that length would answer).
 ///
 /// Queries keep a monotone cursor per node: during an execution, meetTime
 /// is queried with nondecreasing t (the engine's clock only advances), so
@@ -32,8 +33,9 @@ class MeetTimeIndex {
                 std::size_t node_count);
 
   /// Index over a lazily generated sequence. The sequence must outlive the
-  /// index. `extension_chunk` controls how much new randomness is committed
-  /// per failed lookup round.
+  /// index. `extension_chunk` controls how much of the sequence is
+  /// committed per failed lookup round (the last round stops at
+  /// max_length).
   MeetTimeIndex(LazySequence& sequence, NodeId sink, std::size_t node_count,
                 Time extension_chunk = 1 << 16);
 

@@ -789,11 +789,7 @@ void TraceShardReader::seekToBlock(std::size_t k) {
   blocks_loaded_ = k;  // the next loadNextBlock reads block k
 }
 
-bool TraceShardReader::seekToTrial(std::uint64_t global_trial) {
-  if (global_trial < header_.base_trial ||
-      global_trial >= header_.base_trial + header_.trial_count)
-    return false;
-  const std::uint64_t local = global_trial - header_.base_trial;
+std::size_t TraceShardReader::trialStartBlock(std::uint64_t local) const {
   // Last block whose cursor is at or before the trial's record start
   // (entries are monotone in trials_begun; entry 0 is always <= local).
   const auto it = std::upper_bound(
@@ -801,7 +797,15 @@ bool TraceShardReader::seekToTrial(std::uint64_t global_trial) {
       [](std::uint64_t value, const TraceBlockIndexEntry& entry) {
         return value < entry.trials_begun;
       });
-  seekToBlock(static_cast<std::size_t>(it - index_.begin()) - 1);
+  return static_cast<std::size_t>(it - index_.begin()) - 1;
+}
+
+bool TraceShardReader::seekToTrial(std::uint64_t global_trial) {
+  if (global_trial < header_.base_trial ||
+      global_trial >= header_.base_trial + header_.trial_count)
+    return false;
+  const std::uint64_t local = global_trial - header_.base_trial;
+  seekToBlock(trialStartBlock(local));
   // Decode forward across at most the partial trial in front of the
   // target.
   while (trials_begun_ < local)
@@ -930,7 +934,26 @@ std::uint64_t TraceShardReader::rawLeft() const noexcept {
 }
 
 bool TraceShardReader::beginTrial() {
-  if (trials_begun_ > 0) skipRest();
+  if (decoded_ < trial_length_) {
+    // The current trial was not read to its end. When the next trial's
+    // record starts in a later block than the current window, jump to
+    // that block through the index: the blocks in between are never
+    // loaded, and only the jumped-to block's share of this trial is
+    // parsed. The shard's last trial is parsed to its end instead, so the
+    // trailing-bytes check below still covers the whole record stream.
+    if (trials_begun_ < header_.trial_count) {
+      const std::size_t k = trialStartBlock(trials_begun_);
+      if (k >= blocks_loaded_) {
+        const TraceBlockIndexEntry& entry = index_[k];
+        if (entry.trials_begun != trials_begun_ ||
+            entry.trial_length != trial_length_ || entry.decoded < decoded_)
+          fail("block index disagrees with the record stream (corrupt "
+               "block index)");
+        seekToBlock(k);
+      }
+    }
+    skipRest();
+  }
   if (trials_begun_ == header_.trial_count) {
     // The record stream is accounted exactly: a well-formed shard has no
     // undecoded remainder once every trial is consumed.
@@ -949,7 +972,7 @@ bool TraceShardReader::beginTrial() {
   // Every interaction occupies at least two record-stream bytes (a group
   // unit carries at most two interactions in at least five bytes), so a
   // declared length beyond half the remaining stream is corrupt — reject
-  // it here rather than letting readRest() reserve a huge vector.
+  // it here rather than letting read() size a huge vector.
   if (trial_length_ > rawLeft() / 2)
     fail("trial length exceeds remaining payload (corrupt payload)");
   decoded_ = 0;
@@ -1126,10 +1149,16 @@ std::optional<Interaction> TraceShardReader::next() {
   return i;
 }
 
-InteractionSequence TraceShardReader::readRest() {
-  const auto count = static_cast<std::size_t>(remainingInTrial());
-  std::vector<Interaction> interactions(count, Interaction(0, 1));
-  Interaction* dst = interactions.data();
+void TraceShardReader::read(std::uint64_t count,
+                            std::vector<Interaction>& out) {
+  if (count > remainingInTrial())
+    throw std::out_of_range("TraceShardReader::read: " +
+                            std::to_string(count) + " interactions asked, " +
+                            std::to_string(remainingInTrial()) +
+                            " left in the trial");
+  const std::size_t base = out.size();
+  out.resize(base + static_cast<std::size_t>(count), Interaction(0, 1));
+  Interaction* dst = out.data() + base;
   std::uint64_t k = 0;
   while (k < count) {
     if (pending_) {
@@ -1146,6 +1175,11 @@ InteractionSequence TraceShardReader::readRest() {
     dst[k++] = takeGroup();
     ++decoded_;
   }
+}
+
+InteractionSequence TraceShardReader::readRest() {
+  std::vector<Interaction> interactions;
+  read(remainingInTrial(), interactions);
   return InteractionSequence(std::move(interactions));
 }
 

@@ -360,9 +360,9 @@ class TraceStoreWriter {
 /// checksum, and that the file size matches the declared payload — a short
 /// file fails fast as "truncated") and the block index, then decodes
 /// trials sequentially. The backend is mmap where available (zero-copy for
-/// raw blocks) with a buffered-stream fallback; every block is verified
-/// against its checksum before decoding. The whole shard is never resident
-/// beyond the mapping.
+/// raw blocks) with a buffered-stream fallback; every block it loads is
+/// verified against its checksum before decoding. The whole shard is never
+/// resident beyond the mapping.
 class TraceShardReader {
  public:
   /// Opens and validates `path`. Throws std::runtime_error on a missing
@@ -394,10 +394,16 @@ class TraceShardReader {
   /// shard. O(log blocks + one partial block decode).
   bool seekToTrial(std::uint64_t global_trial);
 
-  /// Positions at the next trial (skipping any undecoded remainder of the
-  /// current one). Returns false when every trial of the shard has been
-  /// consumed. The global index of the trial just begun is
-  /// header().base_trial + trialsBegun() - 1.
+  /// Positions at the next trial, skipping any undecoded remainder of the
+  /// current one. When the next trial's record starts in a later block
+  /// than the one being decoded, the reader jumps there through the block
+  /// index (as seekToTrial does) and parses only that block's share of
+  /// the remainder: the blocks in between are never loaded, so their
+  /// checksums are not verified either (TraceStoreOpenOptions::
+  /// verify_payloads still walks every block). The remainder of the
+  /// shard's last trial is always parsed in full. Returns false when every
+  /// trial of the shard has been consumed. The global index of the trial
+  /// just begun is header().base_trial + trialsBegun() - 1.
   bool beginTrial();
 
   /// Trials begun so far (== local index of the current trial + 1).
@@ -416,6 +422,12 @@ class TraceShardReader {
   /// payload (out-of-range endpoint, malformed control byte, block
   /// checksum mismatch, unexpected EOF).
   std::optional<Interaction> next();
+
+  /// Decodes the next `count` interactions of the current trial and
+  /// appends them to `out`. Throws std::out_of_range when fewer than
+  /// `count` remain in the trial, and like next() on a truncated or corrupt
+  /// payload.
+  void read(std::uint64_t count, std::vector<Interaction>& out);
 
   /// Materializes the undecoded remainder of the current trial.
   InteractionSequence readRest();
@@ -443,6 +455,8 @@ class TraceShardReader {
   void parseHeader();
   void parseFooter();
   std::size_t maxBlockRawBytes() const noexcept;
+  /// The block holding the start of shard-local trial `local`'s record.
+  std::size_t trialStartBlock(std::uint64_t local) const;
   void readPayloadBytes(unsigned char* dst, std::size_t count);
   const unsigned char* borrowPayloadBytes(std::size_t count);
   std::uint64_t payloadSourceLeft() const noexcept;

@@ -8,8 +8,8 @@
 #include <string>
 #include <vector>
 
-#include "adversary/sequence_adversary.hpp"
 #include "analysis/convergecast.hpp"
+#include "dynagraph/lazy_sequence.hpp"
 #include "dynagraph/meet_time_index.hpp"
 #include "util/rng.hpp"
 
@@ -17,7 +17,6 @@ namespace doda::sim {
 
 using core::SystemInfo;
 using core::Time;
-using dynagraph::InteractionSequence;
 using dynagraph::TraceShardReader;
 using dynagraph::TraceStore;
 
@@ -62,6 +61,25 @@ void runSpan(const TraceStore& store, const ReplaySpan& span,
     if (trial_done) trial_done(global);
   }
 }
+
+/// The engine's side of a replayed trial: serves the trial's on-demand
+/// sequence and reports exhaustion past the recorded length.
+class LazyTrialAdversary final : public core::Adversary {
+ public:
+  explicit LazyTrialAdversary(dynagraph::LazySequence& sequence)
+      : sequence_(sequence) {}
+
+  std::string name() const override { return "trace-replay"; }
+
+  std::optional<core::Interaction> next(
+      core::Time t, const core::ExecutionView& /*view*/) override {
+    if (t >= sequence_.maxLength()) return std::nullopt;
+    return sequence_.at(t);
+  }
+
+ private:
+  dynagraph::LazySequence& sequence_;
+};
 
 core::RunOptions replayRunOptions(const ReplayConfig& config,
                                   std::uint64_t trial_length) {
@@ -150,14 +168,22 @@ MeasureResult replayTrace(const TraceStore& store, const ReplayConfig& config,
       [&](std::size_t /*global_trial*/, TraceShardReader& reader,
           core::Engine::Scratch& scratch) {
         const std::uint64_t length = reader.trialLength();
-        const InteractionSequence seq = reader.readRest();
-        adversary::SequenceViewAdversary seq_adversary{seq};
-        dynagraph::MeetTimeIndex index(seq, config.sink, info.node_count);
-        TrialContext context{info, seq_adversary, index};
+        // The trial is decoded only as far as the engine and the oracle
+        // read it; the next beginTrial jumps over the rest.
+        dynagraph::LazySequence sequence(
+            [&reader](Time, std::size_t count,
+                      std::vector<core::Interaction>& out) {
+              reader.read(count, out);
+            },
+            length);
+        LazyTrialAdversary trial_adversary(sequence);
+        dynagraph::MeetTimeIndex index(sequence, config.sink, info.node_count,
+                                       dynagraph::LazySequence::kChunk);
+        TrialContext context{info, trial_adversary, index};
         const auto algorithm = factory(context);
         core::Engine engine(info, core::AggregationFunction::count());
         const auto result =
-            engine.runInto(scratch, *algorithm, seq_adversary,
+            engine.runInto(scratch, *algorithm, trial_adversary,
                            replayRunOptions(config, length));
         if (!result.terminated) return TrialOutcome::failure();
         TrialOutcome outcome;
@@ -165,9 +191,14 @@ MeasureResult replayTrace(const TraceStore& store, const ReplayConfig& config,
         outcome.interactions =
             static_cast<double>(result.interactions_to_terminate);
         if (config.compute_cost) {
-          outcome.cost = static_cast<double>(
-              analysis::costOf(seq, info.node_count, config.sink,
-                               result.last_transmission_time));
+          // The committed prefix holds the last transmission, and the cost
+          // chain stops at the first T(i) >= it. Finite T(i) on the prefix
+          // are those of the whole trial, and a T(i) infinite on the prefix
+          // is at least its length either way, so the prefix gives the
+          // whole trial's cost without decoding further.
+          outcome.cost = static_cast<double>(analysis::costOf(
+              sequence.committed(), info.node_count, config.sink,
+              result.last_transmission_time));
           outcome.has_cost = true;
         }
         return outcome;

@@ -28,7 +28,7 @@ struct ReplayConfig {
   /// Per-trial cap on dispatched interactions.
   core::Time max_interactions = core::Time{1} << 32;
   /// Whether replayTrace additionally computes the paper cost (§2.3) of
-  /// each successful trial (requires the materialized path).
+  /// each successful trial (replayTraceStreaming never does).
   bool compute_cost = false;
   /// How shard files are read (mmap where available by default). Never
   /// affects the statistics, only the I/O path.
@@ -44,11 +44,11 @@ struct ReplayConfig {
 };
 
 /// The work of one replayed trial. `reader` is positioned at the start of
-/// the trial's payload (trialLength() interactions pending); the body may
-/// stream interactions with next() or materialize them with readRest(),
-/// and need not consume the remainder — the executor realigns the shard
-/// cursor. Same purity contract as TrialBody: runs concurrently, keyed by
-/// `global_trial` only.
+/// the trial's payload (trialLength() interactions pending); the body
+/// decodes interactions on demand with next() or read(), and need not
+/// consume the remainder — the next beginTrial realigns the shard cursor,
+/// jumping over unread blocks through the block index. Same purity
+/// contract as TrialBody: runs concurrently, keyed by `global_trial` only.
 using ReplayTrialBody = std::function<TrialOutcome(
     std::size_t global_trial, dynagraph::TraceShardReader& reader,
     core::Engine::Scratch& scratch)>;
@@ -75,11 +75,14 @@ MeasureResult replayShards(
     ReplayTrialRange range = {}, const RunControl* control = nullptr);
 
 /// Replays every recorded trial through a factory-built algorithm. Each
-/// trial is decoded into a per-trial sequence (one trial resident per
-/// worker, never a whole shard), so the factory gets the full TrialContext
-/// — including a meetTime oracle over the recorded interactions — exactly
-/// like the synthetic measureWithCost path. With `config.compute_cost`,
-/// successful trials also fold the paper cost.
+/// trial is decoded on demand into a LazySequence bounded by its recorded
+/// length: the engine's adversary, the meetTime oracle (extending one
+/// LazySequence::kChunk at a time) and, with `config.compute_cost`, the
+/// paper cost of successful trials all read one growing prefix, and the
+/// unread remainder is skipped. The factory gets the full TrialContext,
+/// exactly like the synthetic measureWithCost path, and the statistics
+/// equal those of decoding every trial to its end: oracle answers and
+/// finite cost-chain terms depend only on the interactions up to them.
 MeasureResult replayTrace(const dynagraph::TraceStore& store,
                           const ReplayConfig& config,
                           const AlgorithmFactory& factory);

@@ -152,7 +152,10 @@ std::vector<std::uint64_t> DurableTraceStore::loadIdMap() const {
   if (bytes.size() < 24 || std::memcmp(data, kIdMapMagic, 8) != 0)
     fail("not an id-map file (bad magic)");
   const std::uint64_t count = loadU64(data + 8);
-  if (bytes.size() != 24 + count * 8) fail("id-map size mismatch");
+  // Bound the count by the bytes present before any arithmetic on it:
+  // 24 + count * 8 wraps for count >= 2^61.
+  if (count > (bytes.size() - 24) / 8 || bytes.size() != 24 + count * 8)
+    fail("id-map size mismatch");
   if (loadU64(data + 16 + count * 8) != fnv1a(data + 8, 8 + count * 8))
     fail("id-map checksum mismatch");
   std::vector<std::uint64_t> ids(static_cast<std::size_t>(count));

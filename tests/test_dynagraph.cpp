@@ -173,25 +173,29 @@ TEST(InteractionSequence, EqualityIgnoresTimelineCache) {
 TEST(LazySequence, GeneratesOnDemand) {
   int calls = 0;
   LazySequence seq(
-      [&calls](Time t) {
+      [&calls](Time begin, std::size_t count, std::vector<Interaction>& out) {
         ++calls;
-        return Interaction(static_cast<NodeId>(t % 3),
-                           static_cast<NodeId>(t % 3 + 1));
+        for (Time t = begin; t < begin + count; ++t)
+          out.push_back(Interaction(static_cast<NodeId>(t % 3),
+                                    static_cast<NodeId>(t % 3 + 1)));
       },
       1000);
   EXPECT_EQ(seq.generatedLength(), 0u);
   EXPECT_EQ(seq.at(4), Interaction(1, 2));
-  EXPECT_EQ(calls, 5);
-  EXPECT_EQ(seq.generatedLength(), 5u);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(seq.generatedLength(), LazySequence::kChunk);  // one chunk
   // Re-reading does not regenerate.
   EXPECT_EQ(seq.at(2), Interaction(2, 3));
-  EXPECT_EQ(calls, 5);
+  EXPECT_EQ(calls, 1);
 }
 
 TEST(LazySequence, CommittedPrefixIsStable) {
   util::Rng rng(5);
-  LazySequence seq([&rng](Time) { return traces::uniformPair(8, rng); },
-                   1 << 20);
+  LazySequence seq(
+      [&rng](Time, std::size_t count, std::vector<Interaction>& out) {
+        traces::appendUniform(8, count, rng, out);
+      },
+      1 << 20);
   seq.ensure(99);
   const auto snapshot = seq.committed();
   seq.ensure(499);
@@ -200,34 +204,34 @@ TEST(LazySequence, CommittedPrefixIsStable) {
 }
 
 TEST(LazySequence, MaxLengthGuardThrows) {
-  LazySequence seq([](Time) { return Interaction(0, 1); }, 10);
+  LazySequence seq(
+      [](Time, std::size_t count, std::vector<Interaction>& out) {
+        out.insert(out.end(), count, Interaction(0, 1));
+      },
+      10);
   seq.ensure(9);
   EXPECT_THROW(seq.ensure(10), std::length_error);
 }
 
 TEST(LazySequence, NullGeneratorThrows) {
-  EXPECT_THROW(LazySequence(LazySequence::Generator{}),
-               std::invalid_argument);
   EXPECT_THROW(LazySequence(LazySequence::BlockGenerator{}),
                std::invalid_argument);
 }
 
 TEST(LazySequence, BlockGeneratorCommitsIdenticalPrefix) {
-  // The batched generator must realize the same committed sequence as the
-  // per-item generator from the same seed — only how far ahead it commits
-  // may differ (chunk granularity).
-  util::Rng per_item_rng(77), block_rng(77);
-  LazySequence per_item(
-      [&per_item_rng](Time) { return traces::uniformPair(9, per_item_rng); });
+  // The chunked generator must realize the same committed sequence as
+  // per-pair draws from the same seed — only how far ahead it commits
+  // depends on the chunk granularity.
+  util::Rng per_pair_rng(77), block_rng(77);
   LazySequence block(LazySequence::BlockGenerator(
       [&block_rng](Time, std::size_t count, std::vector<Interaction>& out) {
         traces::appendUniform(9, count, block_rng, out);
       }));
-  per_item.ensure(999);
   block.ensure(999);
   EXPECT_GE(block.generatedLength(), 1000u);
   for (Time t = 0; t < 1000; ++t)
-    EXPECT_EQ(per_item.at(t), block.at(t)) << "t=" << t;
+    EXPECT_EQ(traces::uniformPair(9, per_pair_rng), block.at(t))
+        << "t=" << t;
 }
 
 TEST(LazySequence, BlockGeneratorRespectsMaxLengthGuard) {

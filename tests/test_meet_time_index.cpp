@@ -8,6 +8,23 @@
 namespace doda::dynagraph {
 namespace {
 
+/// A block generator drawing uniform pairs over `n` nodes from `rng`.
+LazySequence::BlockGenerator uniformBlocks(std::size_t n, util::Rng& rng) {
+  return [n, &rng](Time, std::size_t count, std::vector<Interaction>& out) {
+    traces::appendUniform(n, count, rng, out);
+  };
+}
+
+/// A block generator whose interaction at time t is {0, 2} when t equals
+/// `meeting` and {0, 1} otherwise (kNever: always {0, 1}).
+LazySequence::BlockGenerator onlyMeetingAt(Time meeting) {
+  return [meeting](Time begin, std::size_t count,
+                   std::vector<Interaction>& out) {
+    for (Time t = begin; t < begin + count; ++t)
+      out.push_back(t == meeting ? Interaction(0, 2) : Interaction(0, 1));
+  };
+}
+
 /// Reference implementation: linear scan for the smallest t' > t with
 /// I_{t'} = {u, sink}.
 Time naiveMeetTime(const InteractionSequence& seq, NodeId sink, NodeId u,
@@ -81,8 +98,7 @@ TEST(MeetTimeIndex, KnownMeetingsAreAscendingAndComplete) {
 
 TEST(MeetTimeIndex, LazyBackingExtendsOnDemand) {
   util::Rng rng(42);
-  LazySequence lazy([&rng](Time) { return traces::uniformPair(6, rng); },
-                    1 << 20);
+  LazySequence lazy(uniformBlocks(6, rng), 1 << 20);
   MeetTimeIndex idx(lazy, 0, 6, /*extension_chunk=*/64);
   // The sequence starts empty; the query must commit randomness until node
   // 3 meets the sink.
@@ -96,8 +112,7 @@ TEST(MeetTimeIndex, LazyBackingExtendsOnDemand) {
 
 TEST(MeetTimeIndex, LazyAnswersAreStableAcrossExtensions) {
   util::Rng rng(43);
-  LazySequence lazy([&rng](Time) { return traces::uniformPair(5, rng); },
-                    1 << 20);
+  LazySequence lazy(uniformBlocks(5, rng), 1 << 20);
   MeetTimeIndex idx(lazy, 0, 5, 32);
   const Time first = idx.meetTime(2, 0);
   lazy.ensure(first + 500);
@@ -146,13 +161,33 @@ TEST(MeetTimeIndex, RepeatedQueryAtSameTimeIsStable) {
 
 TEST(MeetTimeIndex, LazyExhaustionReturnsNever) {
   // A backing sequence that can never contain a sink meeting for node 2.
-  LazySequence lazy([](Time) { return Interaction(0, 1); }, 256);
+  LazySequence lazy(onlyMeetingAt(kNever), 256);
   MeetTimeIndex idx(lazy, 0, 3, 64);
   EXPECT_EQ(idx.meetTime(2, 0), kNever);
 }
 
+TEST(MeetTimeIndex, LazyExtensionCommitsFinalPartialChunk) {
+  // Node 2's only sink meeting lies in the backing's final extension
+  // round, which is shorter than the extension chunk. The index must
+  // commit that partial chunk instead of answering kNever: a replayed
+  // trial's backing ends exactly at its recorded length.
+  {
+    LazySequence lazy(onlyMeetingAt(90), 100);
+    MeetTimeIndex idx(lazy, 0, 3, /*extension_chunk=*/64);
+    EXPECT_EQ(idx.meetTime(2, 0), 90u);
+  }
+  // The first round commits one whole LazySequence chunk, so here the
+  // partial round is the second one.
+  const Time max_length = LazySequence::kChunk + 44;
+  LazySequence lazy(onlyMeetingAt(max_length - 10), max_length);
+  MeetTimeIndex idx(lazy, 0, 3, /*extension_chunk=*/64);
+  EXPECT_EQ(idx.meetTime(2, 0), max_length - 10);
+  EXPECT_EQ(lazy.generatedLength(), max_length);
+  EXPECT_EQ(idx.meetTime(2, max_length - 10), kNever);
+}
+
 TEST(MeetTimeIndex, ZeroChunkRejected) {
-  LazySequence lazy([](Time) { return Interaction(0, 1); }, 16);
+  LazySequence lazy(onlyMeetingAt(kNever), 16);
   EXPECT_THROW(MeetTimeIndex(lazy, 0, 3, 0), std::invalid_argument);
 }
 

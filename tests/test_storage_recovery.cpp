@@ -676,6 +676,41 @@ TEST(DurableImport, GrownLogAppendsOnlyNewEvents) {
             store.version().generation);
 }
 
+TEST(DurableImport, IdMapCountThatWrapsTheSizeCheckIsRejected) {
+  // count = 2^61 + 1 wraps 24 + count * 8 to 32 bytes, this file's size,
+  // and the FNV-1a below matches what the wrapped arithmetic checks. The
+  // count must be bounded by the bytes present before any arithmetic, so
+  // the load fails cleanly instead of sizing a vector from the count.
+  const auto events = grownLog();
+  const std::string log = scratchDir("idmap_log") + ".txt";
+  writeLogPrefix(log, events, 60);
+  ContactImportOptions options;
+  options.trials = 3;
+  const std::string dir = scratchDir("idmap_wrap");
+  storage::importContactTraceDurable(log, dir, 1, options);
+  DurableTraceStore store = DurableTraceStore::open(dir);
+  ASSERT_FALSE(store.version().id_map_file.empty());
+
+  std::string bytes = "DODAIDM1";
+  const std::uint64_t count = (std::uint64_t{1} << 61) + 1;
+  for (int i = 0; i < 8; ++i) bytes += static_cast<char>(count >> (8 * i));
+  bytes += std::string(8, '\0');  // one id
+  const std::uint64_t checksum =
+      fnv1a(reinterpret_cast<const unsigned char*>(bytes.data()) + 8, 16);
+  for (int i = 0; i < 8; ++i) bytes += static_cast<char>(checksum >> (8 * i));
+  ASSERT_EQ(bytes.size(), 32u);
+  writeWholeFile(dir + "/" + store.version().id_map_file, bytes);
+
+  try {
+    store.loadIdMap();
+    ADD_FAILURE() << "a wrapping id-map count was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("id-map size mismatch"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(DurableImport, RewrittenPrefixOrShrunkLogIsRejected) {
   auto events = grownLog();
   const std::string log60 = scratchDir("rej_log60") + ".txt";

@@ -109,6 +109,61 @@ TEST(TraceStoreRoundTrip, PartialConsumptionRealignsAtNextTrial) {
     for (int j = 0; j < 5; ++j) EXPECT_EQ(*reader.next(), trials[k].at(j));
   }
   EXPECT_FALSE(reader.beginTrial());
+
+  // Small blocks: a trial spans several blocks and beginTrial jumps over
+  // the unread ones through the block index. Every trial (the shard's last
+  // one included) is consumed 0, 1, up to its first block edge, one past
+  // it, L-1 and L interactions deep, mixed across consecutive trials, on
+  // raw and rANS blocks and both backends.
+  std::vector<InteractionSequence> long_trials;
+  for (core::Time length : {301, 300, 0, 7, 288, 333})
+    long_trials.push_back(randomSequence(16, length, rng));
+  for (const bool compress : {false, true}) {
+    dynagraph::TraceWriterOptions options;
+    options.compress = compress;
+    options.block_bytes = 64;
+    const std::string small_dir =
+        scratchDir(compress ? "realign_rans" : "realign_raw");
+    writeStore(small_dir, 16, long_trials, 1, options);
+    const auto small_store = TraceStore::open(small_dir);
+    // Interactions of each trial decoded before its first block edge.
+    std::vector<core::Time> edge(long_trials.size(), 0);
+    const auto index = small_store.openShard(0).blockIndex();
+    for (const auto& entry : index)
+      if (entry.trials_begun > 0 && entry.decoded > 0 &&
+          entry.decoded < entry.trial_length &&
+          edge[entry.trials_begun - 1] == 0)
+        edge[entry.trials_begun - 1] = entry.decoded;
+    ASSERT_GT(edge.front(), 0u);
+    ASSERT_GT(edge.back(), 0u);
+    for (const auto backend : {dynagraph::TraceReadBackend::kStream,
+                               dynagraph::TraceReadBackend::kMmap}) {
+      if (backend == dynagraph::TraceReadBackend::kMmap &&
+          !TraceShardReader::mmapSupported())
+        continue;
+      for (std::size_t pattern = 0; pattern < 6; ++pattern) {
+        auto small_reader = small_store.openShard(0, backend);
+        for (std::size_t k = 0; k < long_trials.size(); ++k) {
+          ASSERT_TRUE(small_reader.beginTrial());
+          const core::Time length = long_trials[k].length();
+          ASSERT_EQ(small_reader.trialLength(), length);
+          const core::Time depths[] = {0,       1,          edge[k],
+                                       edge[k] + 1, length - 1, length};
+          const core::Time take =
+              length == 0 ? 0
+                          : std::min(depths[(pattern + k) % 6], length);
+          std::vector<Interaction> got;
+          small_reader.read(take, got);
+          ASSERT_EQ(got.size(), take);
+          for (core::Time t = 0; t < take; ++t)
+            ASSERT_EQ(got[t], long_trials[k].at(t))
+                << "compress=" << compress << " pattern=" << pattern
+                << " trial=" << k << " t=" << t;
+        }
+        EXPECT_FALSE(small_reader.beginTrial());
+      }
+    }
+  }
 }
 
 TEST(TraceStoreWriterErrors, RejectsDegenerateShapes) {
@@ -333,6 +388,17 @@ sim::AlgorithmFactory waitingGreedyFactory(core::Time tau) {
   };
 }
 
+/// Records `config`'s workload in 256-byte rANS blocks and opens it.
+TraceStore recordSmallBlocks(const std::string& tag,
+                             const MeasureConfig& config, core::Time length,
+                             std::uint32_t shards) {
+  dynagraph::TraceWriterOptions options;
+  options.block_bytes = 256;
+  const std::string dir = scratchDir(tag);
+  sim::recordSynthetic(dir, config, length, shards, options);
+  return TraceStore::open(dir);
+}
+
 TEST(TraceReplay, BitIdenticalToInMemorySyntheticRun) {
   // The acceptance contract: record -> shard -> replay reproduces the
   // equivalent in-memory synthetic run (measureWithCost on the same
@@ -360,6 +426,16 @@ TEST(TraceReplay, BitIdenticalToInMemorySyntheticRun) {
     expectIdentical(in_memory, measureReplayedWithCost(store, config,
                                                        gatheringFactory()));
   }
+
+  // The same workload in 256-byte blocks: each trial spans many blocks,
+  // so the replay decodes only the prefix it reads and jumps over the
+  // rest.
+  const auto small_store = recordSmallBlocks("equiv_small", config, length, 4);
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    config.threads = threads;
+    expectIdentical(in_memory, measureReplayedWithCost(small_store, config,
+                                                       gatheringFactory()));
+  }
 }
 
 TEST(TraceReplay, OracleAlgorithmBitIdenticalAcrossThreadCounts) {
@@ -383,6 +459,83 @@ TEST(TraceReplay, OracleAlgorithmBitIdenticalAcrossThreadCounts) {
     config.threads = threads;
     expectIdentical(in_memory,
                     measureReplayedWithCost(store, config, factory));
+  }
+
+  const auto small_store =
+      recordSmallBlocks("oracle_small", config, length, 5);
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    config.threads = threads;
+    expectIdentical(in_memory,
+                    measureReplayedWithCost(small_store, config, factory));
+  }
+}
+
+TEST(TraceReplay, CorruptBlockPastTheReadPrefixIsNeverLoaded) {
+  // A WaitingGreedy-with-cost trial reads a short prefix of a long
+  // recorded trial. A corrupt block wholly past that prefix is never
+  // loaded — beginTrial jumps over it to the next trial — so the replay
+  // equals the pristine store's. Store verification and a full decode
+  // still reject the store.
+  MeasureConfig config;
+  config.node_count = 8;
+  config.trials = 3;
+  config.seed = 17;
+  const core::Time length = core::Time{1} << 14;
+  sim::ReplayConfig replay;
+  replay.threads = 1;
+  replay.compute_cost = true;
+  const auto factory = waitingGreedyFactory(16);
+  for (const bool compress : {false, true}) {
+    dynagraph::TraceWriterOptions options;
+    options.compress = compress;
+    options.block_bytes = 256;
+    const std::string dir = scratchDir(compress ? "unread_rans" : "unread_raw");
+    sim::recordSynthetic(dir, config, length, 1, options);
+    const auto pristine = replayTrace(TraceStore::open(dir), replay, factory);
+    ASSERT_EQ(pristine.failed_trials, 0u);
+    ASSERT_EQ(pristine.cost.count(), config.trials);
+
+    // The last block holding only trial 0's interactions: trial 1 has
+    // not begun at its first byte, nor at the next block's.
+    const std::string shard =
+        dir + "/" + dynagraph::traceShardFileName(0);
+    const auto index = TraceShardReader(shard).blockIndex();
+    std::size_t victim = 0;
+    for (std::size_t k = 1; k + 1 < index.size(); ++k)
+      if (index[k].trials_begun == 1 && index[k + 1].trials_begun == 1)
+        victim = k;
+    ASSERT_GT(index[victim].decoded, length / 2);
+    auto bytes = readFile(shard);
+    bytes[index[victim].offset + dynagraph::kTraceBlockFrameBytes +
+          index[victim].stored_size / 2] ^= 0x5a;
+    writeFile(shard, bytes);
+
+    const auto store = TraceStore::open(dir);
+    for (const auto backend : {dynagraph::TraceReadBackend::kStream,
+                               dynagraph::TraceReadBackend::kAuto}) {
+      replay.backend = backend;
+      expectIdentical(pristine, replayTrace(store, replay, factory));
+    }
+
+    dynagraph::TraceStoreOpenOptions verify;
+    verify.verify_payloads = true;
+    try {
+      TraceStore::open(dir, verify);
+      ADD_FAILURE() << "verify_payloads accepted a corrupt block";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("block checksum mismatch"),
+                std::string::npos)
+          << e.what();
+    }
+    try {
+      TraceShardReader reader(shard);
+      while (reader.beginTrial()) reader.skipRest();
+      ADD_FAILURE() << "a full decode accepted a corrupt block";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("block checksum mismatch"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -591,6 +591,42 @@ TEST_F(TraceV3FooterCorruption, ResealedCursorOutOfRangeIsRejected) {
   expectOpenFailureBothBackends("block index cursor out of range");
 }
 
+TEST_F(TraceV3FooterCorruption,
+       ResealedCursorThatDisagreesWithTheRecordsFailsTheJump) {
+  // The entry of the block where trial 1 starts claims trial 0 is one
+  // interaction longer. The index still validates at open, but beginTrial
+  // cross-checks the entry against the record stream before it jumps over
+  // trial 0's unread blocks, and rejects the shard.
+  std::size_t k = 0;
+  const auto index = TraceShardReader(shard0_).blockIndex();
+  for (std::size_t e = 0; e < index.size(); ++e)
+    if (index[e].trials_begun <= 1) k = e;
+  ASSERT_GT(k, 1u);  // trial 0's remainder spans whole blocks
+  ASSERT_EQ(index[k].trial_length, 500u);
+  auto bytes = pristine_;
+  bytes[footer_start_ + 4 + k * dynagraph::kTraceIndexEntryBytes + 32] += 1;
+  resealFooter(bytes, footer_start_);
+  writeFile(shard0_, bytes);
+  for (const auto backend :
+       {TraceReadBackend::kStream, TraceReadBackend::kMmap}) {
+    if (backend == TraceReadBackend::kMmap &&
+        !TraceShardReader::mmapSupported())
+      continue;
+    TraceShardReader reader(shard0_, backend);
+    ASSERT_TRUE(reader.beginTrial());
+    ASSERT_TRUE(reader.next().has_value());
+    try {
+      reader.beginTrial();
+      ADD_FAILURE() << "jumped through a disagreeing index entry";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "block index disagrees with the record stream"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST_F(TraceV3FooterCorruption, ZeroFooterSizeInHeaderIsRejected) {
   // Claim "no footer" in the header (re-sealing the header checksum): the
   // reader requires an index, and the file size no longer lines up.
