@@ -5,14 +5,14 @@
 // contact-event CSV (dynagraph/trace_import), then measures: pure
 // compressed-block decode throughput (decode_v4), materialized replay
 // (per-trial decode + meetTime oracle, WaitingGreedy), fully streamed
-// replay (zero materialization, Gathering) serially and with a worker pool
-// on the mmap-backed reader (kAuto), a ranged replay of the middle half of
-// the trials riding the block index, and the durable store's append and
-// compaction paths. A raw-block copy of each store (compress = false) is
-// recorded untimed for a live raw-vs-rANS size readout, printed and
-// emitted in the JSON. Every leg cross-checks the executor's contract:
-// thread count, block encoding, reader backend and replay window never
-// change the statistics.
+// replay (zero materialization, Gathering) serially and with a worker pool,
+// a ranged replay of the middle half of the trials riding the block index,
+// and the durable store's append and compaction paths. A raw-block copy of
+// each store (compress = false) is recorded untimed for a live
+// raw-vs-rANS size readout, printed and emitted in the JSON. Every leg
+// cross-checks the executor's contract:
+// thread count, block encoding and replay window never change the
+// statistics.
 //
 // Results go to stdout and a JSON file so the perf trajectory is tracked
 // across PRs and gated in CI (scripts/check_bench_regression.py).
@@ -46,7 +46,6 @@
 
 namespace {
 
-using doda::dynagraph::TraceReadBackend;
 using doda::dynagraph::TraceStore;
 using doda::dynagraph::TraceWriterOptions;
 using doda::sim::MeasureResult;
@@ -216,9 +215,6 @@ int main(int argc, char** argv) {
   serial_cfg.threads = 1;
   ReplayConfig pool_cfg;
   pool_cfg.threads = threads;
-  ReplayConfig bufio_cfg;  // buffered-stream reads instead of mmap
-  bufio_cfg.threads = 1;
-  bufio_cfg.backend = TraceReadBackend::kStream;
 
   const auto materialized = waitingGreedy(n);
   const auto gathering_materialized = [](doda::sim::TrialContext&) {
@@ -240,10 +236,7 @@ int main(int argc, char** argv) {
   runLeg("replay_streaming_pool", t, total_interactions, [&] {
     stream_pool = replayTraceStreaming(store_v4, pool_cfg, gatheringStreamed);
   });
-  // Untimed cross-checks: the same trials through buffered-stream reads
-  // and through raw blocks.
-  const MeasureResult stream_bufio =
-      replayTraceStreaming(store_v4, bufio_cfg, gatheringStreamed);
+  // Untimed cross-check: the same trials through raw blocks.
   const MeasureResult stream_raw =
       replayTraceStreaming(store_raw, serial_cfg, gatheringStreamed);
 
@@ -290,16 +283,15 @@ int main(int argc, char** argv) {
   MeasureResult window_folded;
   for (std::uint64_t g = window.first; g < window.last; ++g)
     doda::sim::foldOutcome(window_folded, full_outcomes[g]);
-  const MeasureResult window_ranged = doda::sim::replayShards(
-      store_v4, 1, window_body, TraceReadBackend::kAuto, window);
+  const MeasureResult window_ranged =
+      doda::sim::replayShards(store_v4, 1, window_body, window);
 
   // The executor's contract, enforced on every bench run: thread count,
-  // block encoding, reader backend and replay window never change the
-  // statistics, and the streamed path agrees with the materialized path
-  // for the same (online) algorithm.
+  // block encoding and replay window never change the statistics, and the
+  // streamed path agrees with the materialized path for the same (online)
+  // algorithm.
   expectIdentical(mat_serial, mat_pool, "materialized serial/pool");
   expectIdentical(stream_serial, stream_pool, "streaming serial/pool");
-  expectIdentical(stream_serial, stream_bufio, "streaming mmap/bufio");
   expectIdentical(stream_serial, stream_raw, "streaming rANS/raw");
   expectIdentical(range_serial, range_pool, "ranged serial/pool");
   expectIdentical(window_folded, window_ranged, "ranged vs folded full");

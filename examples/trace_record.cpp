@@ -4,7 +4,8 @@
 // an external contact-trace dataset — as a directory of binary shards
 // (dynagraph/trace_io; rANS-compressed blocks by default), ready for
 // production-scale replay through the shard-parallel executor
-// (sim/trace_replay, bench_trace_replay, measureReplayed*).
+// (sim/trace_replay: replayTrace and replayTraceStreaming;
+// bench_trace_replay).
 //
 // Usage:
 //   trace_record --out DIR --n N --trials T --length L

@@ -102,10 +102,10 @@ class InteractionSequence {
 /// Non-owning, trivially copyable window onto a run of interactions — the
 /// streamed counterpart of InteractionSequence. The engine-facing consumers
 /// (schedule validation, replay adversaries) take this view so a trial can
-/// be served from a memory-mapped / block-read trace shard or a borrowed
-/// sequence without copying into an owned vector. The viewed storage must
-/// outlive the view (and must not be appended to while viewed: vector
-/// growth relocates the buffer).
+/// be served from a block-read trace shard or a borrowed sequence without
+/// copying into an owned vector. The viewed storage must outlive the view
+/// (and must not be appended to while viewed: vector growth relocates the
+/// buffer).
 class InteractionSequenceView {
  public:
   constexpr InteractionSequenceView() = default;

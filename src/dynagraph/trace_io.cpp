@@ -13,14 +13,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define DODA_TRACE_HAS_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
-
 // The SWAR unit parser assembles fields with unaligned 64-bit loads,
 // which read bytes in native order; it is only enabled where that order is
 // the on-disk (little-endian) order. Elsewhere the scalar parser runs.
@@ -51,6 +43,9 @@ void saveTrace(const std::string& path, const InteractionSequence& sequence,
 }
 
 LoadedTrace readTrace(std::istream& is) {
+  // Ids stay below NodeId's maximum, so every id and the count covering
+  // them fit NodeId without wrapping.
+  constexpr long long kMaxNodes = std::numeric_limits<NodeId>::max();
   LoadedTrace result;
   std::size_t declared_nodes = 0;
   std::string line;
@@ -68,7 +63,12 @@ LoadedTrace readTrace(std::istream& is) {
       std::istringstream header(line.substr(1));
       std::string keyword;
       if (header >> keyword && keyword == "nodes") {
-        if (!(header >> declared_nodes)) fail("malformed '# nodes' header");
+        long long count = 0;
+        if (!(header >> count) || count < 0)
+          fail("malformed '# nodes' header");
+        if (count > kMaxNodes)
+          fail("'# nodes' count exceeds the supported id range");
+        declared_nodes = static_cast<std::size_t>(count);
       }
       continue;
     }
@@ -78,6 +78,8 @@ LoadedTrace readTrace(std::istream& is) {
     std::string extra;
     if (cells >> extra) fail("trailing content: '" + extra + "'");
     if (u < 0 || v < 0) fail("negative node id");
+    if (u >= kMaxNodes || v >= kMaxNodes)
+      fail("node id exceeds the supported id range");
     if (u == v) fail("self-interaction");
     result.sequence.append(Interaction(static_cast<NodeId>(u),
                                        static_cast<NodeId>(v)));
@@ -200,74 +202,6 @@ std::string traceShardFileName(std::uint32_t shard_index) {
   std::snprintf(name, sizeof(name), "shard-%05u.trace", shard_index);
   return name;
 }
-
-// ------------------------------------------------------------ mmap region
-
-namespace detail {
-
-MmapRegion::~MmapRegion() { unmap(); }
-
-MmapRegion::MmapRegion(MmapRegion&& other) noexcept
-    : data(other.data), size(other.size) {
-  other.data = nullptr;
-  other.size = 0;
-}
-
-MmapRegion& MmapRegion::operator=(MmapRegion&& other) noexcept {
-  if (this != &other) {
-    unmap();
-    data = other.data;
-    size = other.size;
-    other.data = nullptr;
-    other.size = 0;
-  }
-  return *this;
-}
-
-bool MmapRegion::map([[maybe_unused]] const std::string& path,
-                     std::string& error) {
-#if DODA_TRACE_HAS_MMAP
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    error = "cannot open";
-    return false;
-  }
-  struct stat st{};
-  if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-    ::close(fd);
-    error = "cannot stat";
-    return false;
-  }
-  const auto file_size = static_cast<std::size_t>(st.st_size);
-  if (file_size == 0) {
-    ::close(fd);
-    error = "empty file";
-    return false;
-  }
-  void* mapped = ::mmap(nullptr, file_size, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);  // the mapping outlives the descriptor
-  if (mapped == MAP_FAILED) {
-    error = "mmap failed";
-    return false;
-  }
-  data = static_cast<const unsigned char*>(mapped);
-  size = file_size;
-  return true;
-#else
-  error = "mmap unsupported on this platform";
-  return false;
-#endif
-}
-
-void MmapRegion::unmap() noexcept {
-#if DODA_TRACE_HAS_MMAP
-  if (data != nullptr) ::munmap(const_cast<unsigned char*>(data), size);
-#endif
-  data = nullptr;
-  size = 0;
-}
-
-}  // namespace detail
 
 // ---------------------------------------------------------------- writer
 
@@ -565,18 +499,9 @@ void TraceStoreWriter::finish() {
 
 // ---------------------------------------------------------------- reader
 
-bool TraceShardReader::mmapSupported() noexcept {
-#if DODA_TRACE_HAS_MMAP
-  return true;
-#else
-  return false;
-#endif
-}
-
-TraceShardReader::TraceShardReader(std::string path, TraceReadBackend backend)
-    : path_(std::move(path)) {
-  // Stat before choosing a backend so a missing / zero-length file fails
-  // with the same message on every backend.
+TraceShardReader::TraceShardReader(std::string path) : path_(std::move(path)) {
+  // Stat first so a missing or zero-length file fails before any read, and
+  // so the size check below needs no seek to the end.
   std::error_code ec;
   const auto file_size = std::filesystem::file_size(path_, ec);
   if (ec) {
@@ -584,19 +509,8 @@ TraceShardReader::TraceShardReader(std::string path, TraceReadBackend backend)
     fail("cannot stat: " + ec.message());
   }
   if (file_size < kTraceHeaderSize) fail("truncated header");
-
-  if (backend != TraceReadBackend::kStream) {
-    std::string error;
-    if (!map_.map(path_, error)) {
-      if (backend == TraceReadBackend::kMmap)
-        fail("mmap backend unavailable: " + error);
-      // kAuto: fall back to buffered streams below.
-    }
-  }
-  if (!usingMmap()) {
-    in_.open(path_, std::ios::binary);
-    if (!in_) fail("cannot open");
-  }
+  in_.open(path_, std::ios::binary);
+  if (!in_) fail("cannot open");
 
   parseHeader();
 
@@ -605,13 +519,8 @@ TraceShardReader::TraceShardReader(std::string path, TraceReadBackend backend)
     fail("truncated shard (payload shorter than header declares)");
   if (file_size > expected) fail("trailing bytes after declared payload");
 
-  if (usingMmap()) {
-    // The payload cursor never runs into the footer.
-    payload_ptr_ = map_.data + kTraceHeaderSize;
-    payload_end_ = payload_ptr_ + header_.payload_bytes;
-  } else {
-    payload_left_ = header_.payload_bytes;
-  }
+  // The payload cursor never runs into the footer.
+  payload_left_ = header_.payload_bytes;
   raw_left_base_ = header_.raw_payload_bytes;
   parseFooter();
   have_offset_ctx_ = true;
@@ -624,7 +533,7 @@ void TraceShardReader::fail(const std::string& why) const {
     // is where the first corruption was detected.
     where = " (at byte " +
             std::to_string(kTraceHeaderSize + header_.payload_bytes -
-                           payloadSourceLeft());
+                           payload_left_);
     if (blocks_loaded_ > 0)
       where += ", block " + std::to_string(blocks_loaded_ - 1);
     where += ")";
@@ -634,15 +543,10 @@ void TraceShardReader::fail(const std::string& why) const {
 
 void TraceShardReader::parseHeader() {
   std::array<unsigned char, kTraceHeaderSize> bytes{};
-  if (usingMmap()) {
-    if (map_.size < bytes.size()) fail("truncated header");
-    std::memcpy(bytes.data(), map_.data, bytes.size());
-  } else {
-    in_.read(reinterpret_cast<char*>(bytes.data()),
-             static_cast<std::streamsize>(bytes.size()));
-    if (in_.gcount() != static_cast<std::streamsize>(bytes.size()))
-      fail("truncated header");
-  }
+  in_.read(reinterpret_cast<char*>(bytes.data()),
+           static_cast<std::streamsize>(bytes.size()));
+  if (in_.gcount() != static_cast<std::streamsize>(bytes.size()))
+    fail("truncated header");
   for (int i = 0; i < 8; ++i)
     if (bytes[static_cast<std::size_t>(i)] !=
         static_cast<unsigned char>(kTraceMagic[i]))
@@ -688,22 +592,16 @@ void TraceShardReader::parseHeader() {
 void TraceShardReader::parseFooter() {
   const std::size_t footer_size = header_.footer_bytes;
   const std::uint64_t footer_at = kTraceHeaderSize + header_.payload_bytes;
-  std::vector<unsigned char> buf;
-  const unsigned char* footer = nullptr;
-  if (usingMmap()) {
-    footer = map_.data + footer_at;  // file size already validated
-  } else {
-    buf.resize(footer_size);
-    in_.seekg(static_cast<std::streamoff>(footer_at));
-    in_.read(reinterpret_cast<char*>(buf.data()),
-             static_cast<std::streamsize>(footer_size));
-    if (in_.gcount() != static_cast<std::streamsize>(footer_size))
-      fail("truncated block index (corrupt block index)");
-    in_.clear();
-    in_.seekg(static_cast<std::streamoff>(kTraceHeaderSize));
-    if (!in_) fail("cannot reposition after the block index");
-    footer = buf.data();
-  }
+  std::vector<unsigned char> buf(footer_size);
+  in_.seekg(static_cast<std::streamoff>(footer_at));
+  in_.read(reinterpret_cast<char*>(buf.data()),
+           static_cast<std::streamsize>(footer_size));
+  if (in_.gcount() != static_cast<std::streamsize>(footer_size))
+    fail("truncated block index (corrupt block index)");
+  in_.clear();
+  in_.seekg(static_cast<std::streamoff>(kTraceHeaderSize));
+  if (!in_) fail("cannot reposition after the block index");
+  const unsigned char* footer = buf.data();
 
   if (loadU64(footer + footer_size - 8) != fnv1a(footer, footer_size - 8))
     fail("block index checksum mismatch (corrupt block index)");
@@ -769,14 +667,10 @@ void TraceShardReader::seekToBlock(std::size_t k) {
                             std::to_string(k) + " of " +
                             std::to_string(index_.size()));
   const TraceBlockIndexEntry& entry = index_[k];
-  if (usingMmap()) {
-    payload_ptr_ = map_.data + entry.offset;
-  } else {
-    in_.clear();
-    in_.seekg(static_cast<std::streamoff>(entry.offset));
-    if (!in_) fail("seek failed");
-    payload_left_ = header_.payload_bytes - (entry.offset - kTraceHeaderSize);
-  }
+  in_.clear();
+  in_.seekg(static_cast<std::streamoff>(entry.offset));
+  if (!in_) fail("seek failed");
+  payload_left_ = header_.payload_bytes - (entry.offset - kTraceHeaderSize);
   sym_buf_ = nullptr;
   sym_pos_ = 0;
   sym_limit_ = 0;
@@ -813,40 +707,14 @@ bool TraceShardReader::seekToTrial(std::uint64_t global_trial) {
   return true;
 }
 
-std::uint64_t TraceShardReader::payloadSourceLeft() const noexcept {
-  if (usingMmap())
-    return static_cast<std::uint64_t>(payload_end_ - payload_ptr_);
-  return payload_left_;
-}
-
 void TraceShardReader::readPayloadBytes(unsigned char* dst,
                                         std::size_t count) {
-  if (usingMmap()) {
-    if (static_cast<std::size_t>(payload_end_ - payload_ptr_) < count)
-      fail("truncated shard (unexpected EOF)");
-    std::memcpy(dst, payload_ptr_, count);
-    payload_ptr_ += count;
-    return;
-  }
   if (payload_left_ < count) fail("truncated shard (unexpected EOF)");
   in_.read(reinterpret_cast<char*>(dst),
            static_cast<std::streamsize>(count));
   if (in_.gcount() != static_cast<std::streamsize>(count))
     fail("truncated shard (unexpected EOF)");
   payload_left_ -= count;
-}
-
-const unsigned char* TraceShardReader::borrowPayloadBytes(std::size_t count) {
-  if (usingMmap()) {
-    if (static_cast<std::size_t>(payload_end_ - payload_ptr_) < count)
-      fail("truncated shard (unexpected EOF)");
-    const unsigned char* ptr = payload_ptr_;
-    payload_ptr_ += count;
-    return ptr;
-  }
-  if (block_buf_.size() < count) block_buf_.resize(count);
-  readPayloadBytes(block_buf_.data(), count);
-  return block_buf_.data();
 }
 
 TraceShardReader::Block TraceShardReader::readBlock(std::uint64_t raw_left) {
@@ -873,7 +741,10 @@ TraceShardReader::Block TraceShardReader::readBlock(std::uint64_t raw_left) {
   } else {
     fail("unknown block codec (corrupt block)");
   }
-  block.stored = borrowPayloadBytes(block.stored_size);
+  if (block_buf_.size() < block.stored_size)
+    block_buf_.resize(block.stored_size);
+  readPayloadBytes(block_buf_.data(), block.stored_size);
+  block.stored = block_buf_.data();
   if (fnv1a(block.stored, block.stored_size) != checksum)
     fail("block checksum mismatch (corrupt block)");
   return block;
@@ -884,8 +755,7 @@ void TraceShardReader::loadNextBlock() {
   sym_buf_ = nullptr;
   sym_pos_ = 0;
   sym_limit_ = 0;
-  if (payloadSourceLeft() == 0)
-    fail("truncated shard (payload exhausted)");
+  if (payload_left_ == 0) fail("truncated shard (payload exhausted)");
   const Block block = readBlock(raw_left_base_);
   if (block.codec == kTraceCodecRaw) {
     sym_buf_ = block.stored;
@@ -913,8 +783,8 @@ void TraceShardReader::decodeBlock(const unsigned char* stored,
 
 void TraceShardReader::verifyPayloadChecksums() {
   std::uint64_t raw_total = 0;
-  while (payloadSourceLeft() > 0) {
-    if (payloadSourceLeft() < kTraceBlockFrameBytes)
+  while (payload_left_ > 0) {
+    if (payload_left_ < kTraceBlockFrameBytes)
       fail("truncated block frame (corrupt block)");
     raw_total += readBlock(header_.raw_payload_bytes - raw_total).raw_size;
   }
@@ -957,7 +827,7 @@ bool TraceShardReader::beginTrial() {
   if (trials_begun_ == header_.trial_count) {
     // The record stream is accounted exactly: a well-formed shard has no
     // undecoded remainder once every trial is consumed.
-    if (rawLeft() != 0 || payloadSourceLeft() != 0)
+    if (rawLeft() != 0 || payload_left_ != 0)
       fail("trailing bytes after the last trial (corrupt shard)");
     return false;
   }
@@ -1206,12 +1076,11 @@ std::string TraceStore::shardPath(std::size_t shard_index) const {
   return shard_paths_[shard_index];
 }
 
-TraceShardReader TraceStore::openShard(std::size_t shard_index,
-                                       TraceReadBackend backend) const {
+TraceShardReader TraceStore::openShard(std::size_t shard_index) const {
   // shard_paths_ records where each usable shard actually lives: after a
   // partial open the k-th usable shard need not be the k-th file on disk,
   // and in a composite store it need not even be in directory_.
-  return TraceShardReader(shardPath(shard_index), backend);
+  return TraceShardReader(shardPath(shard_index));
 }
 
 std::uint64_t TraceStore::totalFileBytes() const noexcept {
@@ -1237,8 +1106,7 @@ TraceStore TraceStore::openComposite(const std::vector<std::string>& part_dirs,
   store.directory_ = part_dirs.front();
   // Within each part directory, shard 0 names that part's shard count;
   // every shard is opened once to validate its header and the cross-shard
-  // invariants. Header validation does not need the payload, so the cheap
-  // stream backend is used (verify_payloads walks the payload too).
+  // invariants (verify_payloads walks the payload too).
   //
   // Strict mode throws at the first bad shard (the reader and the checks
   // below both name the shard's path). Partial mode quarantines the shard
@@ -1263,7 +1131,7 @@ TraceStore TraceStore::openComposite(const std::vector<std::string>& part_dirs,
          ++k) {
       TraceShardHeader header;
       try {
-        TraceShardReader probe(pathOf(k), TraceReadBackend::kStream);
+        TraceShardReader probe(pathOf(k));
         header = probe.header();
         if (options.verify_payloads) probe.verifyPayloadChecksums();
       } catch (const std::runtime_error& e) {

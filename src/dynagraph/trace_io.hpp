@@ -31,7 +31,8 @@ namespace doda::dynagraph {
 // ```
 //
 // Lines starting with '#' are comments; blank lines are skipped. Node ids
-// are decimal and a line's pair must be distinct.
+// are decimal and below 2^32 - 1 (the declared count is at most 2^32 - 1),
+// and a line's pair must be distinct.
 // ---------------------------------------------------------------------------
 
 /// Writes `sequence` to `os` in the format above.
@@ -242,37 +243,6 @@ struct TraceWriterOptions {
   bool sync_on_close = false;
 };
 
-/// How TraceShardReader accesses the shard file.
-enum class TraceReadBackend : std::uint8_t {
-  /// mmap when the platform supports it, buffered streams otherwise.
-  kAuto,
-  /// Require mmap; constructor throws where unavailable.
-  kMmap,
-  /// Force buffered-stream reads (the PR-2 behavior).
-  kStream,
-};
-
-namespace detail {
-/// Read-only mapping of a whole shard file (POSIX mmap). Empty on
-/// platforms without mmap support.
-struct MmapRegion {
-  const unsigned char* data = nullptr;
-  std::size_t size = 0;
-
-  MmapRegion() = default;
-  ~MmapRegion();
-  MmapRegion(MmapRegion&& other) noexcept;
-  MmapRegion& operator=(MmapRegion&& other) noexcept;
-  MmapRegion(const MmapRegion&) = delete;
-  MmapRegion& operator=(const MmapRegion&) = delete;
-
-  /// Maps `path` read-only. Returns false (leaving the region empty) when
-  /// mmap is unsupported or fails; `error` receives the reason.
-  bool map(const std::string& path, std::string& error);
-  void unmap() noexcept;
-};
-}  // namespace detail
-
 /// Writes a sharded binary trace store. Trials are appended in global
 /// order; the writer splits them into `shard_count` contiguous blocks of
 /// near-equal size (earlier shards get the remainder). finish() (or
@@ -359,25 +329,19 @@ class TraceStoreWriter {
 /// Streams one shard file: validates the header on open (magic, version,
 /// checksum, and that the file size matches the declared payload — a short
 /// file fails fast as "truncated") and the block index, then decodes
-/// trials sequentially. The backend is mmap where available (zero-copy for
-/// raw blocks) with a buffered-stream fallback; every block it loads is
-/// verified against its checksum before decoding. The whole shard is never
-/// resident beyond the mapping.
+/// trials sequentially. Blocks are read one at a time with buffered file
+/// reads and verified against their checksums before decoding; the whole
+/// shard is never resident. A shard that shrinks under a live reader
+/// (rewritten in place) fails the next read cleanly as "truncated shard
+/// (unexpected EOF)".
 class TraceShardReader {
  public:
   /// Opens and validates `path`. Throws std::runtime_error on a missing
-  /// file, corrupt header or index, truncated payload, or (backend kMmap)
-  /// when mmap is unavailable.
-  explicit TraceShardReader(std::string path,
-                            TraceReadBackend backend = TraceReadBackend::kAuto);
-
-  /// Whether this platform can mmap shard files at all.
-  static bool mmapSupported() noexcept;
+  /// file, corrupt header or index, or truncated payload.
+  explicit TraceShardReader(std::string path);
 
   const TraceShardHeader& header() const noexcept { return header_; }
   const std::string& path() const noexcept { return path_; }
-  /// Whether this reader serves bytes from a memory mapping.
-  bool usingMmap() const noexcept { return map_.data != nullptr; }
 
   /// The validated block index (at least one entry).
   const std::vector<TraceBlockIndexEntry>& blockIndex() const noexcept {
@@ -458,8 +422,6 @@ class TraceShardReader {
   /// The block holding the start of shard-local trial `local`'s record.
   std::size_t trialStartBlock(std::uint64_t local) const;
   void readPayloadBytes(unsigned char* dst, std::size_t count);
-  const unsigned char* borrowPayloadBytes(std::size_t count);
-  std::uint64_t payloadSourceLeft() const noexcept;
   /// One block frame and its checksum-verified stored bytes (valid until
   /// the next payload read).
   struct Block {
@@ -493,17 +455,13 @@ class TraceShardReader {
   std::uint64_t bulkGroups(Interaction* dst, std::uint64_t count);
 
   std::string path_;
-  detail::MmapRegion map_;
   std::ifstream in_;
-  std::vector<unsigned char> block_buf_;  // stream backend block bytes
+  std::vector<unsigned char> block_buf_;  // stored bytes of the current block
   TraceShardHeader header_;
   std::vector<TraceBlockIndexEntry> index_;  // validated at open
-  // On-disk payload cursor.
-  const unsigned char* payload_ptr_ = nullptr;  // mmap backend
-  const unsigned char* payload_end_ = nullptr;
-  std::uint64_t payload_left_ = 0;  // stream backend: undelivered file bytes
-  // Decoded-byte window of the current block: the stored bytes of a raw
-  // block, or scratch_ for an rANS block.
+  std::uint64_t payload_left_ = 0;  // payload bytes not yet read from the file
+  // Decoded-byte window of the current block: block_buf_ for a raw block,
+  // or scratch_ for an rANS block.
   const unsigned char* sym_buf_ = nullptr;
   std::size_t sym_pos_ = 0;
   std::size_t sym_limit_ = 0;
@@ -599,9 +557,7 @@ class TraceStore {
   /// Opens the `shard_index`-th *usable* shard (an index into
   /// shardHeaders(); identical to the on-disk shard index unless a
   /// partial open quarantined shards or the store is composite).
-  TraceShardReader openShard(
-      std::size_t shard_index,
-      TraceReadBackend backend = TraceReadBackend::kAuto) const;
+  TraceShardReader openShard(std::size_t shard_index) const;
 
  private:
   TraceStore() = default;

@@ -6,7 +6,6 @@
 #include "adversary/sequence_adversary.hpp"
 #include "analysis/convergecast.hpp"
 #include "dynagraph/traces.hpp"
-#include "sim/trace_replay.hpp"
 #include "util/rng.hpp"
 
 namespace doda::sim {
@@ -195,38 +194,6 @@ InteractionSequence drawAdversarySequence(const MeasureConfig& config,
                                          config.zipf_exponent, rng);
   return dynagraph::traces::uniformRandom(config.node_count, length, rng,
                                           config.seed_format);
-}
-
-namespace {
-
-ReplayConfig replayConfigOf(const dynagraph::TraceStore& store,
-                            const MeasureConfig& config, bool compute_cost) {
-  if (store.nodeCount() != config.node_count)
-    throw std::invalid_argument(
-        "measureReplayed: store records " +
-        std::to_string(store.nodeCount()) + " nodes, config expects " +
-        std::to_string(config.node_count));
-  ReplayConfig replay;
-  replay.sink = config.sink;
-  replay.threads = config.threads;
-  replay.max_interactions = config.max_interactions;
-  replay.compute_cost = compute_cost;
-  replay.control = config.control;
-  return replay;
-}
-
-}  // namespace
-
-MeasureResult measureReplayed(const dynagraph::TraceStore& store,
-                              const MeasureConfig& config,
-                              const AlgorithmFactory& factory) {
-  return replayTrace(store, replayConfigOf(store, config, false), factory);
-}
-
-MeasureResult measureReplayedWithCost(const dynagraph::TraceStore& store,
-                                      const MeasureConfig& config,
-                                      const AlgorithmFactory& factory) {
-  return replayTrace(store, replayConfigOf(store, config, true), factory);
 }
 
 }  // namespace doda::sim

@@ -11,7 +11,6 @@
 #include "util/stats.hpp"
 
 namespace doda::dynagraph {
-class TraceStore;      // sharded recorded-trace store (dynagraph/trace_io.hpp)
 class MeetTimeOracle;  // abstract meetTime knowledge (dynagraph/oracles.hpp)
 }
 
@@ -113,22 +112,5 @@ MeasureResult measureWithCost(const MeasureConfig& config,
 /// family and the trace recorder (sim/trace_replay, trace_record).
 dynagraph::InteractionSequence drawAdversarySequence(
     const MeasureConfig& config, core::Time length, util::Rng& rng);
-
-/// As measureWithCost, but the per-trial sequences come from a recorded
-/// trace store instead of a run-time generator: every recorded trial is
-/// replayed through the factory-built algorithm via the shard-parallel
-/// executor (sim/trace_replay). `config` supplies sink, threads and
-/// max_interactions; node_count must match the store (and trials/seed/zipf
-/// are ignored — the store fixes the workload). Statistics are
-/// bit-identical for every thread count.
-MeasureResult measureReplayed(const dynagraph::TraceStore& store,
-                              const MeasureConfig& config,
-                              const AlgorithmFactory& factory);
-
-/// As measureReplayed, additionally folding the paper cost (§2.3) of each
-/// successful trial.
-MeasureResult measureReplayedWithCost(const dynagraph::TraceStore& store,
-                                      const MeasureConfig& config,
-                                      const AlgorithmFactory& factory);
 
 }  // namespace doda::sim

@@ -40,10 +40,9 @@ void runSpan(const TraceStore& store, const ReplaySpan& span,
              std::uint64_t window_first, const ReplayTrialBody& body,
              core::Engine::Scratch& scratch,
              std::vector<TrialOutcome>& slots,
-             dynagraph::TraceReadBackend backend,
              const std::atomic<bool>* cancel,
              const std::function<void(std::uint64_t)>& trial_done) {
-  TraceShardReader reader = store.openShard(span.shard, backend);
+  TraceShardReader reader = store.openShard(span.shard);
   if (!reader.seekToTrial(span.begin))
     throw std::runtime_error("replayShards: trial " +
                              std::to_string(span.begin) +
@@ -94,7 +93,6 @@ core::RunOptions replayRunOptions(const ReplayConfig& config,
 
 MeasureResult replayShards(const TraceStore& store, std::size_t threads,
                            const ReplayTrialBody& body,
-                           dynagraph::TraceReadBackend backend,
                            ReplayTrialRange range,
                            const RunControl* control) {
   const std::uint64_t first = std::min(range.first, store.trialCount());
@@ -149,7 +147,7 @@ MeasureResult replayShards(const TraceStore& store, std::size_t threads,
   runIndexedTasks(spans.size(), threads,
                   [&](std::size_t span, core::Engine::Scratch& scratch) {
                     runSpan(store, spans[span], first, body, scratch, slots,
-                            backend, cancel, trial_done);
+                            cancel, trial_done);
                   });
   if (observed) return out;
 
@@ -203,7 +201,7 @@ MeasureResult replayTrace(const TraceStore& store, const ReplayConfig& config,
         }
         return outcome;
       },
-      config.backend, config.trial_range, config.control);
+      config.trial_range, config.control);
 }
 
 namespace {
@@ -250,7 +248,7 @@ MeasureResult replayTraceStreaming(const TraceStore& store,
             static_cast<double>(result.interactions_to_terminate);
         return outcome;
       },
-      config.backend, config.trial_range, config.control);
+      config.trial_range, config.control);
 }
 
 void recordTrials(const std::string& directory, std::size_t node_count,

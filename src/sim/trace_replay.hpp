@@ -30,9 +30,6 @@ struct ReplayConfig {
   /// Whether replayTrace additionally computes the paper cost (§2.3) of
   /// each successful trial (replayTraceStreaming never does).
   bool compute_cost = false;
-  /// How shard files are read (mmap where available by default). Never
-  /// affects the statistics, only the I/O path.
-  dynagraph::TraceReadBackend backend = dynagraph::TraceReadBackend::kAuto;
   /// Partial replay window. The statistics of a ranged replay are
   /// bit-identical to folding the same trials out of a full replay: the
   /// reader seeks straight to the window through each shard's block index
@@ -68,11 +65,10 @@ using ReplayTrialBody = std::function<TrialOutcome(
 ///
 /// `range` restricts the replay to a half-open window of global trials
 /// (clamped to the store; empty windows return an empty result).
-MeasureResult replayShards(
-    const dynagraph::TraceStore& store, std::size_t threads,
-    const ReplayTrialBody& body,
-    dynagraph::TraceReadBackend backend = dynagraph::TraceReadBackend::kAuto,
-    ReplayTrialRange range = {}, const RunControl* control = nullptr);
+MeasureResult replayShards(const dynagraph::TraceStore& store,
+                           std::size_t threads, const ReplayTrialBody& body,
+                           ReplayTrialRange range = {},
+                           const RunControl* control = nullptr);
 
 /// Replays every recorded trial through a factory-built algorithm. Each
 /// trial is decoded on demand into a LazySequence bounded by its recorded

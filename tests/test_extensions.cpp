@@ -166,6 +166,13 @@ TEST(TraceIo, RejectsMalformedInput) {
     std::stringstream ss("# nodes 2\n0 5\n");
     EXPECT_THROW(dynagraph::readTrace(ss), std::runtime_error);
   }
+  // Ids and counts beyond the 32-bit NodeId range are rejected, not
+  // wrapped: 4294967301 would read as node 5, 4294967297 as node 1.
+  for (const char* text :
+       {"0 4294967301\n", "4294967297 1\n", "# nodes -1\n0 1\n"}) {
+    std::stringstream ss(text);
+    EXPECT_THROW(dynagraph::readTrace(ss), std::runtime_error) << text;
+  }
 }
 
 TEST(TraceIo, MissingFileThrows) {

@@ -114,7 +114,7 @@ TEST(TraceStoreRoundTrip, PartialConsumptionRealignsAtNextTrial) {
   // the unread ones through the block index. Every trial (the shard's last
   // one included) is consumed 0, 1, up to its first block edge, one past
   // it, L-1 and L interactions deep, mixed across consecutive trials, on
-  // raw and rANS blocks and both backends.
+  // raw and rANS blocks.
   std::vector<InteractionSequence> long_trials;
   for (core::Time length : {301, 300, 0, 7, 288, 333})
     long_trials.push_back(randomSequence(16, length, rng));
@@ -136,32 +136,25 @@ TEST(TraceStoreRoundTrip, PartialConsumptionRealignsAtNextTrial) {
         edge[entry.trials_begun - 1] = entry.decoded;
     ASSERT_GT(edge.front(), 0u);
     ASSERT_GT(edge.back(), 0u);
-    for (const auto backend : {dynagraph::TraceReadBackend::kStream,
-                               dynagraph::TraceReadBackend::kMmap}) {
-      if (backend == dynagraph::TraceReadBackend::kMmap &&
-          !TraceShardReader::mmapSupported())
-        continue;
-      for (std::size_t pattern = 0; pattern < 6; ++pattern) {
-        auto small_reader = small_store.openShard(0, backend);
-        for (std::size_t k = 0; k < long_trials.size(); ++k) {
-          ASSERT_TRUE(small_reader.beginTrial());
-          const core::Time length = long_trials[k].length();
-          ASSERT_EQ(small_reader.trialLength(), length);
-          const core::Time depths[] = {0,       1,          edge[k],
-                                       edge[k] + 1, length - 1, length};
-          const core::Time take =
-              length == 0 ? 0
-                          : std::min(depths[(pattern + k) % 6], length);
-          std::vector<Interaction> got;
-          small_reader.read(take, got);
-          ASSERT_EQ(got.size(), take);
-          for (core::Time t = 0; t < take; ++t)
-            ASSERT_EQ(got[t], long_trials[k].at(t))
-                << "compress=" << compress << " pattern=" << pattern
-                << " trial=" << k << " t=" << t;
-        }
-        EXPECT_FALSE(small_reader.beginTrial());
+    for (std::size_t pattern = 0; pattern < 6; ++pattern) {
+      auto small_reader = small_store.openShard(0);
+      for (std::size_t k = 0; k < long_trials.size(); ++k) {
+        ASSERT_TRUE(small_reader.beginTrial());
+        const core::Time length = long_trials[k].length();
+        ASSERT_EQ(small_reader.trialLength(), length);
+        const core::Time depths[] = {0,       1,          edge[k],
+                                     edge[k] + 1, length - 1, length};
+        const core::Time take =
+            length == 0 ? 0 : std::min(depths[(pattern + k) % 6], length);
+        std::vector<Interaction> got;
+        small_reader.read(take, got);
+        ASSERT_EQ(got.size(), take);
+        for (core::Time t = 0; t < take; ++t)
+          ASSERT_EQ(got[t], long_trials[k].at(t))
+              << "compress=" << compress << " pattern=" << pattern
+              << " trial=" << k << " t=" << t;
       }
+      EXPECT_FALSE(small_reader.beginTrial());
     }
   }
 }
@@ -245,22 +238,16 @@ class TraceStoreCorruption : public testing::Test {
       bytes[kFrame + 9 + i] = static_cast<char>(hash >> (8 * i));
   }
 
-  /// Decodes shard 0 fully on both backends; each must throw
-  /// std::runtime_error mentioning `what`.
+  /// Decodes shard 0 fully; it must throw std::runtime_error mentioning
+  /// `what`.
   void expectDecodeFailure(const std::string& what) {
-    for (const auto backend : {dynagraph::TraceReadBackend::kStream,
-                               dynagraph::TraceReadBackend::kMmap}) {
-      if (backend == dynagraph::TraceReadBackend::kMmap &&
-          !TraceShardReader::mmapSupported())
-        continue;
-      try {
-        TraceShardReader reader(shard0_, backend);
-        while (reader.beginTrial()) reader.skipRest();
-        ADD_FAILURE() << "decode succeeded on " << what;
-      } catch (const std::runtime_error& e) {
-        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
-            << "actual: " << e.what();
-      }
+    try {
+      TraceShardReader reader(shard0_);
+      while (reader.beginTrial()) reader.skipRest();
+      ADD_FAILURE() << "decode succeeded on " << what;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << "actual: " << e.what();
     }
   }
 
@@ -370,7 +357,43 @@ TEST_F(TraceStoreCorruption, MissingShardFailsStoreOpen) {
 }
 
 TEST(TraceStoreErrors, MissingDirectoryFailsOpen) {
-  EXPECT_THROW(TraceStore::open(scratchDir("missing")), std::runtime_error);
+  const std::string dir = scratchDir("missing");
+  EXPECT_THROW(TraceStore::open(dir), std::runtime_error);
+  EXPECT_THROW(TraceShardReader(dir + "/" + dynagraph::traceShardFileName(0)),
+               std::runtime_error);
+}
+
+TEST(TraceStoreErrors, ShardTruncatedUnderALiveReaderFailsCleanly) {
+  // Rewriting a shard in place (fopen "wb", as trace_record --force does)
+  // truncates the file under every reader that has it open. The reader's
+  // next file read comes up short and fails with a clean error instead of
+  // a crash. The shard is many times the stream's buffer, so buffered
+  // bytes cannot carry the decode to its end.
+  util::Rng rng(41);
+  std::vector<InteractionSequence> trials;
+  for (int i = 0; i < 8; ++i) trials.push_back(randomSequence(16, 4000, rng));
+  dynagraph::TraceWriterOptions options;
+  options.block_bytes = 256;
+  const std::string dir = scratchDir("truncated_live");
+  writeStore(dir, 16, trials, 1, options);
+  const std::string shard = dir + "/" + dynagraph::traceShardFileName(0);
+
+  TraceShardReader reader(shard);
+  ASSERT_TRUE(reader.beginTrial());
+  std::vector<Interaction> head;
+  reader.read(10, head);
+  std::FILE* rewritten = std::fopen(shard.c_str(), "wb");
+  ASSERT_NE(rewritten, nullptr);
+  std::fclose(rewritten);
+  try {
+    reader.readRest();
+    while (reader.beginTrial()) reader.readRest();
+    ADD_FAILURE() << "decoded a whole shard truncated under the reader";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated shard"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ---------------------------------------------------------------- replay
@@ -421,10 +444,12 @@ TEST(TraceReplay, BitIdenticalToInMemorySyntheticRun) {
   const auto store = TraceStore::open(dir);
   EXPECT_EQ(store.trialCount(), config.trials);
 
+  sim::ReplayConfig replay;
+  replay.compute_cost = true;
   for (std::size_t threads : {1u, 2u, 8u}) {
-    config.threads = threads;
-    expectIdentical(in_memory, measureReplayedWithCost(store, config,
-                                                       gatheringFactory()));
+    replay.threads = threads;
+    expectIdentical(in_memory,
+                    replayTrace(store, replay, gatheringFactory()));
   }
 
   // The same workload in 256-byte blocks: each trial spans many blocks,
@@ -432,9 +457,9 @@ TEST(TraceReplay, BitIdenticalToInMemorySyntheticRun) {
   // rest.
   const auto small_store = recordSmallBlocks("equiv_small", config, length, 4);
   for (std::size_t threads : {1u, 2u, 8u}) {
-    config.threads = threads;
-    expectIdentical(in_memory, measureReplayedWithCost(small_store, config,
-                                                       gatheringFactory()));
+    replay.threads = threads;
+    expectIdentical(in_memory,
+                    replayTrace(small_store, replay, gatheringFactory()));
   }
 }
 
@@ -455,18 +480,18 @@ TEST(TraceReplay, OracleAlgorithmBitIdenticalAcrossThreadCounts) {
   const std::string dir = scratchDir("oracle");
   sim::recordSynthetic(dir, config, length, 5);
   const auto store = TraceStore::open(dir);
+  sim::ReplayConfig replay;
+  replay.compute_cost = true;
   for (std::size_t threads : {1u, 2u, 8u}) {
-    config.threads = threads;
-    expectIdentical(in_memory,
-                    measureReplayedWithCost(store, config, factory));
+    replay.threads = threads;
+    expectIdentical(in_memory, replayTrace(store, replay, factory));
   }
 
   const auto small_store =
       recordSmallBlocks("oracle_small", config, length, 5);
   for (std::size_t threads : {1u, 2u, 8u}) {
-    config.threads = threads;
-    expectIdentical(in_memory,
-                    measureReplayedWithCost(small_store, config, factory));
+    replay.threads = threads;
+    expectIdentical(in_memory, replayTrace(small_store, replay, factory));
   }
 }
 
@@ -510,12 +535,8 @@ TEST(TraceReplay, CorruptBlockPastTheReadPrefixIsNeverLoaded) {
           index[victim].stored_size / 2] ^= 0x5a;
     writeFile(shard, bytes);
 
-    const auto store = TraceStore::open(dir);
-    for (const auto backend : {dynagraph::TraceReadBackend::kStream,
-                               dynagraph::TraceReadBackend::kAuto}) {
-      replay.backend = backend;
-      expectIdentical(pristine, replayTrace(store, replay, factory));
-    }
+    expectIdentical(pristine,
+                    replayTrace(TraceStore::open(dir), replay, factory));
 
     dynagraph::TraceStoreOpenOptions verify;
     verify.verify_payloads = true;
@@ -579,21 +600,10 @@ TEST(TraceReplay, ZipfWorkloadRoundTrips) {
   const std::string dir = scratchDir("zipf");
   sim::recordSynthetic(dir, config, length, 2);
   const auto store = TraceStore::open(dir);
-  config.threads = 8;
-  expectIdentical(in_memory, measureReplayedWithCost(store, config,
-                                                     gatheringFactory()));
-}
-
-TEST(TraceReplay, NodeCountMismatchIsRejected) {
-  MeasureConfig config;
-  config.node_count = 8;
-  config.trials = 4;
-  const std::string dir = scratchDir("mismatch");
-  sim::recordSynthetic(dir, config, 64, 2);
-  const auto store = TraceStore::open(dir);
-  config.node_count = 16;
-  EXPECT_THROW(measureReplayed(store, config, gatheringFactory()),
-               std::invalid_argument);
+  sim::ReplayConfig replay;
+  replay.threads = 8;
+  replay.compute_cost = true;
+  expectIdentical(in_memory, replayTrace(store, replay, gatheringFactory()));
 }
 
 TEST(TraceReplay, BodyExceptionsPropagate) {

@@ -1,9 +1,8 @@
 // Tests of the trace block container (dynagraph/trace_io): rANS and raw
-// block round-trips (block-spanning trials), the mmap and buffered-stream
-// reader backends, raw-vs-rANS replay identity, block-level and header
-// corruption paths (including shards of other format versions),
-// randomized decoder fuzz over raw blocks, and the external contact-trace
-// importer (dynagraph/trace_import).
+// block round-trips (block-spanning trials), raw-vs-rANS replay identity,
+// block-level and header corruption paths (including shards of other
+// format versions), randomized decoder fuzz over raw blocks, and the
+// external contact-trace importer (dynagraph/trace_import).
 
 #include <gtest/gtest.h>
 
@@ -31,7 +30,6 @@ namespace {
 
 using dynagraph::Interaction;
 using dynagraph::InteractionSequence;
-using dynagraph::TraceReadBackend;
 using dynagraph::TraceShardReader;
 using dynagraph::TraceStore;
 using dynagraph::TraceStoreWriter;
@@ -61,7 +59,7 @@ TEST(TraceV2RoundTrip, CompressedStorePreservesEveryTrialAndShrinks) {
   const auto store = TraceStore::open(dir_rans);
   EXPECT_EQ(store.shardHeaders()[0].codec, dynagraph::kTraceCodecRansV4);
   EXPECT_EQ(store.trialCount(), trials.size());
-  const auto decoded = decodeStore(store, TraceReadBackend::kAuto);
+  const auto decoded = decodeStore(store);
   ASSERT_EQ(decoded.size(), trials.size());
   for (std::size_t i = 0; i < trials.size(); ++i)
     EXPECT_EQ(decoded[i], trials[i]) << "trial " << i;
@@ -80,8 +78,7 @@ TEST(TraceV2RoundTrip, TinyBlocksSpanTrialsAndVarints) {
   const auto trials = sampleTrials(200, 4, 700, 5);
   const std::string dir = scratchDir("tiny_blocks");
   writeStore(dir, 200, trials, 2, options);
-  const auto decoded =
-      decodeStore(TraceStore::open(dir), TraceReadBackend::kAuto);
+  const auto decoded = decodeStore(TraceStore::open(dir));
   ASSERT_EQ(decoded.size(), trials.size());
   for (std::size_t i = 0; i < trials.size(); ++i)
     EXPECT_EQ(decoded[i], trials[i]) << "trial " << i;
@@ -93,7 +90,7 @@ TEST(TraceV2RoundTrip, UncompressedStoreRoundTrips) {
   writeStore(dir, 24, trials, 2, rawOptions());
   const auto store = TraceStore::open(dir);
   EXPECT_EQ(store.shardHeaders()[0].codec, dynagraph::kTraceCodecRaw);
-  const auto decoded = decodeStore(store, TraceReadBackend::kAuto);
+  const auto decoded = decodeStore(store);
   ASSERT_EQ(decoded.size(), trials.size());
   for (std::size_t i = 0; i < trials.size(); ++i)
     EXPECT_EQ(decoded[i], trials[i]) << "trial " << i;
@@ -106,56 +103,10 @@ TEST(TraceV2RoundTrip, EmptyAndSingleInteractionTrials) {
   trials.push_back(InteractionSequence{});
   const std::string dir = scratchDir("degenerate");
   writeStore(dir, 4, trials, 1, TraceWriterOptions{});
-  const auto decoded =
-      decodeStore(TraceStore::open(dir), TraceReadBackend::kAuto);
+  const auto decoded = decodeStore(TraceStore::open(dir));
   ASSERT_EQ(decoded.size(), trials.size());
   for (std::size_t i = 0; i < trials.size(); ++i)
     EXPECT_EQ(decoded[i], trials[i]);
-}
-
-// --------------------------------------------------------------- backends
-
-TEST(TraceV2Backends, MmapMatchesStreamOnBothFormats) {
-  // Both block encodings: raw blocks serve straight from the mapping,
-  // rANS blocks decode into scratch first.
-  for (const bool compress : {false, true}) {
-    const auto trials = sampleTrials(32, 5, 1200, compress ? 21 : 22);
-    const std::string dir = scratchDir(compress ? "backend_rans" : "backend_raw");
-    writeStore(dir, 32, trials, 2,
-               compress ? TraceWriterOptions{} : rawOptions());
-    const auto store = TraceStore::open(dir);
-    const auto streamed = decodeStore(store, TraceReadBackend::kStream);
-    ASSERT_EQ(streamed.size(), trials.size());
-    for (std::size_t i = 0; i < trials.size(); ++i)
-      EXPECT_EQ(streamed[i], trials[i]);
-    if (!TraceShardReader::mmapSupported()) {
-      EXPECT_THROW(store.openShard(0, TraceReadBackend::kMmap),
-                   std::runtime_error);
-      continue;
-    }
-    auto mapped_reader = store.openShard(0, TraceReadBackend::kMmap);
-    EXPECT_TRUE(mapped_reader.usingMmap());
-    const auto mapped = decodeStore(store, TraceReadBackend::kMmap);
-    ASSERT_EQ(mapped.size(), streamed.size());
-    for (std::size_t i = 0; i < streamed.size(); ++i)
-      EXPECT_EQ(mapped[i], streamed[i]);
-  }
-}
-
-TEST(TraceV2Backends, StreamBackendNeverMaps) {
-  const auto trials = sampleTrials(16, 3, 100, 1);
-  const std::string dir = scratchDir("stream_only");
-  writeStore(dir, 16, trials, 1, TraceWriterOptions{});
-  auto reader =
-      TraceStore::open(dir).openShard(0, TraceReadBackend::kStream);
-  EXPECT_FALSE(reader.usingMmap());
-}
-
-TEST(TraceV2Backends, MmapBackendRejectsMissingFile) {
-  if (!TraceShardReader::mmapSupported()) GTEST_SKIP();
-  EXPECT_THROW(TraceShardReader(scratchDir("absent") + "/nope.trace",
-                                TraceReadBackend::kMmap),
-               std::runtime_error);
 }
 
 // ----------------------------------------------- replay golden bit-identity
@@ -164,7 +115,7 @@ TEST(TraceV2Replay, CompressedReplayBitIdenticalToV1AndInMemory) {
   // The block encoding is a container choice, never a semantics choice:
   // an rANS-block store replays bit-identical to the raw-block store of
   // the same workload and to the in-memory synthetic run, at threads 1, 2
-  // and 8, on both backends.
+  // and 8.
   MeasureConfig config;
   config.node_count = 10;
   config.trials = 12;
@@ -187,16 +138,12 @@ TEST(TraceV2Replay, CompressedReplayBitIdenticalToV1AndInMemory) {
   const auto store_rans = TraceStore::open(dir_rans);
   EXPECT_LT(store_rans.totalFileBytes(), store_raw.totalFileBytes());
 
-  for (const auto backend :
-       {TraceReadBackend::kAuto, TraceReadBackend::kStream}) {
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      sim::ReplayConfig replay;
-      replay.threads = threads;
-      replay.compute_cost = true;
-      replay.backend = backend;
-      expectIdentical(in_memory, replayTrace(store_raw, replay, factory));
-      expectIdentical(in_memory, replayTrace(store_rans, replay, factory));
-    }
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    sim::ReplayConfig replay;
+    replay.threads = threads;
+    replay.compute_cost = true;
+    expectIdentical(in_memory, replayTrace(store_raw, replay, factory));
+    expectIdentical(in_memory, replayTrace(store_rans, replay, factory));
   }
 }
 
@@ -217,24 +164,17 @@ class TraceV2Corruption : public testing::Test {
                   dynagraph::kTraceBlockFrameBytes + 8);
   }
 
-  /// Decodes shard 0 fully on `backend`; the corruption tests expect this
-  /// to throw std::runtime_error mentioning `what`.
-  void expectDecodeFailure(const std::string& what,
-                           TraceReadBackend backend) {
+  /// Decodes shard 0 fully; the corruption tests expect this to throw
+  /// std::runtime_error mentioning `what`.
+  void expectDecodeFailure(const std::string& what) {
     try {
-      TraceShardReader reader(shard0_, backend);
+      TraceShardReader reader(shard0_);
       while (reader.beginTrial()) reader.skipRest();
       FAIL() << "decode succeeded on " << what;
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
           << "actual: " << e.what();
     }
-  }
-
-  void expectDecodeFailureBothBackends(const std::string& what) {
-    expectDecodeFailure(what, TraceReadBackend::kStream);
-    if (TraceShardReader::mmapSupported())
-      expectDecodeFailure(what, TraceReadBackend::kMmap);
   }
 
   static constexpr std::size_t kFrameStart = dynagraph::kTraceHeaderSize;
@@ -250,14 +190,14 @@ TEST_F(TraceV2Corruption, FlippedPayloadByteFailsBlockChecksum) {
   auto bytes = pristine_;
   bytes[kStoredStart + 2] = static_cast<char>(bytes[kStoredStart + 2] ^ 0x40);
   writeFile(shard0_, bytes);
-  expectDecodeFailureBothBackends("block checksum mismatch");
+  expectDecodeFailure("block checksum mismatch");
 }
 
 TEST_F(TraceV2Corruption, FlippedChecksumFieldIsDetected) {
   auto bytes = pristine_;
   bytes[kFrameStart + 9] = static_cast<char>(bytes[kFrameStart + 9] ^ 0x01);
   writeFile(shard0_, bytes);
-  expectDecodeFailureBothBackends("block checksum mismatch");
+  expectDecodeFailure("block checksum mismatch");
 }
 
 TEST_F(TraceV2Corruption, OversizedBlockRawSizeIsRejected) {
@@ -266,49 +206,49 @@ TEST_F(TraceV2Corruption, OversizedBlockRawSizeIsRejected) {
     bytes[kFrameStart + static_cast<std::size_t>(i)] =
         static_cast<char>(0xff);
   writeFile(shard0_, bytes);
-  expectDecodeFailureBothBackends("corrupt block");
+  expectDecodeFailure("corrupt block");
 }
 
 TEST_F(TraceV2Corruption, UnknownBlockCodecIsRejected) {
   auto bytes = pristine_;
   bytes[kFrameStart + 8] = 7;
   writeFile(shard0_, bytes);
-  expectDecodeFailureBothBackends("unknown block codec");
+  expectDecodeFailure("unknown block codec");
 }
 
 TEST_F(TraceV2Corruption, TruncatedShardIsDetectedAtOpen) {
   auto bytes = pristine_;
   bytes.resize(bytes.size() - 11);
   writeFile(shard0_, bytes);
-  expectDecodeFailureBothBackends("truncated");
+  expectDecodeFailure("truncated");
 }
 
 TEST_F(TraceV2Corruption, TruncatedToMidHeaderIsDetectedAtOpen) {
   auto bytes = pristine_;
   bytes.resize(dynagraph::kTraceHeaderSize - 6);
   writeFile(shard0_, bytes);
-  expectDecodeFailureBothBackends("truncated");
+  expectDecodeFailure("truncated");
 }
 
 TEST_F(TraceV2Corruption, FutureFormatVersionIsRejected) {
   auto bytes = pristine_;
   bytes[8] = 5;
   writeFile(shard0_, bytes);
-  expectDecodeFailureBothBackends("unsupported format version");
+  expectDecodeFailure("unsupported format version");
 }
 
 TEST_F(TraceV2Corruption, WrongHeaderSizeIsRejected) {
   auto bytes = pristine_;
   bytes[10] = 64;
   writeFile(shard0_, bytes);
-  expectDecodeFailureBothBackends("unexpected header size");
+  expectDecodeFailure("unexpected header size");
 }
 
 TEST_F(TraceV2Corruption, FlippedHeaderFieldFailsHeaderChecksum) {
   auto bytes = pristine_;
   bytes[56] = static_cast<char>(bytes[56] ^ 0x01);  // raw payload bytes
   writeFile(shard0_, bytes);
-  expectDecodeFailureBothBackends("header checksum mismatch");
+  expectDecodeFailure("header checksum mismatch");
 }
 
 TEST_F(TraceV2Corruption, InflatedRawPayloadDeclarationIsRejected) {
@@ -324,7 +264,7 @@ TEST_F(TraceV2Corruption, InflatedRawPayloadDeclarationIsRejected) {
     raw[56 + i] = static_cast<unsigned char>(declared >> (8 * i));
   resealHeader(bytes);
   writeFile(shard0_, bytes);
-  expectDecodeFailureBothBackends("corrupt");
+  expectDecodeFailure("corrupt");
 }
 
 // ------------------------------------------------------------ cross-version
@@ -365,7 +305,7 @@ TEST(TraceV2CrossVersion, WriterRejectsUnknownVersionAndBadBlockSize) {
 
 TEST(TraceV2Fuzz, MutatedShardsFailCleanlyOrDecodeInRange) {
   // Randomized robustness sweep over the decoder: mutate a few bytes of a
-  // valid raw-block shard and fully decode it on both backends. Every
+  // valid raw-block shard and fully decode it. Every
   // outcome must be either a clean std::runtime_error or a successful
   // decode of in-range interactions — never a crash, hang, or sanitizer
   // finding (the ASan+UBSan CI job runs this with DODA_FUZZ_ITERS=2000).
@@ -396,20 +336,14 @@ TEST(TraceV2Fuzz, MutatedShardsFailCleanlyOrDecodeInRange) {
           bytes[pos] ^ static_cast<char>(1 + rng.below(255)));
     }
     writeFile(shard0, bytes);
-    for (const auto backend :
-         {TraceReadBackend::kStream, TraceReadBackend::kMmap}) {
-      if (backend == TraceReadBackend::kMmap &&
-          !TraceShardReader::mmapSupported())
-        continue;
-      try {
-        TraceShardReader reader(shard0, backend);
-        while (reader.beginTrial()) {
-          while (const auto i = reader.next())
-            ASSERT_LT(i->b(), reader.header().node_count);
-        }
-      } catch (const std::runtime_error&) {
-        ++rejected;  // clean rejection is the expected common case
+    try {
+      TraceShardReader reader(shard0);
+      while (reader.beginTrial()) {
+        while (const auto i = reader.next())
+          ASSERT_LT(i->b(), reader.header().node_count);
       }
+    } catch (const std::runtime_error&) {
+      ++rejected;  // clean rejection is the expected common case
     }
   }
   EXPECT_GT(rejected, 0u);
@@ -518,7 +452,7 @@ TEST(ContactImport, ImportedStoreRoundTripsAndReplays) {
   EXPECT_EQ(store.nodeCount(), stats.node_count);
 
   const auto reference = dynagraph::loadContactEvents(input, options);
-  const auto decoded = decodeStore(store, TraceReadBackend::kAuto);
+  const auto decoded = decodeStore(store);
   ASSERT_EQ(decoded.size(), 7u);
   std::size_t offset = 0;
   for (const auto& trial : decoded) {

@@ -1,10 +1,10 @@
 // Tests of the trace store's rANS blocks and block index
 // (dynagraph/trace_io + trace_rans): round-trips, the per-shard
 // block-index footer (structure, corruption, index/payload mismatch),
-// random access (seekToTrial / seekToBlock on both backends), ranged
-// replay bit-identity against a full replay, mixed-codec stores, the
-// incremental writer API, the streaming two-pass importer, and a
-// randomized indexed-seek fuzz (DODA_FUZZ_ITERS-scalable).
+// random access (seekToTrial / seekToBlock), ranged replay bit-identity
+// against a full replay, mixed-codec stores, the incremental writer API,
+// the streaming two-pass importer, and a randomized indexed-seek fuzz
+// (DODA_FUZZ_ITERS-scalable).
 
 #include <gtest/gtest.h>
 
@@ -32,7 +32,6 @@ namespace {
 
 using dynagraph::Interaction;
 using dynagraph::InteractionSequence;
-using dynagraph::TraceReadBackend;
 using dynagraph::TraceShardReader;
 using dynagraph::TraceStore;
 using dynagraph::TraceStoreWriter;
@@ -53,13 +52,10 @@ TEST(TraceV3RoundTrip, DefaultStoreIsV4AndPreservesEveryTrial) {
   const auto store = TraceStore::open(dir_rans);
   EXPECT_EQ(store.shardHeaders()[0].codec, dynagraph::kTraceCodecRansV4);
   EXPECT_EQ(store.trialCount(), trials.size());
-  for (const auto backend :
-       {TraceReadBackend::kAuto, TraceReadBackend::kStream}) {
-    const auto decoded = decodeStore(store, backend);
-    ASSERT_EQ(decoded.size(), trials.size());
-    for (std::size_t i = 0; i < trials.size(); ++i)
-      EXPECT_EQ(decoded[i], trials[i]) << "trial " << i;
-  }
+  const auto decoded = decodeStore(store);
+  ASSERT_EQ(decoded.size(), trials.size());
+  for (std::size_t i = 0; i < trials.size(); ++i)
+    EXPECT_EQ(decoded[i], trials[i]) << "trial " << i;
 
   // rANS blocks beat raw blocks of the same content.
   EXPECT_LT(store.totalFileBytes(),
@@ -75,7 +71,7 @@ TEST(TraceV3RoundTrip, TinyBlocksAlignToRecordUnits) {
   const std::string dir = scratchDir("tiny_blocks");
   writeStore(dir, 200, trials, 2, options);
   const auto store = TraceStore::open(dir);
-  const auto decoded = decodeStore(store, TraceReadBackend::kAuto);
+  const auto decoded = decodeStore(store);
   ASSERT_EQ(decoded.size(), trials.size());
   for (std::size_t i = 0; i < trials.size(); ++i)
     EXPECT_EQ(decoded[i], trials[i]) << "trial " << i;
@@ -89,7 +85,7 @@ TEST(TraceV3RoundTrip, UncompressedStoreRoundTripsWithIndex) {
   EXPECT_EQ(store.shardHeaders()[0].codec, dynagraph::kTraceCodecRaw);
   auto reader = store.openShard(0);
   EXPECT_FALSE(reader.blockIndex().empty());
-  const auto decoded = decodeStore(store, TraceReadBackend::kAuto);
+  const auto decoded = decodeStore(store);
   ASSERT_EQ(decoded.size(), trials.size());
   for (std::size_t i = 0; i < trials.size(); ++i)
     EXPECT_EQ(decoded[i], trials[i]) << "trial " << i;
@@ -103,7 +99,7 @@ TEST(TraceV3RoundTrip, EmptyAndSingleInteractionTrials) {
   const std::string dir = scratchDir("degenerate");
   writeStore(dir, 4, trials, 1, TraceWriterOptions{});
   const auto store = TraceStore::open(dir);
-  const auto decoded = decodeStore(store, TraceReadBackend::kAuto);
+  const auto decoded = decodeStore(store);
   ASSERT_EQ(decoded.size(), trials.size());
   for (std::size_t i = 0; i < trials.size(); ++i)
     EXPECT_EQ(decoded[i], trials[i]);
@@ -191,28 +187,25 @@ TEST(TraceV3Index, SeekToEveryTrialMatchesSequentialDecode) {
   const std::string dir = scratchDir("seek_all");
   writeStore(dir, 40, trials, 3, options);
   const auto store = TraceStore::open(dir);
-  for (const auto backend :
-       {TraceReadBackend::kAuto, TraceReadBackend::kStream}) {
-    for (std::uint64_t g = 0; g < store.trialCount(); ++g) {
-      bool found = false;
-      for (std::size_t s = 0; s < store.shardCount() && !found; ++s) {
-        auto reader = store.openShard(s, backend);
-        if (!reader.seekToTrial(g)) continue;
-        ASSERT_TRUE(reader.beginTrial());
-        EXPECT_EQ(reader.readRest(), trials[static_cast<std::size_t>(g)])
-            << "trial " << g;
-        found = true;
-      }
-      EXPECT_TRUE(found) << "trial " << g << " not found in any shard";
+  for (std::uint64_t g = 0; g < store.trialCount(); ++g) {
+    bool found = false;
+    for (std::size_t s = 0; s < store.shardCount() && !found; ++s) {
+      auto reader = store.openShard(s);
+      if (!reader.seekToTrial(g)) continue;
+      ASSERT_TRUE(reader.beginTrial());
+      EXPECT_EQ(reader.readRest(), trials[static_cast<std::size_t>(g)])
+          << "trial " << g;
+      found = true;
     }
-    // Backward seeks work on one open reader (the index rewinds).
-    auto reader = store.openShard(0, backend);
-    const std::uint64_t in_shard = reader.header().trial_count;
-    ASSERT_TRUE(reader.seekToTrial(in_shard - 1));
-    ASSERT_TRUE(reader.seekToTrial(0));
-    ASSERT_TRUE(reader.beginTrial());
-    EXPECT_EQ(reader.readRest(), trials[0]);
+    EXPECT_TRUE(found) << "trial " << g << " not found in any shard";
   }
+  // Backward seeks work on one open reader (the index rewinds).
+  auto reader = store.openShard(0);
+  const std::uint64_t in_shard = reader.header().trial_count;
+  ASSERT_TRUE(reader.seekToTrial(in_shard - 1));
+  ASSERT_TRUE(reader.seekToTrial(0));
+  ASSERT_TRUE(reader.beginTrial());
+  EXPECT_EQ(reader.readRest(), trials[0]);
 }
 
 TEST(TraceV3Index, SeekToBlockResumesFromEveryBlock) {
@@ -224,19 +217,16 @@ TEST(TraceV3Index, SeekToBlockResumesFromEveryBlock) {
   const auto store = TraceStore::open(dir);
   const std::size_t blocks = store.openShard(0).blockIndex().size();
   ASSERT_GT(blocks, 2u);
-  for (const auto backend :
-       {TraceReadBackend::kAuto, TraceReadBackend::kStream}) {
-    for (std::size_t k = 0; k < blocks; ++k) {
-      auto reader = store.openShard(0, backend);
-      reader.seekToBlock(k);
-      // Decoding to the end from any block must terminate cleanly with
-      // the end-of-shard accounting intact.
-      while (reader.beginTrial()) reader.skipRest();
-      EXPECT_EQ(reader.trialsBegun(), reader.header().trial_count);
-    }
-    auto reader = store.openShard(0, backend);
-    EXPECT_THROW(reader.seekToBlock(blocks), std::out_of_range);
+  for (std::size_t k = 0; k < blocks; ++k) {
+    auto reader = store.openShard(0);
+    reader.seekToBlock(k);
+    // Decoding to the end from any block must terminate cleanly with the
+    // end-of-shard accounting intact.
+    while (reader.beginTrial()) reader.skipRest();
+    EXPECT_EQ(reader.trialsBegun(), reader.header().trial_count);
   }
+  auto reader = store.openShard(0);
+  EXPECT_THROW(reader.seekToBlock(blocks), std::out_of_range);
 }
 
 // ----------------------------------------------------------- ranged replay
@@ -244,8 +234,7 @@ TEST(TraceV3Index, SeekToBlockResumesFromEveryBlock) {
 TEST(TraceV3RangedReplay, WindowStatsMatchFoldedFullReplay) {
   // The acceptance contract: replaying trials [a, b) produces Stats
   // bit-identical to folding the same trials out of a full replay — on
-  // rANS, raw and tiny (many blocks per trial) stores, both backends,
-  // threads 1/2/8.
+  // rANS, raw and tiny (many blocks per trial) stores, threads 1/2/8.
   sim::MeasureConfig config;
   config.node_count = 12;
   config.trials = 30;
@@ -294,24 +283,18 @@ TEST(TraceV3RangedReplay, WindowStatsMatchFoldedFullReplay) {
 
   for (const std::string& dir : {dir_raw, dir_tiny, dir_rans}) {
     const auto store = TraceStore::open(dir);
-    for (const auto backend :
-         {TraceReadBackend::kAuto, TraceReadBackend::kStream}) {
-      for (const std::size_t threads : {1u, 2u, 8u}) {
-        const auto ranged =
-            sim::replayShards(store, threads, body, backend, window);
-        expectIdentical(folded, ranged);
-      }
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      const auto ranged = sim::replayShards(store, threads, body, window);
+      expectIdentical(folded, ranged);
     }
   }
 
   // Degenerate windows.
   expectIdentical(full,
                   sim::replayShards(store_rans, 2, body,
-                                    TraceReadBackend::kAuto,
                                     ReplayTrialRange{0, ~std::uint64_t{0}}));
-  const auto empty = sim::replayShards(store_rans, 2, body,
-                                       TraceReadBackend::kAuto,
-                                       ReplayTrialRange{9, 9});
+  const auto empty =
+      sim::replayShards(store_rans, 2, body, ReplayTrialRange{9, 9});
   EXPECT_EQ(empty.interactions.count(), 0u);
   EXPECT_EQ(empty.failed_trials, 0u);
 }
@@ -412,7 +395,7 @@ TEST(TraceV3MixedCodec, IncompressibleBlocksFallBackToRawWithinAShard) {
   EXPECT_TRUE(codecs.count(static_cast<std::uint8_t>(
       dynagraph::kTraceCodecRaw)))
       << "expected at least one raw-fallback block";
-  const auto decoded = decodeStore(store, TraceReadBackend::kAuto);
+  const auto decoded = decodeStore(store);
   ASSERT_EQ(decoded.size(), trials.size());
   for (std::size_t i = 0; i < trials.size(); ++i)
     EXPECT_EQ(decoded[i], trials[i]);
@@ -433,7 +416,7 @@ TEST(TraceV3MixedCodec, StoreMayMixRawAndRansShards) {
   const auto store = TraceStore::open(dir_rans);
   EXPECT_EQ(store.shardHeaders()[0].codec, dynagraph::kTraceCodecRansV4);
   EXPECT_EQ(store.shardHeaders()[1].codec, dynagraph::kTraceCodecRaw);
-  const auto decoded = decodeStore(store, TraceReadBackend::kAuto);
+  const auto decoded = decodeStore(store);
   ASSERT_EQ(decoded.size(), trials.size());
   for (std::size_t i = 0; i < trials.size(); ++i)
     EXPECT_EQ(decoded[i], trials[i]);
@@ -507,20 +490,14 @@ class TraceV3FooterCorruption : public testing::Test {
           static_cast<unsigned char>(checksum >> (8 * i));
   }
 
-  void expectOpenFailure(const std::string& what, TraceReadBackend backend) {
+  void expectOpenFailure(const std::string& what) {
     try {
-      TraceShardReader reader(shard0_, backend);
+      TraceShardReader reader(shard0_);
       FAIL() << "open succeeded on " << what;
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
           << "actual: " << e.what();
     }
-  }
-
-  void expectOpenFailureBothBackends(const std::string& what) {
-    expectOpenFailure(what, TraceReadBackend::kStream);
-    if (TraceShardReader::mmapSupported())
-      expectOpenFailure(what, TraceReadBackend::kMmap);
   }
 
   std::string dir_;
@@ -534,14 +511,14 @@ TEST_F(TraceV3FooterCorruption, TruncatedFooterIsDetectedAtOpen) {
   auto bytes = pristine_;
   bytes.resize(bytes.size() - 5);
   writeFile(shard0_, bytes);
-  expectOpenFailureBothBackends("truncated");
+  expectOpenFailure("truncated");
 }
 
 TEST_F(TraceV3FooterCorruption, FlippedFooterByteFailsIndexChecksum) {
   auto bytes = pristine_;
   bytes[footer_start_ + 10] ^= 0x20;
   writeFile(shard0_, bytes);
-  expectOpenFailureBothBackends("block index checksum mismatch");
+  expectOpenFailure("block index checksum mismatch");
 }
 
 TEST_F(TraceV3FooterCorruption, ResealedCountMismatchIsRejected) {
@@ -549,7 +526,7 @@ TEST_F(TraceV3FooterCorruption, ResealedCountMismatchIsRejected) {
   bytes[footer_start_] = static_cast<char>(bytes[footer_start_] ^ 0x01);
   resealFooter(bytes, footer_start_);
   writeFile(shard0_, bytes);
-  expectOpenFailureBothBackends("corrupt block index");
+  expectOpenFailure("corrupt block index");
 }
 
 TEST_F(TraceV3FooterCorruption, ResealedOffsetMismatchIsRejected) {
@@ -562,7 +539,7 @@ TEST_F(TraceV3FooterCorruption, ResealedOffsetMismatchIsRejected) {
   bytes[entry1] = static_cast<char>(bytes[entry1] ^ 0x02);
   resealFooter(bytes, footer_start_);
   writeFile(shard0_, bytes);
-  expectOpenFailureBothBackends("block index disagrees with payload layout");
+  expectOpenFailure("block index disagrees with payload layout");
 }
 
 TEST_F(TraceV3FooterCorruption, ResealedNonOriginFirstEntryIsRejected) {
@@ -574,7 +551,7 @@ TEST_F(TraceV3FooterCorruption, ResealedNonOriginFirstEntryIsRejected) {
   data[footer_start_ + 4 + 24] = 1;  // entry 0 trials_begun = 1
   resealFooter(bytes, footer_start_);
   writeFile(shard0_, bytes);
-  expectOpenFailureBothBackends("block index cursor out of range");
+  expectOpenFailure("block index cursor out of range");
 }
 
 TEST_F(TraceV3FooterCorruption, ResealedCursorOutOfRangeIsRejected) {
@@ -588,7 +565,7 @@ TEST_F(TraceV3FooterCorruption, ResealedCursorOutOfRangeIsRejected) {
     data[trials_at + static_cast<std::size_t>(i)] = 0xff;
   resealFooter(bytes, footer_start_);
   writeFile(shard0_, bytes);
-  expectOpenFailureBothBackends("block index cursor out of range");
+  expectOpenFailure("block index cursor out of range");
 }
 
 TEST_F(TraceV3FooterCorruption,
@@ -607,23 +584,17 @@ TEST_F(TraceV3FooterCorruption,
   bytes[footer_start_ + 4 + k * dynagraph::kTraceIndexEntryBytes + 32] += 1;
   resealFooter(bytes, footer_start_);
   writeFile(shard0_, bytes);
-  for (const auto backend :
-       {TraceReadBackend::kStream, TraceReadBackend::kMmap}) {
-    if (backend == TraceReadBackend::kMmap &&
-        !TraceShardReader::mmapSupported())
-      continue;
-    TraceShardReader reader(shard0_, backend);
-    ASSERT_TRUE(reader.beginTrial());
-    ASSERT_TRUE(reader.next().has_value());
-    try {
-      reader.beginTrial();
-      ADD_FAILURE() << "jumped through a disagreeing index entry";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find(
-                    "block index disagrees with the record stream"),
-                std::string::npos)
-          << e.what();
-    }
+  TraceShardReader reader(shard0_);
+  ASSERT_TRUE(reader.beginTrial());
+  ASSERT_TRUE(reader.next().has_value());
+  try {
+    reader.beginTrial();
+    ADD_FAILURE() << "jumped through a disagreeing index entry";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "block index disagrees with the record stream"),
+              std::string::npos)
+        << e.what();
   }
 }
 
@@ -634,7 +605,7 @@ TEST_F(TraceV3FooterCorruption, ZeroFooterSizeInHeaderIsRejected) {
   for (std::size_t i = 0; i < 4; ++i) bytes[68 + i] = 0;
   resealHeader(bytes);
   writeFile(shard0_, bytes);
-  expectOpenFailureBothBackends("footer size malformed");
+  expectOpenFailure("footer size malformed");
 }
 
 TEST_F(TraceV3FooterCorruption, PayloadEditBreaksIndexValidation) {
@@ -644,10 +615,10 @@ TEST_F(TraceV3FooterCorruption, PayloadEditBreaksIndexValidation) {
   const std::size_t frame0 = dynagraph::kTraceHeaderSize;
   bytes[frame0 + 4] = static_cast<char>(bytes[frame0 + 4] ^ 0x01);
   writeFile(shard0_, bytes);
-  // Either the index validation or the block checksum fires first
-  // depending on backend ordering — both are clean rejections.
+  // Either the index validation or the block checksum fires first — both
+  // are clean rejections.
   try {
-    TraceShardReader reader(shard0_, TraceReadBackend::kStream);
+    TraceShardReader reader(shard0_);
     while (reader.beginTrial()) reader.skipRest();
     FAIL() << "decode succeeded on payload/index mismatch";
   } catch (const std::runtime_error& e) {
@@ -661,7 +632,7 @@ TEST_F(TraceV3FooterCorruption, PayloadEditBreaksIndexValidation) {
 TEST(TraceV3Fuzz, MutatedShardsFailCleanlyOrDecodeInRangeUnderSeek) {
   // Randomized robustness sweep over the rANS decoder *and* the seek path:
   // mutate a few bytes of a valid shard, then (a) fully decode and (b)
-  // seek to a random trial and decode from there, on both backends. Every
+  // seek to a random trial and decode from there. Every
   // outcome must be a clean std::runtime_error or an in-range decode —
   // never a crash, hang, or sanitizer finding (the ASan+UBSan CI job runs
   // this with DODA_FUZZ_ITERS=2000).
@@ -692,22 +663,16 @@ TEST(TraceV3Fuzz, MutatedShardsFailCleanlyOrDecodeInRangeUnderSeek) {
     }
     writeFile(shard0, bytes);
     const std::uint64_t target = rng.below(6);
-    for (const auto backend :
-         {TraceReadBackend::kStream, TraceReadBackend::kMmap}) {
-      if (backend == TraceReadBackend::kMmap &&
-          !TraceShardReader::mmapSupported())
-        continue;
-      try {
-        TraceShardReader reader(shard0, backend);
-        if (reader.seekToTrial(reader.header().base_trial + target)) {
-          while (reader.beginTrial()) {
-            while (const auto i = reader.next())
-              ASSERT_LT(i->b(), reader.header().node_count);
-          }
+    try {
+      TraceShardReader reader(shard0);
+      if (reader.seekToTrial(reader.header().base_trial + target)) {
+        while (reader.beginTrial()) {
+          while (const auto i = reader.next())
+            ASSERT_LT(i->b(), reader.header().node_count);
         }
-      } catch (const std::runtime_error&) {
-        ++rejected;  // clean rejection is the expected common case
       }
+    } catch (const std::runtime_error&) {
+      ++rejected;  // clean rejection is the expected common case
     }
   }
   EXPECT_GT(rejected, 0u);
@@ -745,7 +710,7 @@ TEST(TraceV3StreamingImport, TimeOrderedFileStreamsAndMatchesMaterialized) {
   EXPECT_EQ(stats.t_max, reference.stats.t_max);
 
   const auto store = TraceStore::open(dir);
-  const auto decoded = decodeStore(store, TraceReadBackend::kAuto);
+  const auto decoded = decodeStore(store);
   std::size_t offset = 0;
   for (const auto& trial : decoded) {
     for (core::Time t = 0; t < trial.length(); ++t)
@@ -767,8 +732,7 @@ TEST(TraceV3StreamingImport, OutOfOrderTimestampsFallBackToSortedImport) {
   const auto stats = dynagraph::importContactTrace(input, dir, 1, options);
   EXPECT_EQ(stats.events, 4u);
   const auto reference = dynagraph::loadContactEvents(input, options);
-  const auto decoded =
-      decodeStore(TraceStore::open(dir), TraceReadBackend::kAuto);
+  const auto decoded = decodeStore(TraceStore::open(dir));
   std::size_t offset = 0;
   for (const auto& trial : decoded) {
     for (core::Time t = 0; t < trial.length(); ++t)
@@ -824,8 +788,7 @@ TEST(TraceStorePartial, AllowPartialQuarantinesTruncatedShard) {
   const std::string dir = scratchDir("partial_truncated");
   const auto trials = sampleTrials(16, 6, 400, 42);
   writeStore(dir, 16, trials, 3, TraceWriterOptions{});
-  const auto full = decodeStore(TraceStore::open(dir),
-                                TraceReadBackend::kStream);
+  const auto full = decodeStore(TraceStore::open(dir));
   const std::string shard1 =
       (std::filesystem::path(dir) / dynagraph::traceShardFileName(1))
           .string();
@@ -843,7 +806,7 @@ TEST(TraceStorePartial, AllowPartialQuarantinesTruncatedShard) {
   EXPECT_EQ(store.trialCount(), trials.size());
   EXPECT_EQ(store.shardHeaders()[1].shard_index, 2u);
   // openShard(1) maps to the on-disk shard 2, past the quarantined file.
-  const auto usable = decodeStore(store, TraceReadBackend::kStream);
+  const auto usable = decodeStore(store);
   ASSERT_EQ(usable.size(), 4u);
   EXPECT_EQ(usable[0], full[0]);
   EXPECT_EQ(usable[1], full[1]);

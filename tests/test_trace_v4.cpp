@@ -1,8 +1,8 @@
 // Tests of the trace record layout (dynagraph/trace_io): group-unit
-// round-trips over both backends, SWAR-vs-scalar decode parity under a
-// randomized fuzz (DODA_FUZZ_ITERS-scalable), threaded replay of a
-// one-shard store of huge trials, the writer-side validation (node-count
-// bound), and byte goldens of the written shard files.
+// round-trips, SWAR-vs-scalar decode parity under a randomized fuzz
+// (DODA_FUZZ_ITERS-scalable), threaded replay of a one-shard store of huge
+// trials, the writer-side validation (node-count bound), and byte goldens
+// of the written shard files.
 
 #include <gtest/gtest.h>
 
@@ -26,7 +26,6 @@ namespace {
 
 using dynagraph::Interaction;
 using dynagraph::InteractionSequence;
-using dynagraph::TraceReadBackend;
 using dynagraph::TraceShardReader;
 using dynagraph::TraceStore;
 using dynagraph::TraceStoreWriter;
@@ -50,9 +49,7 @@ TEST(TraceV4RoundTrip, GroupUnitsPreserveEveryTrialOnBothBackends) {
   writeStore(dir, 20, trials, 2, options);
 
   const auto store = TraceStore::open(dir);
-  for (const auto backend :
-       {TraceReadBackend::kAuto, TraceReadBackend::kStream})
-    expectTrialsEqual(decodeStore(store, backend), trials);
+  expectTrialsEqual(decodeStore(store), trials);
 }
 
 TEST(TraceV4RoundTrip, WideNodeIdsRoundTrip) {
@@ -62,9 +59,7 @@ TEST(TraceV4RoundTrip, WideNodeIdsRoundTrip) {
   const std::string dir = scratchDir("wide");
   writeStore(dir, std::size_t{1} << 20, trials, 1, TraceWriterOptions{});
   const auto store = TraceStore::open(dir);
-  for (const auto backend :
-       {TraceReadBackend::kAuto, TraceReadBackend::kStream})
-    expectTrialsEqual(decodeStore(store, backend), trials);
+  expectTrialsEqual(decodeStore(store), trials);
 }
 
 TEST(TraceV4RoundTrip, UncompressedBlocksRoundTrip) {
@@ -75,9 +70,7 @@ TEST(TraceV4RoundTrip, UncompressedBlocksRoundTrip) {
   options.block_bytes = 256;
   writeStore(dir, 24, trials, 1, options);
   const auto store = TraceStore::open(dir);
-  for (const auto backend :
-       {TraceReadBackend::kAuto, TraceReadBackend::kStream})
-    expectTrialsEqual(decodeStore(store, backend), trials);
+  expectTrialsEqual(decodeStore(store), trials);
 }
 
 TEST(TraceV4Writer, RejectsNodeCountAboveRecordLayoutBound) {
@@ -116,13 +109,10 @@ TEST(TraceV4Decode, ScalarFallbackMatchesSwarFastPath) {
     writeStore(dir, n, trials, 1, options);
 
     const auto store = TraceStore::open(dir);
-    for (const auto backend :
-         {TraceReadBackend::kAuto, TraceReadBackend::kStream}) {
-      const auto fast = decodeStore(store, backend, false);
-      const auto scalar = decodeStore(store, backend, true);
-      expectTrialsEqual(fast, trials);
-      expectTrialsEqual(scalar, trials);
-    }
+    const auto fast = decodeStore(store, false);
+    const auto scalar = decodeStore(store, true);
+    expectTrialsEqual(fast, trials);
+    expectTrialsEqual(scalar, trials);
     std::filesystem::remove_all(dir);
   }
 }
@@ -130,8 +120,8 @@ TEST(TraceV4Decode, ScalarFallbackMatchesSwarFastPath) {
 // ------------------------------------------------------ threaded replay
 
 TEST(TraceV4Parallel, ThreadedOneShardReplayMatchesSerial) {
-  // Two huge trials in one shard, replayed at 2 and 8 threads on both
-  // backends: the statistics must be bit-identical to the serial replay.
+  // Two huge trials in one shard, replayed at 2 and 8 threads: the
+  // statistics must be bit-identical to the serial replay.
   const auto trials = sampleTrials(64, 2, 60000, 2026);
   const std::string dir = scratchDir("replay");
   TraceWriterOptions options;
@@ -147,14 +137,10 @@ TEST(TraceV4Parallel, ThreadedOneShardReplayMatchesSerial) {
   const MeasureResult reference = sim::replayTrace(store, serial, factory);
   EXPECT_EQ(reference.interactions.count() + reference.failed_trials,
             trials.size());
-  for (const auto backend :
-       {TraceReadBackend::kAuto, TraceReadBackend::kStream}) {
-    for (const std::size_t threads : {2u, 8u}) {
-      sim::ReplayConfig config;
-      config.threads = threads;
-      config.backend = backend;
-      expectIdentical(sim::replayTrace(store, config, factory), reference);
-    }
+  for (const std::size_t threads : {2u, 8u}) {
+    sim::ReplayConfig config;
+    config.threads = threads;
+    expectIdentical(sim::replayTrace(store, config, factory), reference);
   }
 }
 
