@@ -16,6 +16,7 @@
 //             future | all (default)
 
 #include <cstdlib>
+#include <exception>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -111,11 +112,9 @@ void runOne(const std::string& name, core::DodaAlgorithm& algorithm,
                 std::to_string(metrics.max_hops)});
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Options opt = parse(argc, argv);
-
+/// Everything after argument parsing; throws on an unreadable or malformed
+/// trace and on I/O failure.
+int run(const Options& opt) {
   dynagraph::InteractionSequence trace;
   std::size_t n = 0;
   if (!opt.trace_path.empty()) {
@@ -216,4 +215,16 @@ int main(int argc, char** argv) {
 
   table.print(std::cout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const Options opt = parse(argc, argv);
+  try {
+    return run(opt);
+  } catch (const std::exception& e) {
+    std::cerr << "trace_runner: " << e.what() << "\n";
+    return 1;
+  }
 }

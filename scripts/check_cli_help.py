@@ -10,7 +10,9 @@ For every binary passed on the command line:
     <n>, <float>, <str>, <range>, <addr>) must still exit 0, so a
     documented-but-unimplemented flag fails here as "unknown flag" and an
     implemented-but-undocumented vocabulary drifts loudly;
-  * an unknown flag must exit 2 and name itself on stderr.
+  * an unknown flag must exit 2 and name itself on stderr;
+  * a bad input listed in BAD_INPUT_PROBES (a missing or malformed file)
+    must exit 1 with exactly one error line on stderr, not abort.
 
 Usage: check_cli_help.py <binary> [<binary>...]
 """
@@ -32,6 +34,16 @@ PROBE_VALUES = {
     "float": ["0.25", "0.5", "0.75"],
     "str": ["gathering"],
     "addr": ["127.0.0.1"],
+}
+
+# Bad inputs per binary: (argv, file contents). "{path}" in argv stands for
+# a scratch file holding the contents, or for a missing file when they are
+# None.
+BAD_INPUT_PROBES = {
+    "trace_runner": [
+        (["--trace", "{path}"], None),
+        (["--trace", "{path}"], "# nodes -1\n0 1\n"),
+    ],
 }
 
 
@@ -98,7 +110,26 @@ def check_binary(binary, scratch):
     elif "unknown flag" not in unknown.stderr:
         errors.append(f"{binary}: unknown-flag message missing: "
                       f"{unknown.stderr.strip()!r}")
+    errors.extend(check_bad_inputs(binary, scratch))
     return errors, len(flags)
+
+
+def check_bad_inputs(binary, scratch):
+    errors = []
+    probes = BAD_INPUT_PROBES.get(Path(binary).name, [])
+    for index, (argv, contents) in enumerate(probes):
+        path = scratch / f"bad_input_{index}"
+        if contents is not None:
+            path.write_text(contents)
+        args = [str(path) if arg == "{path}" else arg for arg in argv]
+        bad = run([binary] + args)
+        lines = bad.stderr.strip().splitlines()
+        if bad.returncode != 1 or len(lines) != 1:
+            errors.append(
+                f"{binary}: bad input {args} (contents {contents!r}) exited "
+                f"{bad.returncode} with stderr {bad.stderr.strip()!r}; want "
+                f"exit 1 and one error line")
+    return errors
 
 
 def main():

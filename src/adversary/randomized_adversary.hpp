@@ -33,6 +33,10 @@ class RandomizedAdversary final : public core::Adversary {
     return sequence_->at(t);
   }
 
+  std::span<const core::Interaction> committedFrom(core::Time t) override {
+    return sequence_->committedFrom(t);
+  }
+
   /// The committed-randomness backing store (shared with oracles).
   dynagraph::LazySequence& lazySequence() noexcept { return *sequence_; }
 
@@ -60,6 +64,10 @@ class NonUniformAdversary final : public core::Adversary {
   std::optional<core::Interaction> next(
       core::Time t, const core::ExecutionView& /*view*/) override {
     return sequence_->at(t);
+  }
+
+  std::span<const core::Interaction> committedFrom(core::Time t) override {
+    return sequence_->committedFrom(t);
   }
 
   dynagraph::LazySequence& lazySequence() noexcept { return *sequence_; }

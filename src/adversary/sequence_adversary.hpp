@@ -22,6 +22,10 @@ class SequenceAdversary final : public core::Adversary {
     return sequence_.at(t);
   }
 
+  std::span<const core::Interaction> committedFrom(core::Time t) override {
+    return dynagraph::InteractionSequenceView(sequence_).from(t);
+  }
+
   const dynagraph::InteractionSequence& sequence() const noexcept {
     return sequence_;
   }
@@ -46,6 +50,10 @@ class SequenceViewAdversary final : public core::Adversary {
       core::Time t, const core::ExecutionView& /*view*/) override {
     if (t >= view_.length()) return std::nullopt;
     return view_.at(t);
+  }
+
+  std::span<const core::Interaction> committedFrom(core::Time t) override {
+    return view_.from(t);
   }
 
   dynagraph::InteractionSequenceView sequence() const noexcept {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 
 #include "core/execution_view.hpp"
@@ -28,6 +29,18 @@ class Adversary {
   /// stops without termination).
   virtual std::optional<Interaction> next(Time t,
                                           const ExecutionView& view) = 0;
+
+  /// The interactions at times t, t+1, ... that are already fixed whatever
+  /// the execution does (an oblivious or randomized adversary's committed
+  /// sequence), so the engine can walk them without a call per
+  /// interaction. Each element must equal what next() returns at its time.
+  /// Empty (the default) when nothing is committed at t: an adaptive
+  /// adversary, or the end of a finite sequence; the engine then asks
+  /// next(). The span is valid until the next call into the adversary, the
+  /// algorithm or an oracle that may extend the committed sequence.
+  virtual std::span<const Interaction> committedFrom(Time /*t*/) {
+    return {};
+  }
 };
 
 }  // namespace doda::core

@@ -1,6 +1,7 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -70,6 +71,11 @@ class State final : public ExecutionView {
   void checkNode(NodeId u) const {
     if (u >= info_.node_count)
       throw ModelViolation("node id out of range");
+  }
+
+  /// ownsData for two ids already checked in range.
+  bool bothOwn(NodeId a, NodeId b) const {
+    return scratch_.owns[a] && scratch_.owns[b];
   }
 
   bool terminated() const {
@@ -307,29 +313,43 @@ ExecutionResult Engine::runInto(Scratch& scratch, DodaAlgorithm& algorithm,
 
   ExecutionResult result;
   while (!state.terminated() && state.now() < options.max_interactions) {
-    const Time t = state.now();
-    const auto interaction = adversary.next(t, state);
-    if (!interaction) break;  // adversary exhausted
-    state.checkNode(interaction->a());
-    state.checkNode(interaction->b());
-    state.advance();
+    // Walk the adversary's committed interactions as one block; an
+    // adaptive adversary's next() choice is a block of one.
+    std::optional<Interaction> chosen;
+    std::span<const Interaction> block = adversary.committedFrom(state.now());
+    if (block.empty()) {
+      chosen = adversary.next(state.now(), state);
+      if (!chosen) break;  // adversary exhausted
+      block = {&*chosen, 1};
+    }
+    block = block.first(static_cast<std::size_t>(std::min<Time>(
+        block.size(), options.max_interactions - state.now())));
+    for (const Interaction& committed : block) {
+      if (committed.b() >= info_.node_count)  // a() < b()
+        throw ModelViolation("node id out of range");
+      const Time t = state.now();
+      state.advance();
 
-    // A transfer is only possible when both endpoints still own data
-    // (paper §2: "if both nodes still own data, then one of the nodes has
-    // the possibility to transmit").
-    if (!state.ownsData(interaction->a()) ||
-        !state.ownsData(interaction->b()))
-      continue;
+      // A transfer is only possible when both endpoints still own data
+      // (paper §2: "if both nodes still own data, then one of the nodes
+      // has the possibility to transmit").
+      if (!state.bothOwn(committed.a(), committed.b())) continue;
 
-    const auto receiver = algorithm.decide(*interaction, t, state);
-    if (!receiver) continue;
-    if (!interaction->involves(*receiver))
-      throw ModelViolation("receiver is not an interaction endpoint");
-    const NodeId sender = interaction->other(*receiver);
-    state.transfer(t, sender, *receiver);
-    if (state.terminated()) {
-      result.last_transmission_time = t;
-      result.interactions_to_terminate = t + 1;
+      // decide() may extend the committed sequence under the block (a
+      // meetTime oracle over it) and relocate it: copy the interaction
+      // out, and fetch a fresh block once the algorithm has run.
+      const Interaction interaction = committed;
+      const auto receiver = algorithm.decide(interaction, t, state);
+      if (receiver) {
+        if (!interaction.involves(*receiver))
+          throw ModelViolation("receiver is not an interaction endpoint");
+        state.transfer(t, interaction.other(*receiver), *receiver);
+        if (state.terminated()) {
+          result.last_transmission_time = t;
+          result.interactions_to_terminate = t + 1;
+        }
+      }
+      break;
     }
   }
 

@@ -38,12 +38,6 @@ class InteractionSequence {
   const Interaction& at(Time t) const;
   void append(Interaction i) { interactions_.push_back(i); }
   void appendAll(const InteractionSequence& other);
-  /// Bulk append of a generated block (the batched-generation entry point:
-  /// chunk producers fill a scratch buffer, the sequence absorbs it in one
-  /// reserve + copy instead of per-interaction appends).
-  void appendSpan(std::span<const Interaction> block) {
-    interactions_.insert(interactions_.end(), block.begin(), block.end());
-  }
 
   const std::vector<Interaction>& interactions() const noexcept {
     return interactions_;
@@ -87,6 +81,9 @@ class InteractionSequence {
   }
 
  private:
+  // LazySequence generates straight into its committed sequence's storage.
+  friend class LazySequence;
+
   /// Extends the inverted timeline to cover every appended interaction.
   void ensureTimeline() const;
 
@@ -126,6 +123,12 @@ class InteractionSequenceView {
 
   const Interaction* begin() const noexcept { return data_; }
   const Interaction* end() const noexcept { return data_ + size_; }
+
+  /// The interactions at times [t, length()); empty when t >= length().
+  std::span<const Interaction> from(Time t) const noexcept {
+    if (t >= size_) return {};
+    return {data_ + t, static_cast<std::size_t>(size_ - t)};
+  }
 
   /// Owned copy (for callers that need to outlive the backing storage).
   InteractionSequence materialize() const {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -19,15 +20,22 @@ namespace doda::dynagraph {
 /// trial is realized only as far as it is read.
 ///
 /// The generator produces whole chunks, amortizing the std::function
-/// dispatch over kChunk interactions — the engine hot path's
-/// per-interaction cost collapses to a bounds check. Chunked generation
-/// commits slightly ahead of demand, which is exactly the
-/// committed-randomness model (the values at any given time are fixed;
-/// only how far the prefix has been realized depends on the chunking).
+/// dispatch over kChunk interactions, and appends them straight into the
+/// committed buffer; the engine walks that buffer a block at a time
+/// (committedFrom). Chunked generation commits slightly ahead of demand,
+/// which is exactly the committed-randomness model (the values at any
+/// given time are fixed; only how far the prefix has been realized depends
+/// on the chunking).
+///
+/// The committed buffer's capacity outlives the sequence: on destruction it
+/// is parked on its thread, and the next LazySequence built on that thread
+/// grows into it instead of faulting in fresh pages. A thread keeps the
+/// largest buffer it has parked until it exits.
 class LazySequence {
  public:
   /// Appends exactly `count` interactions (times begin, begin+1, ...) to
-  /// `out`. Must be a pure function of its own captured state called with
+  /// `out`, the committed buffer itself (which already holds [0, begin)).
+  /// Must be a pure function of its own captured state called with
   /// contiguous, strictly increasing blocks.
   using BlockGenerator =
       std::function<void(Time begin, std::size_t count,
@@ -43,6 +51,9 @@ class LazySequence {
   /// replayed trial's recorded length.
   explicit LazySequence(BlockGenerator generator,
                         Time max_length = Time{1} << 34);
+  ~LazySequence();
+  LazySequence(const LazySequence&) = delete;
+  LazySequence& operator=(const LazySequence&) = delete;
 
   /// The interaction at time t, generating it (and everything before it)
   /// if needed.
@@ -51,6 +62,14 @@ class LazySequence {
   /// Extends generation so that times [0, t] exist (up to a chunk further,
   /// never past max_length).
   void ensure(Time t);
+
+  /// The committed interactions at times [t, generatedLength()), after
+  /// ensure(t): never empty. The span is invalidated by the next extension
+  /// (a later ensure, or a meetTime oracle growing the sequence).
+  std::span<const Interaction> committedFrom(Time t) {
+    ensure(t);
+    return InteractionSequenceView(buffer_).from(t);
+  }
 
   /// How many interactions exist so far.
   Time generatedLength() const noexcept { return buffer_.length(); }
@@ -63,7 +82,6 @@ class LazySequence {
  private:
   BlockGenerator generator_;
   InteractionSequence buffer_;
-  std::vector<Interaction> chunk_scratch_;
   Time max_length_;
 };
 

@@ -19,18 +19,28 @@ inline std::uint64_t triangular(std::uint64_t t) noexcept {
 /// *reversed* index s = n(n-1)/2 - 1 - r via the triangular-root formula
 /// t = floor((sqrt(8s+1)-1)/2); the double-precision estimate is corrected
 /// by an integer fixup so the decode is exact (and deterministic across
-/// platforms) for every s < 2^63.
-inline Interaction pairFromIndex(std::uint64_t r, std::size_t n,
-                                 std::uint64_t total) noexcept {
+/// platforms) for every s < 2^63. Below t = 2^31 (every n up to 2^31) the
+/// estimate is within one of the root and t(t+1) cannot overflow, so the
+/// fixup is one branch-free step each way: a branch there depends on the
+/// random draw, mispredicts, and makes the decode 2–3x slower.
+inline Interaction decodePair(std::uint64_t r, std::size_t n,
+                              std::uint64_t total) noexcept {
   const std::uint64_t s = total - 1 - r;
   auto t = static_cast<std::uint64_t>(
       (std::sqrt(static_cast<double>(s) * 8.0 + 1.0) - 1.0) * 0.5);
-  while (triangular(t + 1) <= s) ++t;
-  while (triangular(t) > s) --t;
-  const std::uint64_t off = s - triangular(t);  // off <= t
-  const auto u = static_cast<NodeId>(n - 2 - t);
-  const auto v = static_cast<NodeId>(n - 1 - off);
-  return Interaction(u, v);
+  std::uint64_t row_base = 0;  // t(t+1)/2
+  if (t < (std::uint64_t{1} << 31)) {
+    t += ((t + 1) * (t + 2) >> 1) <= s;
+    t -= (t * (t + 1) >> 1) > s;
+    row_base = t * (t + 1) >> 1;
+  } else {
+    while (triangular(t + 1) <= s) ++t;
+    while (triangular(t) > s) --t;
+    row_base = triangular(t);
+  }
+  const std::uint64_t off = s - row_base;  // off <= t, so u < v
+  return Interaction::presorted(static_cast<NodeId>(n - 2 - t),
+                                static_cast<NodeId>(n - 1 - off));
 }
 
 /// Bulk fast path for the v2 sampler: for moderate n the index decode is a
@@ -43,9 +53,9 @@ inline Interaction pairFromIndex(std::uint64_t r, std::size_t n,
 /// while the measure scan competes for cache — and the cap bounds a table
 /// at 2 MiB per thread (total <= 2^20 forces n <= 1449, so rows fit u16).
 /// The draw stream stays exactly one below(total) per pair, and the decode
-/// equals pairFromIndex(r, n, total) by construction, so the output is
+/// equals decodePair(r, n, total) by construction, so the output is
 /// bit-identical to the sqrt decode — which remains in place for n past
-/// the cap.
+/// the cap, where the branch-free decode costs about 1.5–2x a lookup.
 inline constexpr std::uint64_t kPairTableMaxEntries = std::uint64_t{1} << 20;
 
 const std::vector<std::uint16_t>& pairRowTable(std::size_t n) {
@@ -73,13 +83,22 @@ Interaction uniformPair(std::size_t n, util::Rng& rng, SeedFormat format) {
     return Interaction(u, v);
   }
   const std::uint64_t total = triangular(static_cast<std::uint64_t>(n) - 1);
-  return pairFromIndex(rng.below(total), n, total);
+  return decodePair(rng.below(total), n, total);
+}
+
+Interaction pairFromIndex(std::uint64_t r, std::size_t n) {
+  if (n < 2) throw std::invalid_argument("pairFromIndex: need n >= 2");
+  const std::uint64_t total = triangular(static_cast<std::uint64_t>(n) - 1);
+  if (r >= total) throw std::out_of_range("pairFromIndex: index out of range");
+  return decodePair(r, n, total);
 }
 
 void appendUniform(std::size_t n, std::size_t count, util::Rng& rng,
                    std::vector<Interaction>& out, SeedFormat format) {
   if (n < 2) throw std::invalid_argument("appendUniform: need n >= 2");
-  out.reserve(out.size() + count);
+  // Callers append chunk after chunk to one long committed buffer: leave
+  // its growth to push_back, which is geometric, since reserving exactly
+  // `count` more would reallocate it for every chunk.
   if (format == SeedFormat::v1) {
     for (std::size_t k = 0; k < count; ++k) {
       const auto u = static_cast<NodeId>(rng.below(n));
@@ -124,12 +143,13 @@ void appendUniform(std::size_t n, std::size_t count, util::Rng& rng,
     return;
   }
   for (std::size_t k = 0; k < count; ++k)
-    out.push_back(pairFromIndex(rng.below(total), n, total));
+    out.push_back(decodePair(rng.below(total), n, total));
 }
 
 InteractionSequence uniformRandom(std::size_t n, Time length, util::Rng& rng,
                                   SeedFormat format) {
   std::vector<Interaction> out;
+  out.reserve(static_cast<std::size_t>(length));
   appendUniform(n, static_cast<std::size_t>(length), rng, out, format);
   return InteractionSequence(std::move(out));
 }
@@ -153,7 +173,6 @@ Interaction ZipfPairDistribution::sample(util::Rng& rng) const {
 
 void ZipfPairDistribution::append(std::size_t count, util::Rng& rng,
                                   std::vector<Interaction>& out) const {
-  out.reserve(out.size() + count);
   for (std::size_t k = 0; k < count; ++k) out.push_back(sample(rng));
 }
 
@@ -161,6 +180,7 @@ InteractionSequence zipfRandom(std::size_t n, Time length, double exponent,
                                util::Rng& rng) {
   const ZipfPairDistribution dist(n, exponent);
   std::vector<Interaction> out;
+  out.reserve(static_cast<std::size_t>(length));
   dist.append(static_cast<std::size_t>(length), rng, out);
   return InteractionSequence(std::move(out));
 }

@@ -34,6 +34,11 @@ inline constexpr SeedFormat kSeedFormat = SeedFormat::v2;
 Interaction uniformPair(std::size_t n, util::Rng& rng,
                         SeedFormat format = kSeedFormat);
 
+/// The r-th unordered pair of n nodes in lexicographic order ((0,1), (0,2),
+/// ..., (0,n-1), (1,2), ...): the map SeedFormat::v2 applies to its one
+/// below(n(n-1)/2) draw per pair. Requires n >= 2 and r < n(n-1)/2.
+Interaction pairFromIndex(std::uint64_t r, std::size_t n);
+
 /// Appends `count` uniform random interactions to `out` in one tight loop —
 /// the batched generation primitive behind the randomized adversary and
 /// drawAdversarySequence. Draws from `rng` in exactly the order repeated

@@ -76,6 +76,11 @@ class LazyTrialAdversary final : public core::Adversary {
     return sequence_.at(t);
   }
 
+  std::span<const core::Interaction> committedFrom(core::Time t) override {
+    if (t >= sequence_.maxLength()) return {};
+    return sequence_.committedFrom(t);
+  }
+
  private:
   dynagraph::LazySequence& sequence_;
 };

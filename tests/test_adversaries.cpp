@@ -238,6 +238,29 @@ TEST(RandomizedAdversary, MeetTimeIndexReadsSameRandomness) {
   EXPECT_EQ(adv.lazySequence().committed().at(m), ix(0, 2));
 }
 
+TEST(RandomizedAdversary, CommittedStreamPastThePairTableIsPinned) {
+  // n = 4096 lies past the sampler's row table (n <= 1448), so every pair
+  // comes from the sqrt decode. Pinned: FNV-1a 64 over the ids (a then b,
+  // each as 4 little-endian bytes) of the first 2^20 committed
+  // interactions, as SeedFormat v2 has committed them since it landed.
+  RandomizedAdversary adv(4096, 0x5EED);
+  const Time length = Time{1} << 20;
+  adv.lazySequence().ensure(length - 1);
+  const auto& committed = adv.lazySequence().committed();
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto eat = [&hash](NodeId id) {
+    for (int byte = 0; byte < 4; ++byte) {
+      hash ^= (id >> (8 * byte)) & 0xffu;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  for (Time t = 0; t < length; ++t) {
+    eat(committed.at(t).a());
+    eat(committed.at(t).b());
+  }
+  EXPECT_EQ(hash, 0xedba1bbd71362cf6ULL);
+}
+
 TEST(NonUniformAdversary, SkewsInteractionsTowardPopularNodes) {
   NonUniformAdversary adv(10, /*zipf=*/1.5, /*seed=*/55);
   adv.lazySequence().ensure(20000 - 1);

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "adversary/randomized_adversary.hpp"
 #include "adversary/sequence_adversary.hpp"
 #include "algorithms/gathering.hpp"
 #include "core/engine.hpp"
@@ -140,6 +141,34 @@ TEST(EngineAllocation, ScratchReuseAcrossDifferentSequences) {
   }
   // After several warm trials the steady state is just the result copy.
   EXPECT_LE(last, 2u);
+}
+
+TEST(EngineAllocation, WarmLazyTrialAllocationsDoNotGrowWithItsLength) {
+  // The measureRandomized trial shape: a fresh lazy adversary per trial,
+  // one Scratch, one thread. Once a trial as long has run on the thread,
+  // the committed buffer it parked is reused, so a trial allocates a
+  // constant (its LazySequence and the result's spilled sink datum),
+  // although n = 512 commits about 60x what n = 64 does.
+  std::size_t counts[2] = {0, 0};
+  for (const std::size_t n : {64u, 512u}) {
+    Engine engine({n, 0}, AggregationFunction::count());
+    Engine::Scratch scratch;
+    algorithms::Gathering algorithm;
+    RunOptions options;
+    options.capture_schedule = false;
+    Time committed = 0;
+    const auto trial = [&] {
+      // The same seed every time, so the warm-up is exactly as long.
+      adversary::RandomizedAdversary adversary(n, 17);
+      const auto r = engine.runInto(scratch, algorithm, adversary, options);
+      EXPECT_TRUE(r.terminated);
+      committed = adversary.lazySequence().generatedLength();
+    };
+    trial();
+    counts[n == 512] = countAllocations(trial);
+    EXPECT_GT(committed, 16 * n) << "n=" << n;
+  }
+  EXPECT_EQ(counts[0], counts[1]);
 }
 
 }  // namespace

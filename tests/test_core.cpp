@@ -1,15 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "adversary/randomized_adversary.hpp"
 #include "algorithms/gathering.hpp"
 #include "algorithms/waiting.hpp"
+#include "algorithms/waiting_greedy.hpp"
 #include "core/data.hpp"
 #include "core/engine.hpp"
+#include "dynagraph/meet_time_index.hpp"
 #include "dynagraph/traces.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace doda::core {
 namespace {
@@ -264,6 +270,196 @@ TEST(Engine, LazyGuardExhaustionThrowsUnlessCapped) {
   const auto r = engine.runInto(scratch, w, capped, options);
   EXPECT_FALSE(r.terminated);
   EXPECT_EQ(r.interactions_dispatched, 50u);
+}
+
+/// Forwards only next() to the adversary it wraps, so the engine dispatches
+/// the same interactions one next() call at a time instead of walking the
+/// committed blocks.
+class NextOnly final : public Adversary {
+ public:
+  explicit NextOnly(Adversary& inner) : inner_(inner) {}
+  std::string name() const override { return "next-only"; }
+  void reset(const SystemInfo& info) override { inner_.reset(info); }
+  std::optional<Interaction> next(Time t, const ExecutionView& view) override {
+    return inner_.next(t, view);
+  }
+
+ private:
+  Adversary& inner_;
+};
+
+/// The adversary the engine runs against: `adversary` itself, or
+/// `forward`, a NextOnly around it.
+Adversary& dispatchedBy(bool next_only, NextOnly& forward,
+                        Adversary& adversary) {
+  return next_only ? forward : adversary;
+}
+
+void expectSameExecution(const ExecutionResult& block,
+                         const ExecutionResult& single) {
+  EXPECT_EQ(block.terminated, single.terminated);
+  EXPECT_EQ(block.schedule, single.schedule);
+  EXPECT_EQ(block.last_transmission_time, single.last_transmission_time);
+  EXPECT_EQ(block.interactions_to_terminate, single.interactions_to_terminate);
+  EXPECT_EQ(block.interactions_dispatched, single.interactions_dispatched);
+  EXPECT_EQ(block.sink_datum.value, single.sink_datum.value);
+  EXPECT_EQ(block.sink_datum.sources.toSortedVector(),
+            single.sink_datum.sources.toSortedVector());
+}
+
+enum class Algo { kGathering, kWaiting, kWaitingGreedy };
+
+std::unique_ptr<DodaAlgorithm> makeAlgorithm(Algo algo,
+                                             dynagraph::MeetTimeIndex& index,
+                                             std::size_t n) {
+  switch (algo) {
+    case Algo::kGathering:
+      return std::make_unique<algorithms::Gathering>();
+    case Algo::kWaiting:
+      return std::make_unique<algorithms::Waiting>();
+    case Algo::kWaitingGreedy:
+      break;
+  }
+  return std::make_unique<algorithms::WaitingGreedy>(
+      index, static_cast<Time>(util::closed_form::waitingGreedyTau(n)));
+}
+
+/// Runs `algo` twice over fresh lazy adversaries from `make` (same seed),
+/// once walking committed blocks and once through NextOnly, on a fresh
+/// thread: no committed buffer is parked there, so every extension of the
+/// backing reallocates it, and WaitingGreedy's oracle extends it inside
+/// decide(), in the middle of a block.
+template <typename Make>
+void expectBlockPathMatchesNextOnly(const std::string& label, Algo algo,
+                                    std::size_t n, Make make,
+                                    const RunOptions& options = {}) {
+  std::thread([&] {
+    SCOPED_TRACE(label);  // scoped traces are per thread
+    Engine engine({n, 0}, AggregationFunction::count());
+    ExecutionResult results[2];
+    Time committed[2] = {0, 0};
+    for (const bool next_only : {false, true}) {
+      const auto adversary = make();
+      dynagraph::MeetTimeIndex index = adversary->makeMeetTimeIndex(0);
+      const auto algorithm = makeAlgorithm(algo, index, n);
+      NextOnly forward(*adversary);
+      results[next_only] = engine.run(
+          *algorithm, dispatchedBy(next_only, forward, *adversary), options);
+      committed[next_only] = adversary->lazySequence().generatedLength();
+    }
+    expectSameExecution(results[0], results[1]);
+    EXPECT_EQ(committed[0], committed[1]);
+    if (algo == Algo::kWaitingGreedy) {  // the oracle grew the backing
+      EXPECT_GT(committed[0], results[0].interactions_dispatched +
+                                  dynagraph::LazySequence::kChunk);
+    }
+  }).join();
+}
+
+TEST(EngineBlocks, RandomizedBlocksMatchNextOnly) {
+  for (const Algo algo :
+       {Algo::kGathering, Algo::kWaiting, Algo::kWaitingGreedy})
+    for (const std::uint64_t seed : {3u, 4u})
+      expectBlockPathMatchesNextOnly(
+          "algo " + std::to_string(static_cast<int>(algo)) + " seed " +
+              std::to_string(seed),
+          algo, 24, [seed] {
+            return std::make_unique<adversary::RandomizedAdversary>(24, seed);
+          });
+}
+
+TEST(EngineBlocks, NonUniformBlocksMatchNextOnly) {
+  for (const Algo algo :
+       {Algo::kGathering, Algo::kWaiting, Algo::kWaitingGreedy})
+    expectBlockPathMatchesNextOnly(
+        "algo " + std::to_string(static_cast<int>(algo)), algo, 16, [] {
+          return std::make_unique<adversary::NonUniformAdversary>(16, 0.8,
+                                                                  11);
+        });
+}
+
+TEST(EngineBlocks, FixedSequenceBlocksMatchNextOnly) {
+  const std::size_t n = 12;
+  util::Rng rng(21);
+  const auto seq = dynagraph::traces::uniformRandom(n, 40 * n * n, rng);
+  Engine engine({n, 0}, AggregationFunction::count());
+  for (const Algo algo :
+       {Algo::kGathering, Algo::kWaiting, Algo::kWaitingGreedy}) {
+    SCOPED_TRACE(::testing::Message() << "algo " << static_cast<int>(algo));
+    ExecutionResult results[2];
+    for (const bool next_only : {false, true}) {
+      dynagraph::MeetTimeIndex index(seq, 0, n);
+      const auto algorithm = makeAlgorithm(algo, index, n);
+      adversary::SequenceAdversary adversary(seq);
+      NextOnly forward(adversary);
+      results[next_only] = engine.run(
+          *algorithm, dispatchedBy(next_only, forward, adversary));
+    }
+    EXPECT_TRUE(results[0].terminated);
+    expectSameExecution(results[0], results[1]);
+  }
+}
+
+TEST(EngineBlocks, CapInsideABlockStopsThere) {
+  // 300 lands inside the second 256-interaction chunk of the lazy backing.
+  RunOptions options;
+  options.max_interactions = 300;
+  expectBlockPathMatchesNextOnly(
+      "cap 300", Algo::kWaiting, 32,
+      [] { return std::make_unique<adversary::RandomizedAdversary>(32, 9); },
+      options);
+  Engine engine({32, 0}, AggregationFunction::count());
+  algorithms::Waiting waiting;
+  adversary::RandomizedAdversary adversary(32, 9);
+  const auto r = engine.run(waiting, adversary, options);
+  EXPECT_FALSE(r.terminated);
+  EXPECT_EQ(r.interactions_dispatched, 300u);
+}
+
+TEST(EngineBlocks, OutOfRangeIdInsideABlockThrowsAtItsTime) {
+  // After the transfer at t=0, one endpoint of every {1,2} owns nothing,
+  // so the engine walks the block from t=1 without calling the algorithm
+  // and meets {1,7} at its position 5 (t=6).
+  const InteractionSequence seq{ix(1, 2), ix(1, 2), ix(1, 2), ix(1, 2),
+                                ix(1, 2), ix(1, 2), ix(1, 7), ix(1, 3)};
+  Engine engine({4, 0}, AggregationFunction::count());
+  for (const bool next_only : {false, true}) {
+    SCOPED_TRACE(next_only ? "next-only" : "blocks");
+    algorithms::Gathering gathering;
+    adversary::SequenceAdversary adversary(seq);
+    NextOnly forward(adversary);
+    try {
+      engine.run(gathering, dispatchedBy(next_only, forward, adversary));
+      ADD_FAILURE() << "no ModelViolation";
+    } catch (const ModelViolation& e) {
+      EXPECT_STREQ(e.what(), "node id out of range");
+    }
+
+    RunOptions options;
+    options.max_interactions = 6;  // stops just before {1,7}
+    adversary::SequenceAdversary capped(seq);
+    NextOnly capped_forward(capped);
+    const auto r = engine.run(
+        gathering, dispatchedBy(next_only, capped_forward, capped), options);
+    EXPECT_EQ(r.interactions_dispatched, 6u);
+    EXPECT_EQ(r.schedule.size(), 1u);
+  }
+}
+
+TEST(EngineBlocks, FiniteSequenceRunsOut) {
+  const InteractionSequence seq{ix(1, 2), ix(1, 2), ix(2, 3), ix(1, 2)};
+  Engine engine({5, 0}, AggregationFunction::count());
+  ExecutionResult results[2];
+  for (const bool next_only : {false, true}) {
+    algorithms::Gathering gathering;
+    adversary::SequenceAdversary adversary(seq);
+    NextOnly forward(adversary);
+    results[next_only] =
+        engine.run(gathering, dispatchedBy(next_only, forward, adversary));
+  }
+  EXPECT_FALSE(results[0].terminated);
+  EXPECT_EQ(results[0].interactions_dispatched, 4u);
+  expectSameExecution(results[0], results[1]);
 }
 
 TEST(ValidateSchedule, AcceptsValidConvergecast) {

@@ -290,6 +290,28 @@ TEST(Traces, BulkUniformMatchesSingleDrawDecode) {
   }
 }
 
+TEST(Traces, PairDecodeHitsEveryRowBoundary) {
+  // Past the row table (n > 1448) the v2 sampler decodes each draw with
+  // the sqrt formula. Row u of the lexicographic pair order starts at
+  // rowStart(u) = (n-1) + (n-2) + ... + (n-u) with (u, u+1) and ends with
+  // (u, n-1); both ends must decode exactly in every row.
+  for (const std::size_t n : {1449u, 2048u, 4096u, 65536u}) {
+    const auto last = static_cast<NodeId>(n - 1);
+    std::uint64_t row_start = 0;
+    for (NodeId u = 0; u < last; ++u) {
+      const std::uint64_t next_start = row_start + (last - u);
+      ASSERT_EQ(traces::pairFromIndex(row_start, n), Interaction(u, u + 1))
+          << "n=" << n << " u=" << u;
+      ASSERT_EQ(traces::pairFromIndex(next_start - 1, n),
+                Interaction(u, last))
+          << "n=" << n << " u=" << u;
+      row_start = next_start;
+    }
+    EXPECT_EQ(row_start, std::uint64_t{n} * (n - 1) / 2);
+    EXPECT_THROW(traces::pairFromIndex(row_start, n), std::out_of_range);
+  }
+}
+
 TEST(Traces, UniformPairNeedsTwoNodes) {
   util::Rng rng(1);
   EXPECT_THROW(traces::uniformPair(1, rng), std::invalid_argument);

@@ -318,7 +318,7 @@ TEST(ParseRequestFuzz, MutatedFramesNeverEscapeTheErrorModel) {
           frame.insert(pos, "{[\",:");
           break;
       }
-      if (frame.empty()) frame = "x";
+      if (frame.empty()) frame.push_back('x');
     }
     try {
       (void)parseRequest(frame, 1 << 16);
