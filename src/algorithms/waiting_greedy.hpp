@@ -19,7 +19,14 @@ namespace doda::algorithms {
 /// i.e. the node with the later sink meeting transmits, but only if that
 /// meeting falls beyond the horizon tau; nodes meeting the sink before tau
 /// keep their data (they will deliver it directly). After time tau the
-/// algorithm degenerates to Gathering.
+/// algorithm degenerates to Gathering in whether a transfer happens, but
+/// the earlier meeting still picks the receiver.
+///
+/// decide() asks the oracle only these two facts (MeetTimeOracle::
+/// meetOrder), so the exact oracle reads the sequence only up to
+/// min(m_later, max(m_earlier, tau + 1)): once the earlier meeting is known
+/// and the later one is known to lie beyond tau, it need not be found.
+/// On a tie m1 = m2 (with the exact oracle, both kNever) u1 receives.
 ///
 /// With tau = Theta(n^{3/2} sqrt(log n)) the algorithm terminates within
 /// tau interactions w.h.p. (paper Thm 10 / Cor 3), optimal among all
@@ -52,11 +59,10 @@ class WaitingGreedy final : public core::DodaAlgorithm {
                                      core::Time t,
                                      const core::ExecutionView& /*view*/)
       override {
-    const core::Time m1 = oracle_->meetTime(i.a(), t);
-    const core::Time m2 = oracle_->meetTime(i.b(), t);
-    if (m1 <= m2 && tau_ < m2) return i.a();
-    if (m1 > m2 && tau_ < m1) return i.b();
-    return std::nullopt;
+    const dynagraph::MeetOrder order =
+        oracle_->meetOrder(i.a(), i.b(), t, tau_);
+    if (!order.later_beyond) return std::nullopt;
+    return order.a_first ? i.a() : i.b();
   }
 
  private:

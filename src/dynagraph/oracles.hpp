@@ -24,6 +24,16 @@ class MeetTimeOracle {
   /// The (possibly degraded) meetTime; kNever means "unknown / never",
   /// which algorithms must treat as "later than any horizon".
   virtual Time meetTime(NodeId u, Time t) = 0;
+
+  /// WG_tau's decision facts for {a, b} at t (paper §4): whether
+  /// meetTime(a, t) <= meetTime(b, t), and whether the later of the two
+  /// exceeds `horizon`. Answered here with those two meetTime calls; an
+  /// oracle that can settle it reading less overrides it.
+  virtual MeetOrder meetOrder(NodeId a, NodeId b, Time t, Time horizon) {
+    const Time ma = meetTime(a, t);
+    const Time mb = meetTime(b, t);
+    return {ma <= mb, std::max(ma, mb) > horizon};
+  }
 };
 
 /// The exact oracle: a thin adapter over MeetTimeIndex.
@@ -32,6 +42,10 @@ class ExactMeetTimeOracle final : public MeetTimeOracle {
   explicit ExactMeetTimeOracle(MeetTimeIndex& index) : index_(&index) {}
 
   Time meetTime(NodeId u, Time t) override { return index_->meetTime(u, t); }
+
+  MeetOrder meetOrder(NodeId a, NodeId b, Time t, Time horizon) override {
+    return index_->meetOrder(a, b, t, horizon);
+  }
 
  private:
   MeetTimeIndex* index_;

@@ -180,8 +180,7 @@ MeasureResult replayTrace(const TraceStore& store, const ReplayConfig& config,
             },
             length);
         LazyTrialAdversary trial_adversary(sequence);
-        dynagraph::MeetTimeIndex index(sequence, config.sink, info.node_count,
-                                       dynagraph::LazySequence::kChunk);
+        dynagraph::MeetTimeIndex index(sequence, config.sink, info.node_count);
         TrialContext context{info, trial_adversary, index};
         const auto algorithm = factory(context);
         core::Engine engine(info, core::AggregationFunction::count());

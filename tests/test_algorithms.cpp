@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "adversary/randomized_adversary.hpp"
 #include "algorithms/full_knowledge.hpp"
 #include "algorithms/future_aware.hpp"
 #include "algorithms/gathering.hpp"
@@ -13,6 +14,7 @@
 #include "dynagraph/traces.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace doda::algorithms {
 namespace {
@@ -147,6 +149,23 @@ TEST(WaitingGreedy, HugeTauActsLikeWaiting) {
   const auto r = runOn(wg, seq, n, 0);
   ASSERT_TRUE(r.terminated);
   for (const auto& rec : r.schedule) EXPECT_EQ(rec.receiver, 0u);
+}
+
+TEST(WaitingGreedy, ReadsOnlyThePrefixThatDecidesIt) {
+  // One paper-tau trial dispatches 1,035 interactions; the oracle commits
+  // and indexes 13 LazySequence chunks to decide them. Pinned so that
+  // read-ahead cannot creep back unnoticed.
+  const std::size_t n = 64;
+  adversary::RandomizedAdversary adversary(n, 3);
+  MeetTimeIndex index = adversary.makeMeetTimeIndex(0);
+  WaitingGreedy wg(index,
+                   static_cast<Time>(util::closed_form::waitingGreedyTau(n)));
+  core::Engine engine({n, 0}, core::AggregationFunction::count());
+  const auto r = engine.run(wg, adversary);
+  ASSERT_TRUE(r.terminated);
+  EXPECT_EQ(r.interactions_dispatched, 1035u);
+  EXPECT_EQ(adversary.lazySequence().generatedLength(), 3328u);
+  EXPECT_EQ(index.indexedLength(), 3328u);
 }
 
 TEST(WaitingGreedy, KnowledgeIsMeetTime) {

@@ -327,12 +327,15 @@ std::unique_ptr<DodaAlgorithm> makeAlgorithm(Algo algo,
 /// Runs `algo` twice over fresh lazy adversaries from `make` (same seed),
 /// once walking committed blocks and once through NextOnly, on a fresh
 /// thread: no committed buffer is parked there, so every extension of the
-/// backing reallocates it, and WaitingGreedy's oracle extends it inside
-/// decide(), in the middle of a block.
+/// backing reallocates it. With `oracle_reads_ahead`, the run must show
+/// that WaitingGreedy's oracle extended the backing inside decide(), in
+/// the middle of a block: the engine alone commits only the chunks it
+/// dispatches from.
 template <typename Make>
 void expectBlockPathMatchesNextOnly(const std::string& label, Algo algo,
                                     std::size_t n, Make make,
-                                    const RunOptions& options = {}) {
+                                    const RunOptions& options = {},
+                                    bool oracle_reads_ahead = false) {
   std::thread([&] {
     SCOPED_TRACE(label);  // scoped traces are per thread
     Engine engine({n, 0}, AggregationFunction::count());
@@ -349,9 +352,12 @@ void expectBlockPathMatchesNextOnly(const std::string& label, Algo algo,
     }
     expectSameExecution(results[0], results[1]);
     EXPECT_EQ(committed[0], committed[1]);
-    if (algo == Algo::kWaitingGreedy) {  // the oracle grew the backing
-      EXPECT_GT(committed[0], results[0].interactions_dispatched +
-                                  dynagraph::LazySequence::kChunk);
+    if (oracle_reads_ahead) {
+      constexpr Time kChunk = dynagraph::LazySequence::kChunk;
+      const Time engine_chunks =
+          (results[0].interactions_dispatched + kChunk - 1) / kChunk * kChunk;
+      EXPECT_GT(committed[0], engine_chunks) << "the oracle read no further "
+                                                "than the engine";
     }
   }).join();
 }
@@ -366,6 +372,15 @@ TEST(EngineBlocks, RandomizedBlocksMatchNextOnly) {
           algo, 24, [seed] {
             return std::make_unique<adversary::RandomizedAdversary>(24, seed);
           });
+  // At n = 64 the decision query reads past the engine's chunks: 3,328
+  // and 2,560 committed for 1,035 and 1,041 dispatched.
+  for (const std::uint64_t seed : {3u, 4u})
+    expectBlockPathMatchesNextOnly(
+        "read ahead, seed " + std::to_string(seed), Algo::kWaitingGreedy, 64,
+        [seed] {
+          return std::make_unique<adversary::RandomizedAdversary>(64, seed);
+        },
+        {}, /*oracle_reads_ahead=*/true);
 }
 
 TEST(EngineBlocks, NonUniformBlocksMatchNextOnly) {
@@ -376,6 +391,13 @@ TEST(EngineBlocks, NonUniformBlocksMatchNextOnly) {
           return std::make_unique<adversary::NonUniformAdversary>(16, 0.8,
                                                                   11);
         });
+  // 2,048 committed for 1,035 dispatched.
+  expectBlockPathMatchesNextOnly(
+      "read ahead", Algo::kWaitingGreedy, 64,
+      [] {
+        return std::make_unique<adversary::NonUniformAdversary>(64, 0.8, 17);
+      },
+      {}, /*oracle_reads_ahead=*/true);
 }
 
 TEST(EngineBlocks, FixedSequenceBlocksMatchNextOnly) {

@@ -25,6 +25,14 @@ LazySequence::BlockGenerator onlyMeetingAt(Time meeting) {
   };
 }
 
+/// A block generator replaying `seq` (which must outlive it).
+LazySequence::BlockGenerator copyOf(const InteractionSequence& seq) {
+  return [&seq](Time begin, std::size_t count,
+                std::vector<Interaction>& out) {
+    for (Time t = begin; t < begin + count; ++t) out.push_back(seq.at(t));
+  };
+}
+
 /// Reference implementation: linear scan for the smallest t' > t with
 /// I_{t'} = {u, sink}.
 Time naiveMeetTime(const InteractionSequence& seq, NodeId sink, NodeId u,
@@ -33,6 +41,52 @@ Time naiveMeetTime(const InteractionSequence& seq, NodeId sink, NodeId u,
   for (Time x = t + 1; x < seq.length(); ++x)
     if (seq.at(x) == Interaction(u, sink)) return x;
   return kNever;
+}
+
+/// Probes idx.meetOrder, over `full` or a lazy sequence generating it,
+/// against two naive scans of `full`. t sweeps from 0 to past the end of a
+/// 3,000-interaction sequence, mostly forward as the engine queries, with
+/// short steps back. Each query may index no further than the larger of
+/// how far the index had got and one kChunk past min(later, max(earlier,
+/// horizon + 1)), or the backing's end when that is kNever.
+void expectMeetOrderMatchesNaive(MeetTimeIndex& idx,
+                                 const InteractionSequence& full,
+                                 std::size_t n, util::Rng& rng) {
+  const NodeId sink = idx.sink();
+  Time t = 0;
+  for (int probe = 0; probe < 600; ++probe) {
+    NodeId a = static_cast<NodeId>(rng.below(n));
+    NodeId b = static_cast<NodeId>(rng.below(n - 1));
+    if (b >= a) ++b;
+    if (probe % 4 == 1) (probe % 8 == 1 ? a : b) = sink;
+    if (a == b) b = (a + 1) % n;
+    t = rng.below(8) == 0 ? t - std::min<Time>(t, rng.below(64))
+                          : t + rng.below(24);
+    const Time ma = naiveMeetTime(full, sink, a, t);
+    const Time mb = naiveMeetTime(full, sink, b, t);
+    const Time near = rng.below(2) == 0 ? ma : mb;
+    Time horizon = kNever;
+    switch (rng.below(4)) {
+      case 0: horizon = rng.below(t + 1); break;  // at or below t
+      case 1:
+        if (near != kNever) horizon = near - 1 + rng.below(3);
+        break;
+      case 2: horizon = t + rng.below(4 * n * n); break;
+      default: break;  // kNever
+    }
+    const Time earlier = std::min(ma, mb), later = std::max(ma, mb);
+    const Time past_horizon = horizon == kNever ? kNever : horizon + 1;
+    const Time bound = std::min(later, std::max(earlier, past_horizon));
+    const Time limit =
+        bound == kNever ? full.length() : bound + LazySequence::kChunk;
+    const Time before = idx.indexedLength();
+    EXPECT_EQ(idx.meetOrder(a, b, t, horizon),
+              (MeetOrder{ma <= mb, later > horizon}))
+        << "a=" << a << " b=" << b << " t=" << t << " horizon=" << horizon
+        << " sink=" << sink;
+    EXPECT_LE(idx.indexedLength(), std::max(before, limit))
+        << "a=" << a << " b=" << b << " t=" << t << " horizon=" << horizon;
+  }
 }
 
 TEST(MeetTimeIndex, SinkMeetTimeIsIdentity) {
@@ -84,6 +138,76 @@ TEST_P(MeetTimeProperty, MatchesNaiveScanOnRandomSequences) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MeetTimeProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10));
 
+class MeetOrderProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(MeetOrderProperty, MatchesTwoNaiveScansOnFixedAndLazyBackings) {
+  util::Rng rng(GetParam());
+  // Up to 40 nodes, so a node's meetings lie several chunks apart.
+  const std::size_t n = 4 + rng.below(37);
+  const NodeId sink = static_cast<NodeId>(rng.below(n));
+  const auto full = traces::uniformRandom(n, 12 * LazySequence::kChunk, rng);
+  {
+    SCOPED_TRACE("fixed");
+    MeetTimeIndex idx(full, sink, n);
+    expectMeetOrderMatchesNaive(idx, full, n, rng);
+  }
+  SCOPED_TRACE("lazy");
+  LazySequence lazy(copyOf(full), full.length());
+  MeetTimeIndex idx(lazy, sink, n);
+  expectMeetOrderMatchesNaive(idx, full, n, rng);
+}
+
+TEST_P(MeetOrderProperty, MatchesTwoNaiveScansOnAnExhaustedLazyBacking) {
+  // Node 2 never meets the sink: only exhausting the backing settles a
+  // decision that needs its meeting.
+  util::Rng rng(GetParam());
+  const Time length = 3 * LazySequence::kChunk + 17;
+  std::vector<Interaction> interactions;
+  onlyMeetingAt(kNever)(0, length, interactions);
+  const InteractionSequence full(std::move(interactions));
+  LazySequence lazy(onlyMeetingAt(kNever), length);
+  MeetTimeIndex idx(lazy, 0, 3);
+  expectMeetOrderMatchesNaive(idx, full, 3, rng);
+  EXPECT_EQ(lazy.generatedLength(), length);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MeetOrderProperty,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+TEST(MeetTimeIndex, MeetOrderLaterMeetingAtTheHorizonIsNotBeyond) {
+  // Node 2 meets the sink only at the horizon, the first time past the
+  // first chunk: a prefix that ends at the horizon does not settle the
+  // decision, since a meeting at the horizon is not beyond it.
+  const Time horizon = LazySequence::kChunk;
+  LazySequence lazy(onlyMeetingAt(horizon), 1 << 20);
+  MeetTimeIndex idx(lazy, 0, 3);
+  EXPECT_EQ(idx.meetOrder(1, 2, 0, horizon), (MeetOrder{true, false}));
+  EXPECT_EQ(idx.meetOrder(1, 2, 0, horizon - 1), (MeetOrder{true, true}));
+}
+
+TEST(MeetTimeIndex, SinkDecisionPastTheHorizonScansNothing) {
+  // s.meetTime(t) = t, and the other endpoint meets the sink after t: past
+  // the horizon the sink receives, whatever lies ahead.
+  LazySequence lazy(onlyMeetingAt(kNever), 1 << 20);
+  MeetTimeIndex idx(lazy, 0, 3);
+  EXPECT_EQ(idx.meetOrder(2, 0, 500, 499), (MeetOrder{false, true}));
+  EXPECT_EQ(idx.indexedLength(), 0u);
+  EXPECT_EQ(lazy.generatedLength(), 0u);
+}
+
+TEST(MeetTimeIndex, MeetTimeIndexesOnlyToTheMeeting) {
+  // A fixed backing is indexed one kChunk at a time, not in full.
+  std::vector<Interaction> interactions(8 * LazySequence::kChunk,
+                                        Interaction(1, 2));
+  interactions[5] = Interaction(0, 1);
+  const InteractionSequence seq(std::move(interactions));
+  MeetTimeIndex idx(seq, 0, 3);
+  EXPECT_EQ(idx.meetTime(1, 0), 5u);
+  EXPECT_EQ(idx.indexedLength(), LazySequence::kChunk);
+  EXPECT_EQ(idx.meetTime(2, 0), kNever);
+  EXPECT_EQ(idx.indexedLength(), seq.length());
+}
+
 TEST(MeetTimeIndex, KnownMeetingsAreAscendingAndComplete) {
   util::Rng rng(77);
   const auto seq = traces::uniformRandom(6, 200, rng);
@@ -99,7 +223,7 @@ TEST(MeetTimeIndex, KnownMeetingsAreAscendingAndComplete) {
 TEST(MeetTimeIndex, LazyBackingExtendsOnDemand) {
   util::Rng rng(42);
   LazySequence lazy(uniformBlocks(6, rng), 1 << 20);
-  MeetTimeIndex idx(lazy, 0, 6, /*extension_chunk=*/64);
+  MeetTimeIndex idx(lazy, 0, 6);
   // The sequence starts empty; the query must commit randomness until node
   // 3 meets the sink.
   const Time m = idx.meetTime(3, 0);
@@ -113,7 +237,7 @@ TEST(MeetTimeIndex, LazyBackingExtendsOnDemand) {
 TEST(MeetTimeIndex, LazyAnswersAreStableAcrossExtensions) {
   util::Rng rng(43);
   LazySequence lazy(uniformBlocks(5, rng), 1 << 20);
-  MeetTimeIndex idx(lazy, 0, 5, 32);
+  MeetTimeIndex idx(lazy, 0, 5);
   const Time first = idx.meetTime(2, 0);
   lazy.ensure(first + 500);
   EXPECT_EQ(idx.meetTime(2, 0), first);
@@ -162,33 +286,28 @@ TEST(MeetTimeIndex, RepeatedQueryAtSameTimeIsStable) {
 TEST(MeetTimeIndex, LazyExhaustionReturnsNever) {
   // A backing sequence that can never contain a sink meeting for node 2.
   LazySequence lazy(onlyMeetingAt(kNever), 256);
-  MeetTimeIndex idx(lazy, 0, 3, 64);
+  MeetTimeIndex idx(lazy, 0, 3);
   EXPECT_EQ(idx.meetTime(2, 0), kNever);
 }
 
 TEST(MeetTimeIndex, LazyExtensionCommitsFinalPartialChunk) {
   // Node 2's only sink meeting lies in the backing's final extension
-  // round, which is shorter than the extension chunk. The index must
+  // round, which is shorter than LazySequence::kChunk. The index must
   // commit that partial chunk instead of answering kNever: a replayed
   // trial's backing ends exactly at its recorded length.
   {
     LazySequence lazy(onlyMeetingAt(90), 100);
-    MeetTimeIndex idx(lazy, 0, 3, /*extension_chunk=*/64);
+    MeetTimeIndex idx(lazy, 0, 3);
     EXPECT_EQ(idx.meetTime(2, 0), 90u);
   }
   // The first round commits one whole LazySequence chunk, so here the
   // partial round is the second one.
   const Time max_length = LazySequence::kChunk + 44;
   LazySequence lazy(onlyMeetingAt(max_length - 10), max_length);
-  MeetTimeIndex idx(lazy, 0, 3, /*extension_chunk=*/64);
+  MeetTimeIndex idx(lazy, 0, 3);
   EXPECT_EQ(idx.meetTime(2, 0), max_length - 10);
   EXPECT_EQ(lazy.generatedLength(), max_length);
   EXPECT_EQ(idx.meetTime(2, max_length - 10), kNever);
-}
-
-TEST(MeetTimeIndex, ZeroChunkRejected) {
-  LazySequence lazy(onlyMeetingAt(kNever), 16);
-  EXPECT_THROW(MeetTimeIndex(lazy, 0, 3, 0), std::invalid_argument);
 }
 
 }  // namespace

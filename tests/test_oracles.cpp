@@ -5,6 +5,7 @@
 #include "algorithms/gathering.hpp"
 #include "algorithms/waiting_greedy.hpp"
 #include "dynagraph/traces.hpp"
+#include "fault/fault_oracles.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
 
@@ -104,6 +105,40 @@ TEST(QuantizedOracle, PreservesOrderWeakly) {
     const Time mu = exact.meetTime(u, t), mv = exact.meetTime(v, t);
     if (mu <= mv) {
       EXPECT_LE(q.meetTime(u, t), q.meetTime(v, t));
+    }
+  }
+}
+
+TEST(MeetOrder, EveryOracleAnswersAsTwoMeetTimeCalls) {
+  // The degraded oracles keep their meetTime semantics in WaitingGreedy's
+  // decision query, ties included (quantized buckets, hidden meetings,
+  // Byzantine lies); the exact one settles it from its index.
+  util::Rng rng(10);
+  const std::size_t n = 8;
+  const auto seq = traces::uniformRandom(n, 3000, rng);
+  MeetTimeIndex index(seq, 0, n);
+  ExactMeetTimeOracle exact(index);
+  WindowedMeetTimeOracle windowed(index, 40);
+  QuantizedMeetTimeOracle quantized(index, 64);
+  fault::FaultPlan plan;
+  plan.crash_times.assign(n, kNever);
+  plan.byzantine.assign(n, 0);
+  plan.crash_times[2] = 1500;
+  plan.byzantine[5] = 1;
+  fault::FaultyMeetTimeOracle faulty(exact, plan);
+  MeetTimeOracle* const oracles[] = {&exact, &windowed, &quantized, &faulty};
+  for (MeetTimeOracle* oracle : oracles) {
+    Time t = 0;
+    for (int probe = 0; probe < 300; ++probe) {
+      const NodeId a = static_cast<NodeId>(rng.below(n));
+      const NodeId b = static_cast<NodeId>((a + 1 + rng.below(n - 1)) % n);
+      t += rng.below(12);
+      const Time horizon = rng.below(4) == 0 ? kNever : t + rng.below(200);
+      const Time ma = oracle->meetTime(a, t);
+      const Time mb = oracle->meetTime(b, t);
+      EXPECT_EQ(oracle->meetOrder(a, b, t, horizon),
+                (MeetOrder{ma <= mb, std::max(ma, mb) > horizon}))
+          << "a=" << a << " b=" << b << " t=" << t << " horizon=" << horizon;
     }
   }
 }
