@@ -3,12 +3,12 @@
 // Records one uniform randomized-adversary workload as a sharded store
 // (dynagraph/trace_io) in a scratch directory, plus an imported
 // contact-event CSV (dynagraph/trace_import), then measures: pure
-// compressed-block decode throughput (decode_v4), materialized replay
-// (per-trial decode + meetTime oracle, WaitingGreedy), fully streamed
-// replay (zero materialization, Gathering) serially and with a worker pool,
-// a ranged replay of the middle half of the trials riding the block index,
-// and the durable store's append and compaction paths. A raw-block copy of
-// each store (compress = false) is recorded untimed for a live
+// compressed-block decode throughput (decode_v4), replayTrace with the
+// meetTime oracle (WaitingGreedy) and without it (Gathering, the
+// replay_streaming_* legs) serially and with a worker pool, a ranged
+// Gathering replay of the middle half of the trials riding the block
+// index, and the durable store's append and compaction paths. A raw-block
+// copy of each store (compress = false) is recorded untimed for a live
 // raw-vs-rANS size readout, printed and emitted in the JSON. Every leg
 // cross-checks the executor's contract:
 // thread count, block encoding and replay window never change the
@@ -85,8 +85,8 @@ doda::sim::AlgorithmFactory waitingGreedy(std::size_t n) {
   };
 }
 
-std::unique_ptr<doda::core::DodaAlgorithm> gatheringStreamed(
-    const doda::core::SystemInfo&) {
+std::unique_ptr<doda::core::DodaAlgorithm> gathering(
+    doda::sim::TrialContext&) {
   return std::make_unique<doda::algorithms::Gathering>();
 }
 
@@ -217,9 +217,6 @@ int main(int argc, char** argv) {
   pool_cfg.threads = threads;
 
   const auto materialized = waitingGreedy(n);
-  const auto gathering_materialized = [](doda::sim::TrialContext&) {
-    return std::make_unique<doda::algorithms::Gathering>();
-  };
 
   // -------------------------------------------------------------- replay
   MeasureResult mat_serial, mat_pool, stream_serial, stream_pool;
@@ -229,16 +226,17 @@ int main(int argc, char** argv) {
   runLeg("replay_materialized_pool", t, total_interactions, [&] {
     mat_pool = replayTrace(store_v4, pool_cfg, materialized);
   });
+  // The replay_streaming_* names stay for the CI baselines; these legs
+  // time replayTrace with Gathering, which needs no oracle.
   runLeg("replay_streaming_serial", t, total_interactions, [&] {
-    stream_serial =
-        replayTraceStreaming(store_v4, serial_cfg, gatheringStreamed);
+    stream_serial = replayTrace(store_v4, serial_cfg, gathering);
   });
   runLeg("replay_streaming_pool", t, total_interactions, [&] {
-    stream_pool = replayTraceStreaming(store_v4, pool_cfg, gatheringStreamed);
+    stream_pool = replayTrace(store_v4, pool_cfg, gathering);
   });
   // Untimed cross-check: the same trials through raw blocks.
   const MeasureResult stream_raw =
-      replayTraceStreaming(store_raw, serial_cfg, gatheringStreamed);
+      replayTrace(store_raw, serial_cfg, gathering);
 
   // Ranged replay: the middle half of the trials, riding the block index.
   doda::sim::ReplayTrialRange window{trials / 4, trials - trials / 4};
@@ -255,11 +253,9 @@ int main(int argc, char** argv) {
   runLeg("replay_range", window_trials * reps_range,
          window_trials * static_cast<double>(length) * reps_range, [&] {
            for (int rep = 0; rep < reps_range; ++rep)
-             range_serial =
-                 replayTraceStreaming(store_v4, range_cfg, gatheringStreamed);
+             range_serial = replayTrace(store_v4, range_cfg, gathering);
          });
-  range_pool = replayTraceStreaming(store_v4, range_pool_cfg,
-                                    gatheringStreamed);
+  range_pool = replayTrace(store_v4, range_pool_cfg, gathering);
 
   // Ranged vs full: a deterministic per-trial value folded over the window
   // of a full replay must equal the same body's ranged replay.
@@ -287,18 +283,12 @@ int main(int argc, char** argv) {
       doda::sim::replayShards(store_v4, 1, window_body, window);
 
   // The executor's contract, enforced on every bench run: thread count,
-  // block encoding and replay window never change the statistics, and the
-  // streamed path agrees with the materialized path for the same (online)
-  // algorithm.
+  // block encoding and replay window never change the statistics.
   expectIdentical(mat_serial, mat_pool, "materialized serial/pool");
   expectIdentical(stream_serial, stream_pool, "streaming serial/pool");
   expectIdentical(stream_serial, stream_raw, "streaming rANS/raw");
   expectIdentical(range_serial, range_pool, "ranged serial/pool");
   expectIdentical(window_folded, window_ranged, "ranged vs folded full");
-  MeasureResult gathering_check;
-  gathering_check = replayTrace(store_v4, serial_cfg, gathering_materialized);
-  expectIdentical(stream_serial, gathering_check,
-                  "streaming vs materialized (Gathering)");
 
   if (mat_serial.interactions.count() == 0) {
     std::cerr << "FATAL: every materialized trial failed — lengthen the "
@@ -352,11 +342,9 @@ int main(int argc, char** argv) {
   MeasureResult import_serial, import_pool;
   runLeg("replay_import_serial", static_cast<double>(shards),
          static_cast<double>(import_events), [&] {
-           import_serial = replayTraceStreaming(import_store, serial_cfg,
-                                                gatheringStreamed);
+           import_serial = replayTrace(import_store, serial_cfg, gathering);
          });
-  import_pool =
-      replayTraceStreaming(import_store, pool_cfg, gatheringStreamed);
+  import_pool = replayTrace(import_store, pool_cfg, gathering);
   expectIdentical(import_serial, import_pool, "import serial/pool");
 
   // ------------------------------------------------------- durable store
@@ -364,16 +352,15 @@ int main(int argc, char** argv) {
   // workload recorded as two appended generations with the recordTrials
   // seed scheme, so the composite replays the exact trials of the
   // monolithic store above. Measured: recovery-on-open plus composite
-  // streamed replay (the append-reopen path, fsync-on-commit included in
+  // Gathering replay (the append-reopen path, fsync-on-commit included in
   // setup, not in the leg), and offline compaction of the two
   // generations into one segment. Both paths cross-check
   // against the monolithic statistics: appending and compacting never
   // change what replays.
   const std::string dir_durable = root + "/durable";
   {
-    doda::util::Rng master(config.seed);
-    std::vector<std::uint64_t> seeds(trials);
-    for (auto& seed : seeds) seed = master();
+    const std::vector<std::uint64_t> seeds =
+        doda::sim::drawTrialSeeds(config.seed, trials);
     const auto fillRange = [&](std::size_t first, std::size_t last) {
       return [&, first, last](doda::dynagraph::TraceStoreWriter& writer) {
         for (std::size_t i = first; i < last; ++i) {
@@ -395,9 +382,8 @@ int main(int argc, char** argv) {
            for (int rep = 0; rep < reps_durable; ++rep) {
              const auto durable =
                  doda::storage::DurableTraceStore::open(dir_durable);
-             durable_serial = replayTraceStreaming(durable.openStore(),
-                                                   serial_cfg,
-                                                   gatheringStreamed);
+             durable_serial =
+                 replayTrace(durable.openStore(), serial_cfg, gathering);
            }
          });
   expectIdentical(stream_serial, durable_serial,
@@ -408,8 +394,8 @@ int main(int argc, char** argv) {
   });
   {
     const auto durable = doda::storage::DurableTraceStore::open(dir_durable);
-    const MeasureResult compacted = replayTraceStreaming(
-        durable.openStore(), serial_cfg, gatheringStreamed);
+    const MeasureResult compacted =
+        replayTrace(durable.openStore(), serial_cfg, gathering);
     expectIdentical(stream_serial, compacted,
                     "durable compacted vs monolithic");
   }

@@ -4,8 +4,7 @@
 // an external contact-trace dataset — as a directory of binary shards
 // (dynagraph/trace_io; rANS-compressed blocks by default), ready for
 // production-scale replay through the shard-parallel executor
-// (sim/trace_replay: replayTrace and replayTraceStreaming;
-// bench_trace_replay).
+// (sim/trace_replay: replayTrace; bench_trace_replay).
 //
 // Usage:
 //   trace_record --out DIR --n N --trials T --length L
@@ -47,9 +46,9 @@
 //
 // --verify reopens the store, streams every shard once, and runs a small
 // multi-threaded contact-profile analysis over the first recorded trial.
-// --replay-range A B replays only global trials [A, B) through a streamed
-// Gathering run (the reader seeks straight to the window via each shard's
-// block index) and prints the windowed statistics.
+// --replay-range A B replays only global trials [A, B) through Gathering
+// with replayTrace (the reader seeks straight to the window via each
+// shard's block index) and prints the windowed statistics.
 
 #include <algorithm>
 #include <cstdlib>
@@ -296,9 +295,8 @@ void recordDurableTrials(const Options& opt,
                          const sim::TrialGenerator& generator) {
   storage::DurableTraceStore store =
       storage::DurableTraceStore::openOrCreate(opt.out_dir);
-  util::Rng master(opt.seed);
-  std::vector<std::uint64_t> seeds(opt.trials);
-  for (auto& seed : seeds) seed = master();
+  const std::vector<std::uint64_t> seeds =
+      sim::drawTrialSeeds(opt.seed, opt.trials);
   store.commitSegment(
       std::max<std::size_t>(opt.n, store.nodeCount()), opt.trials, opt.shards,
       opt.writer, [&](dynagraph::TraceStoreWriter& writer) {
@@ -352,14 +350,15 @@ std::vector<std::size_t> contactProfile(
   return contacts;
 }
 
-/// Windowed replay demo: streams only trials [A, B) of the store through
-/// a Gathering run and prints the window's statistics. The executor seeks
-/// straight to the window via each shard's block index.
+/// Windowed replay demo: replays only trials [A, B) of the store through
+/// Gathering with replayTrace and prints the window's statistics. The
+/// executor seeks straight to the window via each shard's block index,
+/// and each trial is decoded only as far as Gathering runs.
 void replayRange(const dynagraph::TraceStore& store, const Options& opt) {
   sim::ReplayConfig replay;
   replay.trial_range = {opt.range_first, opt.range_last};
-  const auto result = sim::replayTraceStreaming(
-      store, replay, [](const core::SystemInfo&) {
+  const auto result =
+      sim::replayTrace(store, replay, [](sim::TrialContext&) {
         return std::make_unique<algorithms::Gathering>();
       });
   std::cout << "replay-range [" << opt.range_first << ", " << opt.range_last

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <thread>
 
 #include "algorithms/gathering.hpp"
 #include "algorithms/waiting.hpp"
@@ -54,6 +55,17 @@ std::string stringParam(const Json& params, const char* key,
   return value->asString();
 }
 
+/// A job's "threads" param, clamped to this machine's cores (0 stays "all
+/// cores"). The statistics are identical for every thread count, so extra
+/// workers would only cost a thread stack each, and one request could
+/// otherwise ask for a million of them.
+std::size_t threadsParam(const Json& params) {
+  const auto cores = static_cast<std::uint64_t>(
+      std::max(1u, std::thread::hardware_concurrency()));
+  return static_cast<std::size_t>(
+      std::min(uintParam(params, "threads", 0), cores));
+}
+
 /// The MeasureConfig keys shared by every synthetic job kind.
 sim::MeasureConfig measureConfigOf(const Json& params) {
   sim::MeasureConfig config;
@@ -66,8 +78,7 @@ sim::MeasureConfig measureConfigOf(const Json& params) {
       static_cast<std::size_t>(uintParam(params, "trials", config.trials));
   if (config.trials == 0) badParams("\"trials\" must be positive");
   config.seed = uintParam(params, "seed", config.seed);
-  config.threads =
-      static_cast<std::size_t>(uintParam(params, "threads", 0));
+  config.threads = threadsParam(params);
   config.max_interactions = static_cast<core::Time>(uintParam(
       params, "max_interactions",
       static_cast<std::uint64_t>(config.max_interactions)));
@@ -322,8 +333,7 @@ Handled Service::submit(const Request& request) {
     sim::ReplayConfig replay;
     replay.sink = static_cast<core::NodeId>(uintParam(params, "sink", 0));
     if (replay.sink >= store->nodeCount()) badParams("\"sink\" out of range");
-    replay.threads =
-        static_cast<std::size_t>(uintParam(params, "threads", 0));
+    replay.threads = threadsParam(params);
     replay.max_interactions = static_cast<core::Time>(uintParam(
         params, "max_interactions",
         static_cast<std::uint64_t>(replay.max_interactions)));

@@ -14,6 +14,7 @@ using core::SystemInfo;
 using core::Time;
 using dynagraph::InteractionSequence;
 using dynagraph::kNever;
+using dynagraph::LazySequence;
 
 namespace {
 
@@ -21,14 +22,47 @@ SystemInfo systemOf(const MeasureConfig& config) {
   return SystemInfo{config.node_count, config.sink};
 }
 
-std::unique_ptr<core::Adversary> makeAdversary(const MeasureConfig& config,
-                                               std::uint64_t seed) {
+/// The committed randomness of one trial: `config`'s (uniform or Zipf)
+/// adversary drawing from util::Rng(seed). Chunked draws equal one long
+/// draw, so every prefix equals drawAdversarySequence from the same seed.
+LazySequence::BlockGenerator adversaryGenerator(const MeasureConfig& config,
+                                                std::uint64_t seed) {
+  using Block = std::vector<core::Interaction>;
   if (config.zipf_exponent > 0.0)
-    return std::make_unique<adversary::NonUniformAdversary>(
-        config.node_count, config.zipf_exponent, seed);
-  return std::make_unique<adversary::RandomizedAdversary>(
-      config.node_count, seed, core::Time{1} << 34, config.seed_format);
+    return [distribution = dynagraph::traces::ZipfPairDistribution(
+                config.node_count, config.zipf_exponent),
+            rng = util::Rng(seed)](Time, std::size_t count,
+                                   Block& out) mutable {
+      distribution.append(count, rng, out);
+    };
+  return [node_count = config.node_count, format = config.seed_format,
+          rng = util::Rng(seed)](Time, std::size_t count, Block& out) mutable {
+    dynagraph::traces::appendUniform(node_count, count, rng, out, format);
+  };
 }
+
+/// The engine's side of an online trial: serves the trial's sequence and
+/// reports exhaustion at its max_length.
+class LazyTrialAdversary final : public core::Adversary {
+ public:
+  explicit LazyTrialAdversary(LazySequence& sequence) : sequence_(sequence) {}
+
+  std::string name() const override { return "lazy-sequence"; }
+
+  std::optional<core::Interaction> next(
+      Time t, const core::ExecutionView& /*view*/) override {
+    if (t >= sequence_.maxLength()) return std::nullopt;
+    return sequence_.at(t);
+  }
+
+  std::span<const core::Interaction> committedFrom(Time t) override {
+    if (t >= sequence_.maxLength()) return {};
+    return sequence_.committedFrom(t);
+  }
+
+ private:
+  LazySequence& sequence_;
+};
 
 core::RunOptions measurementRunOptions(Time max_interactions) {
   core::RunOptions options;
@@ -39,6 +73,31 @@ core::RunOptions measurementRunOptions(Time max_interactions) {
 
 }  // namespace
 
+TrialOutcome runOnlineTrial(const SystemInfo& info, LazySequence& sequence,
+                            const AlgorithmFactory& factory,
+                            Time max_interactions, bool compute_cost,
+                            core::Engine::Scratch& scratch) {
+  LazyTrialAdversary adversary(sequence);
+  dynagraph::MeetTimeIndex index(sequence, info.sink, info.node_count);
+  TrialContext context{info, adversary, index};
+  const auto algorithm = factory(context);
+  core::Engine engine(info, core::AggregationFunction::count());
+  const auto result = engine.runInto(
+      scratch, *algorithm, adversary,
+      measurementRunOptions(std::min(sequence.maxLength(), max_interactions)));
+  if (!result.terminated) return TrialOutcome::failure();
+  TrialOutcome outcome;
+  outcome.success = true;
+  outcome.interactions = static_cast<double>(result.interactions_to_terminate);
+  if (compute_cost) {
+    outcome.cost = static_cast<double>(
+        analysis::costOf(sequence.committed(), info.node_count, info.sink,
+                         result.last_transmission_time));
+    outcome.has_cost = true;
+  }
+  return outcome;
+}
+
 MeasureResult measureRandomized(const MeasureConfig& config,
                                 const AlgorithmFactory& factory) {
   const SystemInfo info = systemOf(config);
@@ -46,27 +105,10 @@ MeasureResult measureRandomized(const MeasureConfig& config,
       config.trials, config.seed, config.threads,
       [&](std::size_t /*trial*/, std::uint64_t seed,
           core::Engine::Scratch& scratch) {
-        auto adversary = makeAdversary(config, seed);
-        // Both adversary flavours expose their committed randomness; build
-        // the meetTime oracle on it.
-        dynagraph::MeetTimeIndex index =
-            config.zipf_exponent > 0.0
-                ? static_cast<adversary::NonUniformAdversary&>(*adversary)
-                      .makeMeetTimeIndex(config.sink)
-                : static_cast<adversary::RandomizedAdversary&>(*adversary)
-                      .makeMeetTimeIndex(config.sink);
-        TrialContext context{info, *adversary, index};
-        const auto algorithm = factory(context);
-        core::Engine engine(info, core::AggregationFunction::count());
-        const auto result =
-            engine.runInto(scratch, *algorithm, *adversary,
-                           measurementRunOptions(config.max_interactions));
-        TrialOutcome outcome;
-        if (!result.terminated) return TrialOutcome::failure();
-        outcome.success = true;
-        outcome.interactions =
-            static_cast<double>(result.interactions_to_terminate);
-        return outcome;
+        LazySequence sequence(adversaryGenerator(config, seed));
+        return runOnlineTrial(info, sequence, factory,
+                              config.max_interactions,
+                              /*compute_cost=*/false, scratch);
       },
       config.control);
 }
@@ -118,51 +160,11 @@ MeasureResult measureMaterialized(const MeasureConfig& config,
       [&, initial_length](std::size_t /*trial*/, std::uint64_t seed,
                           core::Engine::Scratch& scratch) {
         util::Rng rng(seed);
-        Time length = initial_length;
-        for (std::size_t attempt = 0; attempt <= max_doublings;
-             ++attempt, length *= 2) {
-          const InteractionSequence seq =
-              drawAdversarySequence(config, length, rng);
+        InteractionSequence seq =
+            drawAdversarySequence(config, initial_length, rng);
+        for (std::size_t attempt = 0; attempt <= max_doublings; ++attempt) {
           const auto algorithm = factory(seq, info);
           adversary::SequenceViewAdversary seq_adversary{seq};
-          core::Engine engine(info, core::AggregationFunction::count());
-          const auto result = engine.runInto(
-              scratch, *algorithm, seq_adversary,
-              measurementRunOptions(
-                  std::min<Time>(length, config.max_interactions)));
-          if (!result.terminated) continue;
-          TrialOutcome outcome;
-          outcome.success = true;
-          outcome.interactions =
-              static_cast<double>(result.interactions_to_terminate);
-          outcome.cost = static_cast<double>(
-              analysis::costOf(seq, config.node_count, config.sink,
-                               result.last_transmission_time));
-          outcome.has_cost = true;
-          return outcome;
-        }
-        return TrialOutcome::failure();
-      },
-      config.control);
-}
-
-MeasureResult measureWithCost(const MeasureConfig& config, Time length_hint,
-                              const AlgorithmFactory& factory,
-                              std::size_t max_doublings) {
-  const SystemInfo info = systemOf(config);
-  return runTrials(
-      config.trials, config.seed, config.threads,
-      [&, length_hint](std::size_t /*trial*/, std::uint64_t seed,
-                       core::Engine::Scratch& scratch) {
-        util::Rng rng(seed);
-        InteractionSequence seq =
-            drawAdversarySequence(config, length_hint, rng);
-        for (std::size_t attempt = 0; attempt <= max_doublings; ++attempt) {
-          adversary::SequenceViewAdversary seq_adversary{seq};
-          dynagraph::MeetTimeIndex index(seq, config.sink,
-                                         config.node_count);
-          TrialContext context{info, seq_adversary, index};
-          const auto algorithm = factory(context);
           core::Engine engine(info, core::AggregationFunction::count());
           const auto result = engine.runInto(
               scratch, *algorithm, seq_adversary,
@@ -181,6 +183,29 @@ MeasureResult measureWithCost(const MeasureConfig& config, Time length_hint,
           }
           // Extend the committed prefix with fresh randomness and rerun.
           seq.appendAll(drawAdversarySequence(config, seq.length(), rng));
+        }
+        return TrialOutcome::failure();
+      },
+      config.control);
+}
+
+MeasureResult measureWithCost(const MeasureConfig& config, Time length_hint,
+                              const AlgorithmFactory& factory,
+                              std::size_t max_doublings) {
+  const SystemInfo info = systemOf(config);
+  return runTrials(
+      config.trials, config.seed, config.threads,
+      [&, length_hint](std::size_t /*trial*/, std::uint64_t seed,
+                       core::Engine::Scratch& scratch) {
+        // Every attempt regenerates the same committed sequence from the
+        // trial seed; only the bound doubles.
+        for (std::size_t attempt = 0; attempt <= max_doublings; ++attempt) {
+          LazySequence sequence(adversaryGenerator(config, seed),
+                                length_hint << attempt);
+          const TrialOutcome outcome =
+              runOnlineTrial(info, sequence, factory, config.max_interactions,
+                             /*compute_cost=*/true, scratch);
+          if (outcome.success) return outcome;
         }
         return TrialOutcome::failure();
       },

@@ -3,11 +3,13 @@
 #include <functional>
 #include <memory>
 
-#include "adversary/randomized_adversary.hpp"
 #include "core/engine.hpp"
+#include "dynagraph/lazy_sequence.hpp"
 #include "dynagraph/meet_time_index.hpp"
+#include "dynagraph/traces.hpp"
 #include "fault/fault_model.hpp"
 #include "sim/parallel.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace doda::dynagraph {
@@ -16,9 +18,8 @@ class MeetTimeOracle;  // abstract meetTime knowledge (dynagraph/oracles.hpp)
 
 namespace doda::sim {
 
-/// Per-trial context handed to algorithm factories: the randomized
-/// adversary for this trial plus a meetTime oracle reading its committed
-/// randomness.
+/// Per-trial context handed to algorithm factories: the adversary serving
+/// this trial plus a meetTime oracle reading its committed sequence.
 struct TrialContext {
   core::SystemInfo info;
   core::Adversary& adversary;
@@ -90,22 +91,43 @@ MeasureResult measureOfflineOptimal(const MeasureConfig& config);
 
 /// Runs a sequence-knowledge algorithm (FullKnowledgeOptimal, FutureAware)
 /// under the randomized adversary: materializes a random sequence of
-/// `initial_length` (doubling on failure up to `max_doublings`), builds the
-/// algorithm from it, and measures interactions to termination; also
-/// computes the paper cost of each successful trial.
+/// `initial_length`, builds the algorithm from it, and measures
+/// interactions to termination; also computes the paper cost of each
+/// successful trial. A trial that does not terminate extends its committed
+/// sequence to twice the length with fresh randomness and reruns, up to
+/// `max_doublings` times, so the initial length never changes which
+/// sequence a trial reads, only how often it reruns.
 MeasureResult measureMaterialized(const MeasureConfig& config,
                                   core::Time initial_length,
                                   const SequenceAlgorithmFactory& factory,
                                   std::size_t max_doublings = 8);
 
-/// Measures an online algorithm on a *fixed* per-trial sequence drawn from
-/// the randomized adversary and additionally computes the paper cost of
-/// each successful trial. `length_hint` sizes the generated sequence (it is
-/// extended by doubling until the algorithm terminates or the cap is hit).
+/// Measures an online algorithm under the randomized adversary and
+/// additionally computes the paper cost of each successful trial. A trial
+/// reads the adversary's committed sequence bounded at `length_hint`
+/// interactions: the engine stops at the bound and the meetTime oracle
+/// answers kNever past it, as on a fixed sequence of that length. A trial
+/// that does not terminate reruns with the bound doubled, up to
+/// `max_doublings` times; the sequence is generated only as far as the
+/// engine and the oracle read it.
 MeasureResult measureWithCost(const MeasureConfig& config,
                               core::Time length_hint,
                               const AlgorithmFactory& factory,
                               std::size_t max_doublings = 8);
+
+/// The online trial behind measureRandomized, measureWithCost and
+/// replayTrace (sim/trace_replay). It builds the meetTime oracle on
+/// `sequence` and the factory's algorithm on that context, and runs the
+/// engine until termination, the sequence's max_length or
+/// `max_interactions`. With `compute_cost`, a successful trial also
+/// carries its paper cost, read from the committed prefix: that prefix
+/// holds the last transmission, and the cost chain stops at the first
+/// T(i) at or after it, so interactions past the prefix cannot change it.
+TrialOutcome runOnlineTrial(const core::SystemInfo& info,
+                            dynagraph::LazySequence& sequence,
+                            const AlgorithmFactory& factory,
+                            core::Time max_interactions, bool compute_cost,
+                            core::Engine::Scratch& scratch);
 
 /// One fixed-length sequence of the (uniform or Zipf) randomized adversary
 /// of `config` — the per-trial workload generator shared by the measure*

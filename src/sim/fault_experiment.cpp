@@ -1,8 +1,6 @@
 #include "sim/fault_experiment.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <mutex>
 #include <utility>
 
 #include "adversary/sequence_adversary.hpp"
@@ -91,60 +89,31 @@ FaultMeasureResult measureWithFaults(const MeasureConfig& config,
                                      std::size_t max_doublings) {
   config.faults.validate();
   const SystemInfo info{config.node_count, config.sink};
-
-  // Mirrors runTrials (sim/parallel.cpp): per-trial seeds pre-drawn from
-  // the master generator, outcomes stored in per-trial slots, folded in
-  // trial order — bit-identical for every thread count.
-  std::vector<std::uint64_t> seeds(config.trials);
-  util::Rng master(config.seed);
-  for (auto& trial_seed : seeds) trial_seed = master();
-
+  const std::vector<std::uint64_t> seeds =
+      drawTrialSeeds(config.seed, config.trials);
   std::vector<FaultTrialSlot> slots(config.trials);
-
-  // Observed runs (RunControl::progress) advance the same trial-order fold
-  // incrementally; the observer receives a MeasureResult view of the
-  // prefix (interactions over completed trials; everything that did not
-  // complete counted as failed). Cancellation unwinds via RunCancelled.
-  const RunControl* control = config.control;
-  const bool observed = control != nullptr && control->progress != nullptr;
-  const std::atomic<bool>* cancel =
-      control != nullptr ? control->cancel : nullptr;
   FaultMeasureResult out;
-  std::vector<std::uint8_t> done(observed ? config.trials : 0, 0);
-  std::size_t folded = 0;
-  std::mutex fold_mutex;
-  auto fold = [&](const FaultTrialSlot& slot) {
-    out.degradation.add(slot.outcome, slot.cost_inflation,
-                        slot.has_inflation);
-    if (slot.outcome.completed) out.interactions.add(slot.interactions);
-    if (slot.timed_out) ++out.timed_out_trials;
-  };
-
-  runIndexedTasks(config.trials,
-                  resolveThreads(config.threads, config.trials),
-                  [&](std::size_t trial, core::Engine::Scratch& scratch) {
-                    if (cancel != nullptr &&
-                        cancel->load(std::memory_order_relaxed))
-                      throw RunCancelled();
-                    slots[trial] =
-                        runFaultTrial(config, info, length_hint, factory,
-                                      max_doublings, seeds[trial], scratch);
-                    if (!observed) return;
-                    const std::lock_guard<std::mutex> lock(fold_mutex);
-                    done[trial] = 1;
-                    while (folded < config.trials && done[folded]) {
-                      fold(slots[folded]);
-                      ++folded;
-                      MeasureResult snapshot;
-                      snapshot.interactions = out.interactions;
-                      snapshot.failed_trials =
-                          folded - out.interactions.count();
-                      control->progress(folded, snapshot);
-                    }
-                  });
-  if (observed) return out;
-
-  for (const FaultTrialSlot& slot : slots) fold(slot);
+  // What a progress observer sees of the folded prefix: interactions over
+  // completed trials, and every trial that did not complete as failed.
+  MeasureResult prefix;
+  foldInOrder(
+      config.trials, config.trials, config.threads, config.control,
+      [&](std::size_t trial, core::Engine::Scratch& scratch,
+          const SlotFilled& filled) {
+        slots[trial] = runFaultTrial(config, info, length_hint, factory,
+                                     max_doublings, seeds[trial], scratch);
+        filled(trial);
+      },
+      [&](std::size_t trial) -> const MeasureResult& {
+        const FaultTrialSlot& slot = slots[trial];
+        out.degradation.add(slot.outcome, slot.cost_inflation,
+                            slot.has_inflation);
+        if (slot.outcome.completed) out.interactions.add(slot.interactions);
+        if (slot.timed_out) ++out.timed_out_trials;
+        prefix.interactions = out.interactions;
+        prefix.failed_trials = trial + 1 - out.interactions.count();
+        return prefix;
+      });
   return out;
 }
 

@@ -35,8 +35,22 @@ void foldOutcome(MeasureResult& out, const TrialOutcome& outcome) {
   if (outcome.has_cost) out.cost.add(outcome.cost);
 }
 
-void runIndexedTasks(std::size_t count, std::size_t threads,
-                     const IndexedTask& task) {
+std::vector<std::uint64_t> drawTrialSeeds(std::uint64_t master_seed,
+                                          std::size_t trials) {
+  util::Rng master(master_seed);
+  std::vector<std::uint64_t> seeds(trials);
+  for (auto& seed : seeds) seed = master();
+  return seeds;
+}
+
+namespace {
+
+/// Runs task(0), ..., task(count - 1): inline in index order when the
+/// resolved thread count is 1, otherwise on a pool of workers pulling
+/// indices from a shared counter, each with its own Scratch.
+void runIndexedTasks(
+    std::size_t count, std::size_t threads,
+    const std::function<void(std::size_t, core::Engine::Scratch&)>& task) {
   threads = resolveThreads(threads, count);
 
   if (threads <= 1) {
@@ -71,55 +85,82 @@ void runIndexedTasks(std::size_t count, std::size_t threads,
 
   std::vector<std::thread> pool;
   pool.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) pool.emplace_back(worker);
+  try {
+    for (std::size_t i = 0; i < threads; ++i) pool.emplace_back(worker);
+  } catch (...) {
+    // A worker that cannot start (std::system_error) must not leave the
+    // started ones joinable: that would end the process in std::terminate.
+    stop.store(true, std::memory_order_relaxed);
+    for (auto& thread : pool) thread.join();
+    throw;
+  }
   for (auto& thread : pool) thread.join();
   if (first_error) std::rethrow_exception(first_error);
+}
+
+}  // namespace
+
+void foldInOrder(std::size_t slots, std::size_t tasks, std::size_t threads,
+                 const RunControl* control, const SlotTask& task,
+                 const SlotFold& fold) {
+  const bool observed = control != nullptr && control->progress != nullptr;
+  const std::atomic<bool>* cancel =
+      control != nullptr ? control->cancel : nullptr;
+  const auto poll_cancel = [cancel] {
+    if (cancel != nullptr && cancel->load(std::memory_order_relaxed))
+      throw RunCancelled();
+  };
+
+  // Incremental-fold state (observed runs only): completion flags plus the
+  // index of the first slot not yet folded. The fold still advances
+  // strictly in slot order — a worker filling slot 7 before slot 3 only
+  // parks it until the prefix catches up.
+  std::vector<std::uint8_t> done(observed ? slots : 0, 0);
+  std::size_t folded = 0;
+  std::mutex fold_mutex;
+  const SlotFilled filled = [&](std::size_t slot) {
+    if (observed) {
+      const std::lock_guard<std::mutex> lock(fold_mutex);
+      done[slot] = 1;
+      while (folded < slots && done[folded]) {
+        const MeasureResult& prefix = fold(folded);
+        ++folded;
+        control->progress(folded, prefix);
+      }
+    }
+    poll_cancel();
+  };
+
+  runIndexedTasks(tasks, threads,
+                  [&](std::size_t index, core::Engine::Scratch& scratch) {
+                    poll_cancel();
+                    task(index, scratch, filled);
+                  });
+  if (observed) return;
+
+  // Ordered fold: slot 0, 1, 2, ... regardless of which worker filled
+  // what, so the floating-point accumulation is identical for every thread
+  // count.
+  for (std::size_t slot = 0; slot < slots; ++slot) fold(slot);
 }
 
 MeasureResult runTrials(std::size_t trials, std::uint64_t master_seed,
                         std::size_t threads, const TrialBody& body,
                         const RunControl* control) {
-  // Pre-draw every trial seed so randomness is a function of the trial
-  // index alone — the determinism anchor of the whole subsystem.
-  util::Rng master(master_seed);
-  std::vector<std::uint64_t> seeds(trials);
-  for (auto& seed : seeds) seed = master();
-
-  const bool observed = control != nullptr && control->progress != nullptr;
-  const std::atomic<bool>* cancel =
-      control != nullptr ? control->cancel : nullptr;
-
-  MeasureResult out;
+  const std::vector<std::uint64_t> seeds = drawTrialSeeds(master_seed, trials);
   std::vector<TrialOutcome> outcomes(trials);
-  // Incremental-fold state (observed runs only): completion flags plus the
-  // index of the first trial not yet folded. The fold still advances
-  // strictly in trial order — a worker finishing trial 7 before trial 3
-  // only parks its outcome until the prefix catches up.
-  std::vector<std::uint8_t> done(observed ? trials : 0, 0);
-  std::size_t folded = 0;
-  std::mutex fold_mutex;
-
-  runIndexedTasks(trials, threads,
-                  [&](std::size_t trial, core::Engine::Scratch& scratch) {
-                    if (cancel != nullptr &&
-                        cancel->load(std::memory_order_relaxed))
-                      throw RunCancelled();
-                    outcomes[trial] = body(trial, seeds[trial], scratch);
-                    if (!observed) return;
-                    const std::lock_guard<std::mutex> lock(fold_mutex);
-                    done[trial] = 1;
-                    while (folded < trials && done[folded]) {
-                      foldOutcome(out, outcomes[folded]);
-                      ++folded;
-                      control->progress(folded, out);
-                    }
-                  });
-  if (observed) return out;
-
-  // Ordered fold: trial 0, 1, 2, ... regardless of which worker ran what,
-  // so the floating-point accumulation is identical for every thread
-  // count.
-  for (const auto& outcome : outcomes) foldOutcome(out, outcome);
+  MeasureResult out;
+  foldInOrder(
+      trials, trials, threads, control,
+      [&](std::size_t trial, core::Engine::Scratch& scratch,
+          const SlotFilled& filled) {
+        outcomes[trial] = body(trial, seeds[trial], scratch);
+        filled(trial);
+      },
+      [&](std::size_t trial) -> const MeasureResult& {
+        foldOutcome(out, outcomes[trial]);
+        return out;
+      });
   return out;
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
+#include <vector>
 
 #include "core/engine.hpp"
 #include "util/stats.hpp"
@@ -54,10 +55,10 @@ struct RunCancelled : std::runtime_error {
 
 /// Cooperative control of a long-running measurement, threaded from the
 /// dodad server's job layer (src/server/) into the deterministic executors
-/// (runTrials, replayShards, measureWithFaults). Neither hook ever changes
-/// the statistics: the progress observer watches the same trial-order fold
-/// that produces the final result, and cancellation aborts the whole run by
-/// throwing RunCancelled.
+/// (runTrials, replayShards, measureWithFaults), which all hand it to
+/// foldInOrder. Neither hook ever changes the statistics: the progress
+/// observer watches the same trial-order fold that produces the final
+/// result, and cancellation aborts the whole run by throwing RunCancelled.
 struct RunControl {
   /// Invoked each time the in-order fold advances: `folded` trials have
   /// been folded (in trial order, exactly as the final result folds them)
@@ -66,13 +67,10 @@ struct RunControl {
   /// re-enter the executor.
   std::function<void(std::size_t folded, const MeasureResult& snapshot)>
       progress;
-  /// Polled between trials; when it reads true the run throws RunCancelled.
-  /// Not owned; may be null.
+  /// Polled between trials (before each one and after each one finishes);
+  /// when it reads true the run throws RunCancelled. Not owned; may be
+  /// null.
   const std::atomic<bool>* cancel = nullptr;
-
-  bool engaged() const noexcept {
-    return static_cast<bool>(progress) || cancel != nullptr;
-  }
 };
 
 /// Resolves a MeasureConfig::threads knob: 0 means
@@ -85,28 +83,57 @@ std::size_t resolveThreads(std::size_t requested, std::size_t trials);
 /// the synthetic and trace-replay folds are the same code.
 void foldOutcome(MeasureResult& out, const TrialOutcome& outcome);
 
-/// One unit of pool work, keyed by index. Owns no state; each worker
-/// thread supplies one reusable core::Engine::Scratch.
-using IndexedTask =
-    std::function<void(std::size_t index, core::Engine::Scratch& scratch)>;
+/// Per-trial seeds: seed i is the i-th draw of a util::Rng seeded with
+/// `master_seed`, so a trial's randomness depends only on its index, never
+/// on scheduling. The determinism anchor of runTrials, measureWithFaults
+/// and the trace recorder (sim/trace_replay).
+std::vector<std::uint64_t> drawTrialSeeds(std::uint64_t master_seed,
+                                          std::size_t trials);
 
-/// The shared worker-pool core of runTrials and the trace-replay executor
-/// (sim/trace_replay): runs `count` indexed tasks, inline in index order
-/// when the resolved thread count is 1, otherwise on a pool of workers
-/// pulling indices from a shared counter. The first exception stops the
-/// pool (workers drain quickly) and is rethrown to the caller. Tasks must
-/// not touch shared mutable state beyond their own index's slots.
-void runIndexedTasks(std::size_t count, std::size_t threads,
-                     const IndexedTask& task);
+/// Reports a filled trial slot to foldInOrder (see SlotTask).
+using SlotFilled = std::function<void(std::size_t slot)>;
+
+/// One unit of foldInOrder's pool work. It stores the outcome of each
+/// trial it runs in the caller's slot for that trial and then calls
+/// `filled(slot)`. Each worker thread supplies one reusable
+/// core::Engine::Scratch. Tasks run concurrently and must not touch shared
+/// mutable state beyond their own slots.
+using SlotTask = std::function<void(
+    std::size_t task, core::Engine::Scratch& scratch,
+    const SlotFilled& filled)>;
+
+/// Folds slot `slot` into the caller's accumulator and returns the
+/// MeasureResult a progress observer sees for the folded prefix.
+using SlotFold = std::function<const MeasureResult&(std::size_t slot)>;
+
+/// The in-order fold every executor shares (runTrials, replayShards,
+/// measureWithFaults).
+///
+/// Runs `tasks` tasks that together fill `slots` per-trial slots, inline
+/// in task order when the resolved thread count is 1, otherwise on a pool
+/// of workers pulling task indices from a shared counter. Slots are then
+/// folded in slot order through `fold`, whichever worker filled them
+/// first, so the floating-point accumulation is identical for every thread
+/// count and every task shape.
+///
+/// With a RunControl::progress observer the fold advances as the filled
+/// prefix grows, and the observer sees each folded prefix. Without one,
+/// slots are folded once every task has finished. RunControl::cancel is
+/// polled before each task and after each filled slot. A set flag throws
+/// RunCancelled.
+///
+/// The first exception from a task, or from starting a worker thread,
+/// stops the pool (workers drain quickly) and is rethrown to the caller
+/// once every started worker has been joined.
+void foldInOrder(std::size_t slots, std::size_t tasks, std::size_t threads,
+                 const RunControl* control, const SlotTask& task,
+                 const SlotFold& fold);
 
 /// Deterministic parallel trial executor — the experiment subsystem's core.
 ///
-/// Per-trial seeds are drawn up front from a master RNG seeded with
-/// `master_seed` (seed_i = the i-th draw), so a trial's randomness depends
-/// only on its index, never on scheduling. Workers pull trial indices from
-/// a shared counter and store each TrialOutcome in a per-trial slot; the
-/// outcomes are then folded into the MeasureResult in trial order. Results
-/// are therefore bit-identical for every thread count, including 1 (which
+/// Trial i runs `body` with the i-th seed of drawTrialSeeds(master_seed),
+/// and the outcomes are folded in trial order by foldInOrder. Results are
+/// therefore bit-identical for every thread count, including 1 (which
 /// runs inline without spawning).
 ///
 /// An exception thrown by any trial body stops the run (workers drain

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <string>
 
 #include "dynagraph/trace_io.hpp"
@@ -28,7 +27,7 @@ struct ReplayConfig {
   /// Per-trial cap on dispatched interactions.
   core::Time max_interactions = core::Time{1} << 32;
   /// Whether replayTrace additionally computes the paper cost (§2.3) of
-  /// each successful trial (replayTraceStreaming never does).
+  /// each successful trial.
   bool compute_cost = false;
   /// Partial replay window. The statistics of a ranged replay are
   /// bit-identical to folding the same trials out of a full replay: the
@@ -44,8 +43,10 @@ struct ReplayConfig {
 /// the trial's payload (trialLength() interactions pending); the body
 /// decodes interactions on demand with next() or read(), and need not
 /// consume the remainder — the next beginTrial realigns the shard cursor,
-/// jumping over unread blocks through the block index. Same purity
-/// contract as TrialBody: runs concurrently, keyed by `global_trial` only.
+/// jumping over unread blocks through the block index. replayTrace's body
+/// is runOnlineTrial (sim/experiment.hpp) on a LazySequence fed by
+/// `reader`. Same purity contract as TrialBody: runs concurrently, keyed
+/// by `global_trial` only.
 using ReplayTrialBody = std::function<TrialOutcome(
     std::size_t global_trial, dynagraph::TraceShardReader& reader,
     core::Engine::Scratch& scratch)>;
@@ -56,12 +57,12 @@ using ReplayTrialBody = std::function<TrialOutcome(
 /// Work splits by the shards' *block indices*: a shard's selected trials
 /// are carved into several contiguous spans (a few per worker) that each
 /// seek to their first trial, so trial-level parallelism load-balances
-/// inside a shard instead of stopping at shard granularity. Each span's
-/// trials store their outcome in a
-/// per-trial slot; the slots are then folded into the MeasureResult in
-/// global trial order. Results are therefore bit-identical for every
-/// thread count and every span shape. An exception thrown by any trial
-/// body (or a corrupt shard) stops the run and is rethrown.
+/// inside a shard instead of stopping at shard granularity. The spans are
+/// foldInOrder's tasks: each trial stores its outcome in a per-trial slot,
+/// and the slots are folded into the MeasureResult in global trial order.
+/// Results are therefore bit-identical for every thread count and every
+/// span shape. An exception thrown by any trial body (or a corrupt shard)
+/// stops the run and is rethrown.
 ///
 /// `range` restricts the replay to a half-open window of global trials
 /// (clamped to the store; empty windows return an empty result).
@@ -70,32 +71,20 @@ MeasureResult replayShards(const dynagraph::TraceStore& store,
                            ReplayTrialRange range = {},
                            const RunControl* control = nullptr);
 
-/// Replays every recorded trial through a factory-built algorithm. Each
-/// trial is decoded on demand into a LazySequence bounded by its recorded
-/// length: the engine's adversary, the meetTime oracle (extending one
-/// LazySequence::kChunk at a time) and, with `config.compute_cost`, the
-/// paper cost of successful trials all read one growing prefix, and the
-/// unread remainder is skipped. The factory gets the full TrialContext,
-/// exactly like the synthetic measureWithCost path, and the statistics
-/// equal those of decoding every trial to its end: oracle answers and
-/// finite cost-chain terms depend only on the interactions up to them.
+/// Replays every recorded trial through a factory-built algorithm, with
+/// runOnlineTrial (sim/experiment.hpp), the trial body of the synthetic
+/// measureRandomized and measureWithCost. Each trial is decoded on demand
+/// into a LazySequence bounded by its recorded length: the engine's
+/// adversary, the meetTime oracle (extending one LazySequence::kChunk at a
+/// time) and, with `config.compute_cost`, the paper cost of successful
+/// trials all read one growing prefix, and the unread remainder is
+/// skipped. The statistics equal those of decoding every trial to its end:
+/// oracle answers and finite cost-chain terms depend only on the
+/// interactions up to them. The prefix read stays in memory until the
+/// trial ends (8 bytes per interaction).
 MeasureResult replayTrace(const dynagraph::TraceStore& store,
                           const ReplayConfig& config,
                           const AlgorithmFactory& factory);
-
-/// Builds an algorithm that needs only the system shape (no oracle, no
-/// materialized future): the pure-online algorithms (Gathering, Waiting).
-using StreamedAlgorithmFactory =
-    std::function<std::unique_ptr<core::DodaAlgorithm>(
-        const core::SystemInfo&)>;
-
-/// Fully streamed replay: interactions flow from the shard's block buffer
-/// straight into the engine via a single-use adversary — no trial is ever
-/// materialized. For the same store and algorithm the statistics are
-/// bit-identical to replayTrace (both run the identical engine loop).
-MeasureResult replayTraceStreaming(const dynagraph::TraceStore& store,
-                                   const ReplayConfig& config,
-                                   const StreamedAlgorithmFactory& factory);
 
 /// Generates the sequence of one recorded trial from its pre-drawn
 /// per-trial RNG.
@@ -103,12 +92,11 @@ using TrialGenerator = std::function<dynagraph::InteractionSequence(
     std::size_t trial, util::Rng& rng)>;
 
 /// Records `trials` generator-built sequences into a sharded store under
-/// `directory`. Per-trial randomness uses the same pre-drawn seed scheme
-/// as runTrials (trial i's RNG is seeded with the i-th draw from a master
-/// RNG seeded with `master_seed`), the determinism anchor every recorded
-/// workload shares. `writer_options` picks the block encoding (rANS by
-/// default, raw with compress = false); the recorded *content* is
-/// identical for every choice.
+/// `directory`. Trial i's RNG is seeded with the i-th seed of
+/// drawTrialSeeds(master_seed), the seed scheme of runTrials and the
+/// determinism anchor every recorded workload shares. `writer_options`
+/// picks the block encoding (rANS by default, raw with compress = false);
+/// the recorded *content* is identical for every choice.
 void recordTrials(const std::string& directory, std::size_t node_count,
                   std::size_t trials, std::uint64_t master_seed,
                   std::uint32_t shard_count, const TrialGenerator& generator,

@@ -2,13 +2,34 @@
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <sys/resource.h>
+
 #include <atomic>
+#include <cstdlib>
+#include <fstream>
+#include <map>
 #include <stdexcept>
+#include <string>
+#include <system_error>
+#include <thread>
+#include <vector>
 
 #include "algorithms/gathering.hpp"
 #include "algorithms/waiting_greedy.hpp"
 #include "sim/experiment.hpp"
+#include "sim/fault_experiment.hpp"
+#include "sim/trace_replay.hpp"
+#include "trace_test_helpers.hpp"
 #include "util/rng.hpp"
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define DODA_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define DODA_TEST_SANITIZED 1
+#endif
+#endif
 
 namespace doda::sim {
 namespace {
@@ -194,6 +215,233 @@ TEST(MeasureResultMerge, MatchesOrderedFold) {
   EXPECT_NEAR(left.interactions.variance(), whole.interactions.variance(),
               1e-6);
   EXPECT_EQ(left.failed_trials, 7u);
+}
+
+// ------------------------------------------------------ RunControl contract
+
+/// Called inside every trial of a ControlledExecutor before the trial
+/// finishes, with the trial's index.
+using TrialHold = std::function<void(std::size_t trial)>;
+
+/// One executor driven through RunControl: `run` executes a fixed workload
+/// of `trials` trials at `threads` workers and returns its statistics as a
+/// progress observer sees them.
+struct ControlledExecutor {
+  std::string name;
+  std::size_t trials = 0;
+  std::function<MeasureResult(std::size_t threads, const RunControl* control,
+                              const TrialHold& hold)>
+      run;
+};
+
+constexpr std::size_t kControlTrials = 24;
+
+/// A deterministic outcome per trial, with failures, whose fold depends on
+/// the order it runs in.
+TrialOutcome syntheticOutcome(std::uint64_t value) {
+  if (value % 5 == 0) return TrialOutcome::failure();
+  TrialOutcome outcome;
+  outcome.success = true;
+  outcome.interactions = static_cast<double>(value % 100003) / 7.0;
+  outcome.cost = static_cast<double>(value % 13) / 3.0;
+  outcome.has_cost = true;
+  return outcome;
+}
+
+ControlledExecutor runTrialsExecutor() {
+  return {"runTrials", kControlTrials,
+          [](std::size_t threads, const RunControl* control,
+             const TrialHold& hold) {
+            return runTrials(
+                kControlTrials, 0xc0ffee, threads,
+                [&](std::size_t trial, std::uint64_t seed,
+                    core::Engine::Scratch&) {
+                  hold(trial);
+                  return syntheticOutcome(seed);
+                },
+                control);
+          }};
+}
+
+ControlledExecutor replayShardsExecutor(const dynagraph::TraceStore& store) {
+  return {"replayShards", kControlTrials,
+          [&store](std::size_t threads, const RunControl* control,
+                   const TrialHold& hold) {
+            return replayShards(
+                store, threads,
+                [&](std::size_t global, dynagraph::TraceShardReader& reader,
+                    core::Engine::Scratch&) {
+                  hold(global);
+                  std::uint64_t value = global;
+                  for (int k = 0; k < 16; ++k) {
+                    const auto interaction = reader.next();
+                    value = value * 31 + interaction->a() * 7 +
+                            interaction->b();
+                  }
+                  return syntheticOutcome(value);
+                },
+                {}, control);
+          }};
+}
+
+/// measureWithFaults hands its factory no trial index, so the executor
+/// recognises each trial by the sink-meeting times of its first attempt's
+/// sequence. That sequence is drawn after the trial's FaultPlan seed
+/// (sim/fault_experiment.hpp).
+ControlledExecutor measureWithFaultsExecutor() {
+  MeasureConfig config;
+  config.node_count = 8;
+  config.trials = kControlTrials;
+  config.seed = 99;
+  config.faults.loss_p = 0.2;
+  config.faults.crash_fraction = 0.25;
+  config.faults.crash_horizon = 64;
+  const core::Time length_hint = 256;
+
+  const auto fingerprint = [config](dynagraph::MeetTimeIndex& index) {
+    std::vector<core::Time> meetings;
+    for (core::NodeId u = 1; u < config.node_count; ++u)
+      meetings.push_back(index.meetTime(u, 0));
+    return meetings;
+  };
+  auto trial_of =
+      std::make_shared<std::map<std::vector<core::Time>, std::size_t>>();
+  util::Rng master(config.seed);
+  for (std::size_t trial = 0; trial < config.trials; ++trial) {
+    util::Rng rng(master());
+    rng();  // the FaultPlan seed
+    const auto sequence = drawAdversarySequence(config, length_hint, rng);
+    dynagraph::MeetTimeIndex index(sequence, config.sink, config.node_count);
+    trial_of->emplace(fingerprint(index), trial);
+  }
+  EXPECT_EQ(trial_of->size(), config.trials) << "fingerprints collide";
+
+  return {"measureWithFaults", kControlTrials,
+          [=](std::size_t threads, const RunControl* control,
+              const TrialHold& hold) {
+            MeasureConfig run_config = config;
+            run_config.threads = threads;
+            run_config.control = control;
+            const auto result = measureWithFaults(
+                run_config, length_hint, [&](TrialContext& context) {
+                  // A doubled attempt may read a new meeting; only the
+                  // first attempt needs to be held.
+                  const auto it =
+                      trial_of->find(fingerprint(context.meet_time));
+                  if (it != trial_of->end()) hold(it->second);
+                  return std::make_unique<algorithms::Gathering>();
+                });
+            MeasureResult seen;
+            seen.interactions = result.interactions;
+            seen.failed_trials =
+                run_config.trials - result.interactions.count();
+            return seen;
+          }};
+}
+
+TEST(RunControlContract, ProgressFoldsInTrialOrderAndCancelStopsTheRun) {
+  MeasureConfig record;
+  record.node_count = 8;
+  record.trials = kControlTrials;
+  record.seed = 5;
+  const std::string dir = trace_test::scratchDir("run_control");
+  recordSynthetic(dir, record, 512, 3);
+  const auto store = dynagraph::TraceStore::open(dir);
+
+  const std::vector<ControlledExecutor> executors = {
+      runTrialsExecutor(), replayShardsExecutor(store),
+      measureWithFaultsExecutor()};
+  const TrialHold no_hold = [](std::size_t) {};
+  // The observer cancels at this fold. Later trials wait for the flag, so
+  // whatever the interleaving, trials remain to be claimed once it is set.
+  constexpr std::size_t kCancelAt = 5;
+
+  for (const ControlledExecutor& executor : executors) {
+    SCOPED_TRACE(executor.name);
+    const MeasureResult unobserved = executor.run(1, nullptr, no_hold);
+    ASSERT_GT(unobserved.interactions.count(), 0u);
+    ASSERT_GT(unobserved.failed_trials, 0u);
+
+    std::vector<std::vector<MeasureResult>> snapshots_by_threads;
+    for (const std::size_t threads : {1u, 4u}) {
+      SCOPED_TRACE(testing::Message() << "threads=" << threads);
+      std::vector<std::size_t> folded;
+      std::vector<MeasureResult> snapshots;
+      RunControl observe;
+      observe.progress = [&](std::size_t count, const MeasureResult& prefix) {
+        folded.push_back(count);
+        snapshots.push_back(prefix);
+      };
+      const MeasureResult result = executor.run(threads, &observe, no_hold);
+      ASSERT_EQ(folded.size(), executor.trials);
+      for (std::size_t i = 0; i < folded.size(); ++i)
+        EXPECT_EQ(folded[i], i + 1);
+      expectIdentical(snapshots.back(), result);
+      expectIdentical(result, unobserved);
+      snapshots_by_threads.push_back(snapshots);
+
+      std::atomic<bool> cancel{false};
+      RunControl cancelling;
+      cancelling.cancel = &cancel;
+      cancelling.progress = [&](std::size_t count, const MeasureResult&) {
+        if (count == kCancelAt) cancel.store(true);
+      };
+      const TrialHold hold = [&](std::size_t trial) {
+        if (trial < kCancelAt) return;
+        while (!cancel.load()) std::this_thread::yield();
+      };
+      EXPECT_THROW(executor.run(threads, &cancelling, hold), RunCancelled);
+    }
+    const auto& serial = snapshots_by_threads[0];
+    const auto& pooled = snapshots_by_threads[1];
+    for (std::size_t i = 0; i < serial.size() && i < pooled.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "snapshot " << i);
+      expectIdentical(serial[i], pooled[i]);
+    }
+  }
+}
+
+/// This process's VmSize in bytes (0 if /proc/self/status has none).
+std::size_t virtualMemoryBytes() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);)
+    if (line.rfind("VmSize:", 0) == 0)
+      return static_cast<std::size_t>(std::stoull(line.substr(7))) * 1024;
+  return 0;
+}
+
+TEST(RunTrialsDeathTest, WorkerThatCannotStartThrowsInsteadOfAborting) {
+#ifdef DODA_TEST_SANITIZED
+  GTEST_SKIP() << "sanitizer shadow memory defeats the address-space cap";
+#else
+  // A child process caps its address space at VmSize plus two and a half
+  // default thread stacks (20 MiB with 8 MiB stacks), so at most two of
+  // eight workers can start. The pool must join the workers it started
+  // and throw std::system_error, not end in std::terminate.
+  EXPECT_EXIT(
+      {
+        pthread_attr_t attr;
+        std::size_t stack = 0;
+        if (pthread_attr_init(&attr) != 0 ||
+            pthread_attr_getstacksize(&attr, &stack) != 0)
+          std::_Exit(2);
+        pthread_attr_destroy(&attr);
+        const std::size_t vm = virtualMemoryBytes();
+        rlimit limit{};
+        limit.rlim_cur = limit.rlim_max = vm + stack * 5 / 2;
+        if (vm == 0 || setrlimit(RLIMIT_AS, &limit) != 0) std::_Exit(2);
+        try {
+          runTrials(64, 1, 8,
+                    [](std::size_t, std::uint64_t, core::Engine::Scratch&) {
+                      return TrialOutcome::failure();
+                    });
+        } catch (const std::system_error&) {
+          std::_Exit(0);
+        }
+        std::_Exit(3);  // every worker started: the cap did not bite
+      },
+      testing::ExitedWithCode(0), "");
+#endif
 }
 
 }  // namespace

@@ -100,6 +100,34 @@ TEST(MeasureMaterialized, FullKnowledgeHasCostOne) {
   EXPECT_DOUBLE_EQ(r.cost.mean(), 1.0);
 }
 
+TEST(MeasureMaterialized, FullKnowledgeEqualsOfflineOptimalAtEveryLength) {
+  // A trial that fails extends its committed prefix, so every initial
+  // length reads the same random sequence and FullKnowledgeOptimal ends
+  // after opt(0) + 1 of its interactions, exactly as measureOfflineOptimal
+  // counts them. Short initial lengths force the doubling path.
+  const SequenceAlgorithmFactory full_knowledge =
+      [](const dynagraph::InteractionSequence& seq, const core::SystemInfo&) {
+        return std::make_unique<algorithms::FullKnowledgeOptimal>(seq);
+      };
+  for (const std::size_t n : {10u, 32u}) {
+    MeasureConfig config;
+    config.node_count = n;
+    config.trials = 100;
+    config.seed = 77;
+    const auto offline = measureOfflineOptimal(config);
+    ASSERT_EQ(offline.failed_trials, 0u);
+    for (const core::Time initial : {4u, 32u, 4096u}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " initial=" << initial);
+      const auto r = measureMaterialized(config, initial, full_knowledge);
+      EXPECT_EQ(r.failed_trials, 0u);
+      EXPECT_EQ(r.interactions.count(), offline.interactions.count());
+      EXPECT_EQ(r.interactions.mean(), offline.interactions.mean());
+      EXPECT_EQ(r.interactions.variance(), offline.interactions.variance());
+      EXPECT_EQ(r.cost.mean(), 1.0);
+    }
+  }
+}
+
 TEST(MeasureMaterialized, FutureAwareCostIsSmall) {
   MeasureConfig config;
   config.node_count = 10;

@@ -560,31 +560,6 @@ TEST(TraceReplay, CorruptBlockPastTheReadPrefixIsNeverLoaded) {
   }
 }
 
-TEST(TraceReplay, StreamingMatchesMaterializedReplay) {
-  MeasureConfig config;
-  config.node_count = 10;
-  config.trials = 12;
-  config.seed = 4;
-  const std::string dir = scratchDir("streamed");
-  sim::recordSynthetic(dir, config, 2048, 3);
-  const auto store = TraceStore::open(dir);
-
-  sim::ReplayConfig replay;
-  replay.threads = 1;
-  const auto materialized =
-      replayTrace(store, replay, gatheringFactory());
-  ASSERT_GT(materialized.interactions.count(), 0u);
-
-  const auto streamed_factory = [](const core::SystemInfo&) {
-    return std::make_unique<algorithms::Gathering>();
-  };
-  for (std::size_t threads : {1u, 2u, 8u}) {
-    replay.threads = threads;
-    expectIdentical(materialized,
-                    replayTraceStreaming(store, replay, streamed_factory));
-  }
-}
-
 TEST(TraceReplay, ZipfWorkloadRoundTrips) {
   MeasureConfig config;
   config.node_count = 10;

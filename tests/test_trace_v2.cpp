@@ -464,8 +464,8 @@ TEST(ContactImport, ImportedStoreRoundTripsAndReplays) {
 
   sim::ReplayConfig replay;
   replay.threads = 2;
-  const auto result = replayTraceStreaming(
-      store, replay, [](const core::SystemInfo&) {
+  const auto result =
+      replayTrace(store, replay, [](sim::TrialContext&) {
         return std::make_unique<algorithms::Gathering>();
       });
   EXPECT_EQ(result.interactions.count() + result.failed_trials, 7u);

@@ -300,8 +300,8 @@ TEST(TraceV3RangedReplay, WindowStatsMatchFoldedFullReplay) {
 }
 
 TEST(TraceV3RangedReplay, EngineReplayHonorsTrialRange) {
-  // End to end through the real engine: a ranged streamed replay equals
-  // the fold of the same trials' outcomes from a full streamed replay.
+  // End to end through the real engine: a ranged replay equals the fold of
+  // the same trials' outcomes from a full replay.
   sim::MeasureConfig config;
   config.node_count = 10;
   config.trials = 18;
@@ -310,13 +310,13 @@ TEST(TraceV3RangedReplay, EngineReplayHonorsTrialRange) {
   sim::recordSynthetic(dir, config, 2048, 3);
   const auto store = TraceStore::open(dir);
 
-  const auto factory = [](const core::SystemInfo&) {
+  const sim::AlgorithmFactory factory = [](sim::TrialContext&) {
     return std::make_unique<algorithms::Gathering>();
   };
   sim::ReplayConfig full_cfg;
   full_cfg.threads = 1;
   // Capture per-trial outcomes of the full replay via the executor body
-  // (replayTraceStreaming folds them; re-derive the window's fold).
+  // (replayTrace folds them; re-derive the window's fold).
   std::vector<double> interactions(config.trials, -1.0);
   sim::replayShards(
       store, 1,
@@ -327,9 +327,9 @@ TEST(TraceV3RangedReplay, EngineReplayHonorsTrialRange) {
         one.trial_range = {global, global + 1};
         (void)scratch;
         sim::TrialOutcome outcome;
-        // Run the engine exactly like replayTraceStreaming's body.
+        // Run Gathering through the engine on the streamed trial.
         core::SystemInfo info{store.nodeCount(), 0};
-        auto algorithm = factory(info);
+        auto algorithm = std::make_unique<algorithms::Gathering>();
         core::Engine engine(info, core::AggregationFunction::count());
         class Stream final : public core::Adversary {
          public:
@@ -361,7 +361,7 @@ TEST(TraceV3RangedReplay, EngineReplayHonorsTrialRange) {
   ranged_cfg.trial_range = {5, 14};
   for (const std::size_t threads : {1u, 2u, 8u}) {
     ranged_cfg.threads = threads;
-    const auto ranged = replayTraceStreaming(store, ranged_cfg, factory);
+    const auto ranged = replayTrace(store, ranged_cfg, factory);
     MeasureResult folded;
     for (std::uint64_t g = 5; g < 14; ++g) {
       sim::TrialOutcome outcome;
