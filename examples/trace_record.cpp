@@ -44,8 +44,8 @@
 //                  the ingest streams in two passes, so memory stays flat
 //                  no matter how large the event file
 //
-// --verify reopens the store, streams every shard once, and runs a small
-// multi-threaded contact-profile analysis over the first recorded trial.
+// --verify reopens the store, streams every shard once, and counts each
+// node's contacts in the first recorded trial.
 // --replay-range A B replays only global trials [A, B) through Gathering
 // with replayTrace (the reader seeks straight to the window via each
 // shard's block index) and prints the windowed statistics.
@@ -56,7 +56,6 @@
 #include <memory>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "algorithms/gathering.hpp"
@@ -328,25 +327,14 @@ dynagraph::TraceStore openRecorded(const Options& opt) {
   return dynagraph::TraceStore::open(opt.out_dir);
 }
 
-/// Multi-threaded contact-profile analysis over one shared sequence: the
-/// timeline is bulk-built once, then per-node queries run concurrently
-/// (safe because buildTimelines() leaves nothing lazily mutable).
+/// Contacts per node over one trial: how many interactions involve each.
 std::vector<std::size_t> contactProfile(
     const dynagraph::InteractionSequence& seq, std::size_t n) {
-  seq.buildTimelines();
   std::vector<std::size_t> contacts(n, 0);
-  const std::size_t workers =
-      std::max<std::size_t>(1, std::min<std::size_t>(
-                                   n, std::thread::hardware_concurrency()));
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w)
-    pool.emplace_back([&, w] {
-      for (std::size_t u = w; u < n; u += workers)
-        contacts[u] =
-            seq.timesInvolving(static_cast<core::NodeId>(u)).size();
-    });
-  for (auto& thread : pool) thread.join();
+  for (const dynagraph::Interaction& i : seq.interactions()) {
+    ++contacts[i.a()];
+    ++contacts[i.b()];
+  }
   return contacts;
 }
 

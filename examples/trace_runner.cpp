@@ -142,9 +142,6 @@ int run(const Options& opt) {
   }
 
   if (opt.stats) {
-    // Bulk-build the per-node timeline up front: the analysis passes below
-    // (and any future threaded ones) then only ever read it.
-    trace.buildTimelines();
     const auto report = analysis::temporalReachability(trace, n);
     std::cout << "Temporal reachability: "
               << util::Table::num(100.0 * report.reachable_fraction, 1)

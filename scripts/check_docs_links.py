@@ -44,6 +44,11 @@ def main():
     errors = []
     checked = 0
     for source in files:
+        # A tracked file can be missing from the worktree (deleted but not
+        # yet committed): report it like a broken link.
+        if not source.is_file():
+            errors.append(f"{source}: no such file")
+            continue
         text = FENCE.sub("", source.read_text(encoding="utf-8"))
         for match in LINK.finditer(text):
             target = match.group(1)

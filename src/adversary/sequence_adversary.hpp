@@ -2,6 +2,7 @@
 
 #include "core/adversary.hpp"
 #include "dynagraph/interaction_sequence.hpp"
+#include "dynagraph/lazy_sequence.hpp"
 
 namespace doda::adversary {
 
@@ -62,6 +63,32 @@ class SequenceViewAdversary final : public core::Adversary {
 
  private:
   dynagraph::InteractionSequenceView view_;
+};
+
+/// The engine's side of an online trial: serves a LazySequence, which
+/// commits the randomized adversary's sequence only as far as it is read,
+/// and reports exhaustion at its max_length. The sequence must outlive the
+/// adversary.
+class LazySequenceAdversary final : public core::Adversary {
+ public:
+  explicit LazySequenceAdversary(dynagraph::LazySequence& sequence)
+      : sequence_(sequence) {}
+
+  std::string name() const override { return "lazy-sequence"; }
+
+  std::optional<core::Interaction> next(
+      core::Time t, const core::ExecutionView& /*view*/) override {
+    if (t >= sequence_.maxLength()) return std::nullopt;
+    return sequence_.at(t);
+  }
+
+  std::span<const core::Interaction> committedFrom(core::Time t) override {
+    if (t >= sequence_.maxLength()) return {};
+    return sequence_.committedFrom(t);
+  }
+
+ private:
+  dynagraph::LazySequence& sequence_;
 };
 
 }  // namespace doda::adversary

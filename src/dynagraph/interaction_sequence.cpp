@@ -71,40 +71,4 @@ std::size_t InteractionSequence::minNodeCount() const {
   return any ? max_id + 1 : 0;
 }
 
-void InteractionSequence::ensureTimeline() const {
-  for (; timeline_scanned_ < interactions_.size(); ++timeline_scanned_) {
-    const Interaction& i = interactions_[timeline_scanned_];
-    const auto needed =
-        static_cast<std::size_t>(std::max(i.a(), i.b())) + 1;
-    if (timeline_.size() < needed) timeline_.resize(needed);
-    const Time t = timeline_scanned_;
-    timeline_[i.a()].push_back(t);
-    timeline_[i.b()].push_back(t);
-  }
-}
-
-std::vector<Time> InteractionSequence::timesInvolving(NodeId u,
-                                                      Time from) const {
-  ensureTimeline();
-  if (u >= timeline_.size()) return {};
-  const auto& times = timeline_[u];
-  const auto begin = std::lower_bound(times.begin(), times.end(), from);
-  return std::vector<Time>(begin, times.end());
-}
-
-Time InteractionSequence::nextOccurrence(NodeId u, NodeId v, Time from) const {
-  const Interaction target(u, v);
-  ensureTimeline();
-  if (u >= timeline_.size() || v >= timeline_.size()) return kNever;
-  // Walk the sparser endpoint's timeline; each candidate is checked against
-  // the actual interaction, so only times involving *both* nodes match.
-  const auto& times = timeline_[u].size() <= timeline_[v].size()
-                          ? timeline_[u]
-                          : timeline_[v];
-  for (auto it = std::lower_bound(times.begin(), times.end(), from);
-       it != times.end(); ++it)
-    if (interactions_[static_cast<std::size_t>(*it)] == target) return *it;
-  return kNever;
-}
-
 }  // namespace doda::dynagraph

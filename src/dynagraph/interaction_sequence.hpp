@@ -13,17 +13,6 @@ namespace doda::dynagraph {
 ///
 /// The index of an interaction is its time of occurrence (paper §2). This is
 /// the oblivious-adversary object: the whole execution is fixed up front.
-///
-/// Per-node queries (timesInvolving, nextOccurrence) are served from a
-/// lazily built inverted timeline (node -> ascending involvement times), so
-/// repeated queries cost O(log T + answer) instead of rescanning the whole
-/// sequence. The timeline extends incrementally on append and is built on
-/// first query; building it mutates cache members, so concurrent *first*
-/// queries from multiple threads on a shared sequence are not safe. Analysis
-/// passes that share one sequence across threads must call buildTimelines()
-/// up front — once the timeline covers the whole sequence, the per-node
-/// queries are pure reads and safe to issue concurrently (as long as no
-/// thread appends).
 class InteractionSequence {
  public:
   InteractionSequence() = default;
@@ -61,39 +50,15 @@ class InteractionSequence {
   /// Largest node id appearing in the sequence plus one (0 when empty).
   std::size_t minNodeCount() const;
 
-  /// Times t in [from, length) with I_t involving `u`, ascending.
-  std::vector<Time> timesInvolving(NodeId u, Time from = 0) const;
-
-  /// First time t >= from with I_t = {u, v}; kNever if none.
-  Time nextOccurrence(NodeId u, NodeId v, Time from = 0) const;
-
-  /// Eagerly builds the inverted timeline over the whole sequence. Call
-  /// this before handing one sequence to several threads: afterwards the
-  /// per-node queries above no longer mutate cache state and are safe to
-  /// run concurrently (until the next append).
-  void buildTimelines() const { ensureTimeline(); }
-
-  /// Two sequences are equal iff their interactions are equal (the cached
-  /// inverted timeline is derived state and never observable).
-  friend bool operator==(const InteractionSequence& lhs,
-                         const InteractionSequence& rhs) {
-    return lhs.interactions_ == rhs.interactions_;
-  }
+  /// Two sequences are equal iff their interactions are equal.
+  friend bool operator==(const InteractionSequence&,
+                         const InteractionSequence&) = default;
 
  private:
   // LazySequence generates straight into its committed sequence's storage.
   friend class LazySequence;
 
-  /// Extends the inverted timeline to cover every appended interaction.
-  void ensureTimeline() const;
-
   std::vector<Interaction> interactions_;
-  // Lazily built inverted timeline: for each node, the ascending times of
-  // the interactions involving it. `timeline_scanned_` is how much of
-  // `interactions_` has been folded in (appends only grow the sequence, so
-  // the timeline extends incrementally and is never invalidated).
-  mutable std::vector<std::vector<Time>> timeline_;
-  mutable std::size_t timeline_scanned_ = 0;
 };
 
 /// Non-owning, trivially copyable window onto a run of interactions — the

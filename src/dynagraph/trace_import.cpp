@@ -1,10 +1,10 @@
 #include "dynagraph/trace_import.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <numeric>
@@ -13,6 +13,8 @@
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
+
+#include "util/bytes.hpp"
 
 namespace doda::dynagraph {
 
@@ -164,26 +166,6 @@ struct RawEvent {
   std::uint64_t v;
   std::uint64_t order;  // file order, the stable-sort tiebreak
 };
-
-/// One FNV-1a step of the running import event hash, over the event's
-/// (time bits, u, v) as little-endian u64s. Untimed events hash time 0.0,
-/// so the hash is well-defined for both column shapes.
-std::uint64_t hashContactEvent(std::uint64_t hash, const ScannedEvent& event) {
-  unsigned char buf[24];
-  std::uint64_t time_bits;
-  static_assert(sizeof(time_bits) == sizeof(event.time));
-  std::memcpy(&time_bits, &event.time, sizeof(time_bits));
-  for (int i = 0; i < 8; ++i) {
-    buf[i] = static_cast<unsigned char>((time_bits >> (8 * i)) & 0xff);
-    buf[8 + i] = static_cast<unsigned char>((event.u >> (8 * i)) & 0xff);
-    buf[16 + i] = static_cast<unsigned char>((event.v >> (8 * i)) & 0xff);
-  }
-  for (const unsigned char byte : buf) {
-    hash ^= byte;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
 
 }  // namespace
 
@@ -359,7 +341,14 @@ ContactAppendPlan planContactAppend(const std::string& path,
   std::uint64_t hash_at_base = base.events == 0 ? hash : 0;
   ScannedEvent event;
   while (scanner.next(event)) {
-    hash = hashContactEvent(hash, event);
+    // The running hash covers each event's (time bits, u, v) as
+    // little-endian u64s. Untimed events hash time 0.0, so the hash is
+    // well-defined for both column shapes.
+    unsigned char record[24];
+    util::storeU64(record, std::bit_cast<std::uint64_t>(event.time));
+    util::storeU64(record + 8, event.u);
+    util::storeU64(record + 16, event.v);
+    hash = util::fnv1a(record, sizeof(record), hash);
     ++count;
     if (count == base.events) {
       hash_at_base = hash;

@@ -7,6 +7,7 @@
 
 #include "dynagraph/interaction_sequence.hpp"
 #include "dynagraph/trace_io.hpp"
+#include "util/bytes.hpp"
 
 namespace doda::dynagraph {
 
@@ -104,7 +105,7 @@ ContactImportStats importContactTrace(
 
 /// Seed of the running import event hash (FNV-1a offset basis). A store
 /// with no imported events carries this value.
-inline constexpr std::uint64_t kContactEventHashSeed = 0xcbf29ce484222325ULL;
+inline constexpr std::uint64_t kContactEventHashSeed = util::kFnv1aBasis;
 
 /// What a previous import committed: the dense-id map (dense id ->
 /// external id, in assignment order) and the imported event stream's

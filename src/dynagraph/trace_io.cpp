@@ -1,6 +1,7 @@
 #include "dynagraph/trace_io.hpp"
 
 #include "storage/env.hpp"
+#include "util/bytes.hpp"
 
 #include <algorithm>
 #include <array>
@@ -106,47 +107,13 @@ constexpr char kTraceMagic[8] = {'D', 'O', 'D', 'A', 'T', 'R', 'C', '1'};
 constexpr std::size_t kTraceMinBlockBytes = 16;
 constexpr std::size_t kTraceMaxBlockBytes = std::size_t{1} << 26;
 
-std::uint64_t fnv1a(const unsigned char* data, std::size_t size) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-void storeU16(unsigned char* out, std::uint16_t value) {
-  out[0] = static_cast<unsigned char>(value);
-  out[1] = static_cast<unsigned char>(value >> 8);
-}
-
-void storeU32(unsigned char* out, std::uint32_t value) {
-  for (int i = 0; i < 4; ++i)
-    out[i] = static_cast<unsigned char>(value >> (8 * i));
-}
-
-void storeU64(unsigned char* out, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i)
-    out[i] = static_cast<unsigned char>(value >> (8 * i));
-}
-
-std::uint16_t loadU16(const unsigned char* in) {
-  return static_cast<std::uint16_t>(in[0] | (in[1] << 8));
-}
-
-std::uint32_t loadU32(const unsigned char* in) {
-  std::uint32_t value = 0;
-  for (int i = 0; i < 4; ++i)
-    value |= static_cast<std::uint32_t>(in[i]) << (8 * i);
-  return value;
-}
-
-std::uint64_t loadU64(const unsigned char* in) {
-  std::uint64_t value = 0;
-  for (int i = 0; i < 8; ++i)
-    value |= static_cast<std::uint64_t>(in[i]) << (8 * i);
-  return value;
-}
+using util::fnv1a;
+using util::loadU16;
+using util::loadU32;
+using util::loadU64;
+using util::storeU16;
+using util::storeU32;
+using util::storeU64;
 
 /// Serializes a header (the returned vector is the exact on-disk size).
 std::vector<unsigned char> encodeHeader(const TraceShardHeader& header) {
@@ -1021,10 +988,10 @@ std::optional<Interaction> TraceShardReader::next() {
 
 void TraceShardReader::read(std::uint64_t count,
                             std::vector<Interaction>& out) {
-  if (count > remainingInTrial())
+  if (count > trial_length_ - decoded_)
     throw std::out_of_range("TraceShardReader::read: " +
                             std::to_string(count) + " interactions asked, " +
-                            std::to_string(remainingInTrial()) +
+                            std::to_string(trial_length_ - decoded_) +
                             " left in the trial");
   const std::size_t base = out.size();
   out.resize(base + static_cast<std::size_t>(count), Interaction(0, 1));
@@ -1049,7 +1016,7 @@ void TraceShardReader::read(std::uint64_t count,
 
 InteractionSequence TraceShardReader::readRest() {
   std::vector<Interaction> interactions;
-  read(remainingInTrial(), interactions);
+  read(trial_length_ - decoded_, interactions);
   return InteractionSequence(std::move(interactions));
 }
 

@@ -376,11 +376,6 @@ class TraceShardReader {
   /// Interaction count of the current trial.
   std::uint64_t trialLength() const noexcept { return trial_length_; }
 
-  /// Interactions of the current trial not yet decoded.
-  std::uint64_t remainingInTrial() const noexcept {
-    return trial_length_ - decoded_;
-  }
-
   /// Decodes the next interaction of the current trial; std::nullopt at
   /// trial end. Throws std::runtime_error on a truncated or corrupt
   /// payload (out-of-range endpoint, malformed control byte, block

@@ -1,7 +1,6 @@
 #include "fault/fault_model.hpp"
 
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -113,126 +112,6 @@ FaultPlan FaultPlan::draw(const FaultModel& model, std::size_t node_count,
       plan.crash_times[u] = static_cast<Time>(
           rng.below(static_cast<std::uint64_t>(model.crash_horizon)));
   }
-  return plan;
-}
-
-namespace {
-
-constexpr std::uint32_t kPlanMagic = 0x46504c31;  // "FPL1" little-endian
-constexpr std::size_t kHeaderBytes = 4 + 1 + 5 * 8 + 8 + 8;
-
-template <typename T>
-void appendLe(std::vector<std::uint8_t>& out, T value) {
-  std::uint64_t bits;
-  if constexpr (sizeof(T) == 8) {
-    std::memcpy(&bits, &value, 8);
-    for (int i = 0; i < 8; ++i)
-      out.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
-  } else {
-    static_assert(sizeof(T) == 4);
-    std::uint32_t b;
-    std::memcpy(&b, &value, 4);
-    for (int i = 0; i < 4; ++i)
-      out.push_back(static_cast<std::uint8_t>(b >> (8 * i)));
-  }
-}
-
-class ByteReader {
- public:
-  explicit ByteReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-  std::uint32_t u32() { return static_cast<std::uint32_t>(raw(4)); }
-  std::uint64_t u64() { return raw(8); }
-  std::uint8_t u8() { return static_cast<std::uint8_t>(raw(1)); }
-  double f64() {
-    const std::uint64_t bits = raw(8);
-    double value;
-    std::memcpy(&value, &bits, 8);
-    return value;
-  }
-  bool done() const noexcept { return pos_ == bytes_.size(); }
-  std::size_t remaining() const noexcept { return bytes_.size() - pos_; }
-
- private:
-  std::uint64_t raw(std::size_t count) {
-    if (bytes_.size() - pos_ < count)
-      throw std::runtime_error("FaultPlan::parse: truncated input");
-    std::uint64_t value = 0;
-    for (std::size_t i = 0; i < count; ++i)
-      value |= static_cast<std::uint64_t>(bytes_[pos_ + i]) << (8 * i);
-    pos_ += count;
-    return value;
-  }
-
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-};
-
-double parsedProbability(ByteReader& reader, const char* what) {
-  const double p = reader.f64();
-  if (!(std::isfinite(p) && p >= 0.0 && p <= 1.0))
-    throw std::runtime_error(std::string("FaultPlan::parse: ") + what +
-                             " out of range");
-  return p;
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> FaultPlan::serialize() const {
-  std::vector<std::uint8_t> out;
-  out.reserve(kHeaderBytes + crash_times.size() * 9);
-  appendLe(out, kPlanMagic);
-  out.push_back(static_cast<std::uint8_t>(loss));
-  appendLe(out, loss_p);
-  appendLe(out, ge_enter_bad);
-  appendLe(out, ge_exit_bad);
-  appendLe(out, ge_loss_good);
-  appendLe(out, ge_loss_bad);
-  appendLe(out, loss_seed);
-  appendLe(out, static_cast<std::uint64_t>(crash_times.size()));
-  for (const Time t : crash_times) appendLe(out, static_cast<std::uint64_t>(t));
-  for (const std::uint8_t b : byzantine) out.push_back(b);
-  return out;
-}
-
-FaultPlan FaultPlan::parse(std::span<const std::uint8_t> bytes) {
-  ByteReader reader(bytes);
-  if (reader.u32() != kPlanMagic)
-    throw std::runtime_error("FaultPlan::parse: bad magic");
-  FaultPlan plan;
-  const std::uint8_t kind = reader.u8();
-  if (kind > static_cast<std::uint8_t>(LossKind::kGilbertElliott))
-    throw std::runtime_error("FaultPlan::parse: unknown loss kind");
-  plan.loss = static_cast<LossKind>(kind);
-  plan.loss_p = parsedProbability(reader, "loss_p");
-  plan.ge_enter_bad = parsedProbability(reader, "ge_enter_bad");
-  plan.ge_exit_bad = parsedProbability(reader, "ge_exit_bad");
-  plan.ge_loss_good = parsedProbability(reader, "ge_loss_good");
-  plan.ge_loss_bad = parsedProbability(reader, "ge_loss_bad");
-  plan.loss_seed = reader.u64();
-  const std::uint64_t n = reader.u64();
-  if (n < 2 || n > (std::uint64_t{1} << 32))
-    throw std::runtime_error("FaultPlan::parse: node count out of range");
-  // Each node carries a u64 crash time and a u8 Byzantine flag: reject a
-  // count the input cannot hold before sizing anything by it.
-  if (n > reader.remaining() / 9)
-    throw std::runtime_error("FaultPlan::parse: truncated input");
-  plan.crash_times.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i)
-    plan.crash_times.push_back(static_cast<Time>(reader.u64()));
-  plan.byzantine.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint8_t flag = reader.u8();
-    if (flag > 1)
-      throw std::runtime_error("FaultPlan::parse: bad Byzantine flag");
-    plan.byzantine.push_back(flag);
-  }
-  if (!reader.done())
-    throw std::runtime_error("FaultPlan::parse: trailing bytes");
-  for (std::size_t u = 0; u < plan.crash_times.size(); ++u)
-    if (plan.byzantine[u] && plan.crash_times[u] != kNever)
-      throw std::runtime_error(
-          "FaultPlan::parse: Byzantine node with a crash time");
   return plan;
 }
 

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -88,16 +87,6 @@ struct FaultPlan {
   /// given (model, n, sink, seed) always yields the same plan.
   static FaultPlan draw(const FaultModel& model, std::size_t node_count,
                         NodeId sink, std::uint64_t plan_seed);
-
-  /// Compact binary encoding (magic + version + fields, little-endian).
-  /// Exists so plans can be logged next to results and so the decoder can
-  /// be fuzzed like the trace codecs.
-  std::vector<std::uint8_t> serialize() const;
-
-  /// Inverse of serialize(). Throws std::runtime_error on truncated or
-  /// corrupt input (bad magic, out-of-range kind or probability,
-  /// inconsistent sizes); never reads past `bytes`.
-  static FaultPlan parse(std::span<const std::uint8_t> bytes);
 
   friend bool operator==(const FaultPlan& a, const FaultPlan& b) = default;
 };

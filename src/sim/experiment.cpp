@@ -22,48 +22,6 @@ SystemInfo systemOf(const MeasureConfig& config) {
   return SystemInfo{config.node_count, config.sink};
 }
 
-/// The committed randomness of one trial: `config`'s (uniform or Zipf)
-/// adversary drawing from util::Rng(seed). Chunked draws equal one long
-/// draw, so every prefix equals drawAdversarySequence from the same seed.
-LazySequence::BlockGenerator adversaryGenerator(const MeasureConfig& config,
-                                                std::uint64_t seed) {
-  using Block = std::vector<core::Interaction>;
-  if (config.zipf_exponent > 0.0)
-    return [distribution = dynagraph::traces::ZipfPairDistribution(
-                config.node_count, config.zipf_exponent),
-            rng = util::Rng(seed)](Time, std::size_t count,
-                                   Block& out) mutable {
-      distribution.append(count, rng, out);
-    };
-  return [node_count = config.node_count, format = config.seed_format,
-          rng = util::Rng(seed)](Time, std::size_t count, Block& out) mutable {
-    dynagraph::traces::appendUniform(node_count, count, rng, out, format);
-  };
-}
-
-/// The engine's side of an online trial: serves the trial's sequence and
-/// reports exhaustion at its max_length.
-class LazyTrialAdversary final : public core::Adversary {
- public:
-  explicit LazyTrialAdversary(LazySequence& sequence) : sequence_(sequence) {}
-
-  std::string name() const override { return "lazy-sequence"; }
-
-  std::optional<core::Interaction> next(
-      Time t, const core::ExecutionView& /*view*/) override {
-    if (t >= sequence_.maxLength()) return std::nullopt;
-    return sequence_.at(t);
-  }
-
-  std::span<const core::Interaction> committedFrom(Time t) override {
-    if (t >= sequence_.maxLength()) return {};
-    return sequence_.committedFrom(t);
-  }
-
- private:
-  LazySequence& sequence_;
-};
-
 core::RunOptions measurementRunOptions(Time max_interactions) {
   core::RunOptions options;
   options.max_interactions = max_interactions;
@@ -73,11 +31,26 @@ core::RunOptions measurementRunOptions(Time max_interactions) {
 
 }  // namespace
 
+LazySequence::BlockGenerator adversaryGenerator(const MeasureConfig& config,
+                                                util::Rng rng) {
+  using Block = std::vector<core::Interaction>;
+  if (config.zipf_exponent > 0.0)
+    return [distribution = dynagraph::traces::ZipfPairDistribution(
+                config.node_count, config.zipf_exponent),
+            rng](Time, std::size_t count, Block& out) mutable {
+      distribution.append(count, rng, out);
+    };
+  return [node_count = config.node_count, format = config.seed_format,
+          rng](Time, std::size_t count, Block& out) mutable {
+    dynagraph::traces::appendUniform(node_count, count, rng, out, format);
+  };
+}
+
 TrialOutcome runOnlineTrial(const SystemInfo& info, LazySequence& sequence,
                             const AlgorithmFactory& factory,
                             Time max_interactions, bool compute_cost,
                             core::Engine::Scratch& scratch) {
-  LazyTrialAdversary adversary(sequence);
+  adversary::LazySequenceAdversary adversary(sequence);
   dynagraph::MeetTimeIndex index(sequence, info.sink, info.node_count);
   TrialContext context{info, adversary, index};
   const auto algorithm = factory(context);
@@ -105,7 +78,7 @@ MeasureResult measureRandomized(const MeasureConfig& config,
       config.trials, config.seed, config.threads,
       [&](std::size_t /*trial*/, std::uint64_t seed,
           core::Engine::Scratch& scratch) {
-        LazySequence sequence(adversaryGenerator(config, seed));
+        LazySequence sequence(adversaryGenerator(config, util::Rng(seed)));
         return runOnlineTrial(info, sequence, factory,
                               config.max_interactions,
                               /*compute_cost=*/false, scratch);
@@ -200,7 +173,7 @@ MeasureResult measureWithCost(const MeasureConfig& config, Time length_hint,
         // Every attempt regenerates the same committed sequence from the
         // trial seed; only the bound doubles.
         for (std::size_t attempt = 0; attempt <= max_doublings; ++attempt) {
-          LazySequence sequence(adversaryGenerator(config, seed),
+          LazySequence sequence(adversaryGenerator(config, util::Rng(seed)),
                                 length_hint << attempt);
           const TrialOutcome outcome =
               runOnlineTrial(info, sequence, factory, config.max_interactions,

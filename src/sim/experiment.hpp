@@ -129,6 +129,12 @@ TrialOutcome runOnlineTrial(const core::SystemInfo& info,
                             core::Time max_interactions, bool compute_cost,
                             core::Engine::Scratch& scratch);
 
+/// The committed randomness of an online trial: `config`'s (uniform or
+/// Zipf) adversary drawing from `rng`. Chunked draws equal one long draw,
+/// so every prefix equals drawAdversarySequence(config, length, rng).
+dynagraph::LazySequence::BlockGenerator adversaryGenerator(
+    const MeasureConfig& config, util::Rng rng);
+
 /// One fixed-length sequence of the (uniform or Zipf) randomized adversary
 /// of `config` — the per-trial workload generator shared by the measure*
 /// family and the trace recorder (sim/trace_replay, trace_record).

@@ -13,8 +13,8 @@ namespace doda::sim {
 
 using core::SystemInfo;
 using core::Time;
-using dynagraph::InteractionSequence;
 using dynagraph::kNever;
+using dynagraph::LazySequence;
 
 namespace {
 
@@ -27,6 +27,22 @@ struct FaultTrialSlot {
   bool timed_out = false;
 };
 
+/// opt(0) of `sequence` up to its max_length, read from as short a
+/// committed prefix as holds it: a convergecast that fits a prefix is the
+/// whole sequence's earliest too, so the prefix doubles toward the bound
+/// only while none fits.
+Time optCompletionWithin(LazySequence& sequence, std::size_t node_count,
+                         core::NodeId sink) {
+  while (true) {
+    const Time opt =
+        analysis::optCompletion(sequence.committed(), node_count, sink, 0);
+    const Time length = sequence.generatedLength();
+    if (opt != kNever || length >= sequence.maxLength()) return opt;
+    const Time doubled = std::max<Time>(2 * length, LazySequence::kChunk);
+    sequence.ensure(std::min(doubled, sequence.maxLength()) - 1);
+  }
+}
+
 FaultTrialSlot runFaultTrial(const MeasureConfig& config,
                              const SystemInfo& info, Time length_hint,
                              const AlgorithmFactory& factory,
@@ -34,36 +50,38 @@ FaultTrialSlot runFaultTrial(const MeasureConfig& config,
                              core::Engine::Scratch& scratch) {
   util::Rng rng(seed);
   // The plan seed is drawn FIRST so the trial's faults are committed before
-  // any sequence randomness: extending the sequence by doubling replays the
-  // exact same plan (and, via the reseeded loss stream, the exact same
+  // any sequence randomness: every attempt reads the same sequence under
+  // the exact same plan (and, via the reseeded loss stream, the exact same
   // per-interaction loss verdicts on the shared prefix).
   const std::uint64_t plan_seed = rng();
   fault::FaultSession session(fault::FaultPlan::draw(
       config.faults, config.node_count, config.sink, plan_seed));
-
-  InteractionSequence seq = drawAdversarySequence(config, length_hint, rng);
   FaultTrialSlot slot;
-  for (std::size_t attempt = 0; attempt <= max_doublings; ++attempt) {
-    adversary::SequenceViewAdversary seq_adversary{seq};
-    dynagraph::MeetTimeIndex index(seq, config.sink, config.node_count);
+  // Every attempt regenerates the same committed sequence from the Rng
+  // state after the plan seed; only the bound doubles. It is doubled, not
+  // shifted by the attempt: a client may ask for more than 63 doublings.
+  Time bound = length_hint;
+  for (std::size_t attempt = 0; attempt <= max_doublings;
+       ++attempt, bound *= 2) {
+    LazySequence sequence(adversaryGenerator(config, rng), bound);
+    adversary::LazySequenceAdversary adversary(sequence);
+    dynagraph::MeetTimeIndex index(sequence, config.sink, config.node_count);
     dynagraph::ExactMeetTimeOracle exact(index);
     fault::FaultyMeetTimeOracle oracle(exact, session.plan());
-    TrialContext context{info, seq_adversary, index, &oracle};
+    TrialContext context{info, adversary, index, &oracle};
     const auto algorithm = factory(context);
     core::Engine engine(info, core::AggregationFunction::count());
     core::RunOptions options;
-    options.max_interactions =
-        std::min<Time>(seq.length(), config.max_interactions);
+    options.max_interactions = std::min(bound, config.max_interactions);
     options.capture_schedule = false;
     options.faults = &session;
-    const auto result =
-        engine.runInto(scratch, *algorithm, seq_adversary, options);
+    const auto result = engine.runInto(scratch, *algorithm, adversary, options);
     slot.outcome = *result.fault;
     if (slot.outcome.completed) {
       slot.interactions =
           static_cast<double>(result.interactions_to_terminate);
-      const Time opt = analysis::optCompletion(seq, config.node_count,
-                                               config.sink, 0);
+      const Time opt =
+          optCompletionWithin(sequence, config.node_count, config.sink);
       if (opt != kNever) {
         slot.cost_inflation =
             slot.interactions / static_cast<double>(opt + 1);
@@ -72,10 +90,7 @@ FaultTrialSlot runFaultTrial(const MeasureConfig& config,
       return slot;
     }
     if (slot.outcome.blocked) return slot;  // no future progress possible
-    if (seq.length() >= config.max_interactions) break;
-    // Extend the committed prefix with fresh randomness and rerun (the
-    // faulty prefix replays identically: same plan, same loss stream).
-    seq.appendAll(drawAdversarySequence(config, seq.length(), rng));
+    if (bound >= config.max_interactions) break;
   }
   slot.timed_out = true;
   return slot;

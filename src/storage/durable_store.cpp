@@ -6,31 +6,17 @@
 #include <filesystem>
 #include <stdexcept>
 
+#include "util/bytes.hpp"
+
 namespace doda::storage {
 
 namespace {
 
 constexpr char kIdMapMagic[9] = "DODAIDM1";
 
-std::uint64_t fnv1a(const unsigned char* data, std::size_t size) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-void putU64(std::vector<unsigned char>& out, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<unsigned char>((value >> (8 * i)) & 0xff));
-}
-
-std::uint64_t loadU64(const unsigned char* p) {
-  std::uint64_t value = 0;
-  for (int i = 7; i >= 0; --i) value = (value << 8) | p[i];
-  return value;
-}
+using util::appendU64;
+using util::fnv1a;
+using util::loadU64;
 
 bool startsWith(const std::string& name, const char* prefix) {
   return name.rfind(prefix, 0) == 0;
@@ -169,10 +155,10 @@ void DurableTraceStore::writeIdMap(
   std::vector<unsigned char> bytes;
   bytes.reserve(24 + ids.size() * 8);
   bytes.insert(bytes.end(), kIdMapMagic, kIdMapMagic + 8);
-  putU64(bytes, ids.size());
-  for (const std::uint64_t id : ids) putU64(bytes, id);
+  appendU64(bytes, ids.size());
+  for (const std::uint64_t id : ids) appendU64(bytes, id);
   const std::uint64_t checksum = fnv1a(bytes.data() + 8, bytes.size() - 8);
-  putU64(bytes, checksum);
+  appendU64(bytes, checksum);
   const std::string tmp = childPath("tmp-" + name);
   {
     auto file = env().newWritableFile(tmp);

@@ -12,6 +12,9 @@
 #include <unistd.h>
 #endif
 
+#include "util/bytes.hpp"
+#include "util/rng.hpp"
+
 namespace doda::storage {
 
 namespace fs = std::filesystem;
@@ -20,23 +23,6 @@ namespace {
 
 [[noreturn]] void ioFail(const std::string& what, const std::string& path) {
   throw std::runtime_error("storage::Env: " + what + ": " + path);
-}
-
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t hashPath(const std::string& path) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : path) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
 }
 
 std::string parentOf(const std::string& path) {
@@ -200,11 +186,10 @@ FaultyEnvPlan FaultyEnvPlan::draw(std::uint64_t seed, std::uint64_t max_ops,
                                   double p_fault) {
   FaultyEnvPlan plan;
   plan.seed = seed;
-  std::uint64_t state = seed ^ 0xfa017ULL;
+  util::SplitMix64 mix(seed ^ 0xfa017ULL);
   for (std::uint64_t op = 0; op < max_ops; ++op) {
-    const double roll =
-        static_cast<double>(splitmix64(state) >> 11) * 0x1p-53;
-    const auto kind = static_cast<Fault>(splitmix64(state) % 4);
+    const double roll = static_cast<double>(mix.next() >> 11) * 0x1p-53;
+    const auto kind = static_cast<Fault>(mix.next() % 4);
     if (roll < p_fault) plan.faults.emplace_back(op, kind);
   }
   return plan;
@@ -229,8 +214,9 @@ class FaultyWritableFile final : public WritableFile {
       // ENOSPC (the write never started).
       std::size_t keep = 0;
       if (fault != FaultyEnvPlan::Fault::kEnospc && size > 0)
-        keep = static_cast<std::size_t>(env_.drawU64(hashPath(path_) + size) %
-                                        (size + 1));
+        keep = static_cast<std::size_t>(
+            env_.drawU64(util::fnv1a(path_.data(), path_.size()) + size) %
+            (size + 1));
       if (keep > 0) base_->append(data, keep);
       if (crash_now) env_.crash("append to " + path_);
       throw std::runtime_error(
@@ -250,7 +236,8 @@ class FaultyWritableFile final : public WritableFile {
       std::size_t keep = 0;
       if (fault != FaultyEnvPlan::Fault::kEnospc && size > 0)
         keep = static_cast<std::size_t>(
-            env_.drawU64(hashPath(path_) + offset) % (size + 1));
+            env_.drawU64(util::fnv1a(path_.data(), path_.size()) + offset) %
+            (size + 1));
       if (keep > 0) base_->writeAt(offset, data, keep);
       if (crash_now) env_.crash("writeAt on " + path_);
       throw std::runtime_error(
@@ -305,8 +292,7 @@ void FaultyEnv::crash(const std::string& what) {
 }
 
 std::uint64_t FaultyEnv::drawU64(std::uint64_t salt) const {
-  std::uint64_t state = plan_.seed ^ (salt * 0x9e3779b97f4a7c15ULL);
-  return splitmix64(state);
+  return util::SplitMix64(plan_.seed ^ (salt * 0x9e3779b97f4a7c15ULL)).next();
 }
 
 void FaultyEnv::markDurable(const std::string& path) {
@@ -348,7 +334,8 @@ std::unique_ptr<WritableFile> FaultyEnv::newWritableFile(
     // Coin: a NEW file's dir entry may or may not have appeared. A
     // pre-existing file (append mode, or truncate not yet applied) is
     // left untouched — it must not gain a rollbackable create entry.
-    if (!base_.exists(path) && (drawU64(hashPath(path)) & 1)) {
+    if (!base_.exists(path) &&
+        (drawU64(util::fnv1a(path.data(), path.size())) & 1)) {
       base_.newWritableFile(path, truncate)->close();
       noteCreated(path, PendingEntry::Kind::kCreateFile);
     }
@@ -373,7 +360,8 @@ void FaultyEnv::mkdirs(const std::string& path) {
   bool crash_now = false;
   const auto fault = beginOp(crash_now);
   if (crash_now) {
-    if (!base_.exists(path) && (drawU64(hashPath(path)) & 1)) {
+    if (!base_.exists(path) &&
+        (drawU64(util::fnv1a(path.data(), path.size())) & 1)) {
       base_.mkdirs(path);
       noteCreated(path, PendingEntry::Kind::kCreateDir);
     }
@@ -390,7 +378,9 @@ void FaultyEnv::renameFile(const std::string& from, const std::string& to) {
   bool crash_now = false;
   const auto fault = beginOp(crash_now);
   if (crash_now) {
-    if (drawU64(hashPath(from) ^ hashPath(to)) & 1) {
+    if (drawU64(util::fnv1a(from.data(), from.size()) ^
+                util::fnv1a(to.data(), to.size())) &
+        1) {
       base_.renameFile(from, to);
       rekeyTracked(from, to);
       pending_.push_back({PendingEntry::Kind::kRename, to, from});
@@ -456,7 +446,8 @@ void FaultyEnv::loseUnsyncedData() {
   // metadata). A rolled-back rename moves the file's content bookkeeping
   // with it.
   for (auto it = pending_.rbegin(); it != pending_.rend(); ++it) {
-    const std::uint64_t coin = drawU64(hashPath(it->path) ^ 0xd1eULL);
+    const std::uint64_t coin =
+        drawU64(util::fnv1a(it->path.data(), it->path.size()) ^ 0xd1eULL);
     if ((coin & 1) == 0) continue;  // this entry survived the crash
     if (!base_.exists(it->path)) continue;
     switch (it->kind) {
@@ -481,7 +472,8 @@ void FaultyEnv::loseUnsyncedData() {
     if (!base_.exists(path)) continue;
     const std::string current = base_.readFile(path);
     if (current.size() <= durable.size()) continue;  // nothing unsynced
-    const std::uint64_t pick = drawU64(hashPath(path) ^ 0x105eULL);
+    const std::uint64_t pick =
+        drawU64(util::fnv1a(path.data(), path.size()) ^ 0x105eULL);
     std::string kept;
     switch (pick % 3) {
       case 0:  // every unsynced byte lost

@@ -5,70 +5,40 @@
 #include <limits>
 #include <stdexcept>
 
+#include "util/bytes.hpp"
+
 namespace doda::storage {
 
 namespace {
 
-std::uint64_t fnv1a(const unsigned char* data, std::size_t size) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
+using util::appendU16;
+using util::appendU32;
+using util::appendU64;
+using util::fnv1a;
+using util::loadU16;
+using util::loadU32;
+using util::loadU64;
 
-void putU16(std::vector<unsigned char>& out, std::uint16_t value) {
-  out.push_back(static_cast<unsigned char>(value & 0xff));
-  out.push_back(static_cast<unsigned char>(value >> 8));
-}
-
-void putU32(std::vector<unsigned char>& out, std::uint32_t value) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<unsigned char>((value >> (8 * i)) & 0xff));
-}
-
-void putU64(std::vector<unsigned char>& out, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<unsigned char>((value >> (8 * i)) & 0xff));
-}
-
-std::uint16_t loadU16(const unsigned char* p) {
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-
-std::uint32_t loadU32(const unsigned char* p) {
-  std::uint32_t value = 0;
-  for (int i = 3; i >= 0; --i) value = (value << 8) | p[i];
-  return value;
-}
-
-std::uint64_t loadU64(const unsigned char* p) {
-  std::uint64_t value = 0;
-  for (int i = 7; i >= 0; --i) value = (value << 8) | p[i];
-  return value;
-}
-
-void putString(std::vector<unsigned char>& out, const std::string& s) {
+void appendString(std::vector<unsigned char>& out, const std::string& s) {
   if (s.size() > std::numeric_limits<std::uint16_t>::max())
     throw std::invalid_argument("manifest: name too long: " + s);
-  putU16(out, static_cast<std::uint16_t>(s.size()));
+  appendU16(out, static_cast<std::uint16_t>(s.size()));
   out.insert(out.end(), s.begin(), s.end());
 }
 
 std::vector<unsigned char> encodeSnapshot(const ManifestVersion& version) {
   std::vector<unsigned char> payload;
-  putU64(payload, version.generation);
-  putU64(payload, version.node_count);
-  putU64(payload, version.total_trials);
-  putU64(payload, version.imported_events);
-  putU64(payload, version.import_event_hash);
-  putString(payload, version.id_map_file);
-  putU32(payload, static_cast<std::uint32_t>(version.segments.size()));
+  appendU64(payload, version.generation);
+  appendU64(payload, version.node_count);
+  appendU64(payload, version.total_trials);
+  appendU64(payload, version.imported_events);
+  appendU64(payload, version.import_event_hash);
+  appendString(payload, version.id_map_file);
+  appendU32(payload, static_cast<std::uint32_t>(version.segments.size()));
   for (const ManifestSegment& segment : version.segments) {
-    putString(payload, segment.name);
-    putU64(payload, segment.base_trial);
-    putU64(payload, segment.trials);
+    appendString(payload, segment.name);
+    appendU64(payload, segment.base_trial);
+    appendU64(payload, segment.trials);
   }
   return payload;
 }
@@ -121,9 +91,9 @@ std::vector<unsigned char> encodeRecord(const ManifestVersion& version) {
   const std::vector<unsigned char> payload = encodeSnapshot(version);
   std::vector<unsigned char> record;
   record.reserve(16 + payload.size());
-  putU32(record, static_cast<std::uint32_t>(payload.size()));
-  putU32(record, kManifestRecordSnapshot);
-  putU64(record, fnv1a(payload.data(), payload.size()));
+  appendU32(record, static_cast<std::uint32_t>(payload.size()));
+  appendU32(record, kManifestRecordSnapshot);
+  appendU64(record, fnv1a(payload.data(), payload.size()));
   record.insert(record.end(), payload.begin(), payload.end());
   return record;
 }

@@ -97,74 +97,9 @@ TEST(InteractionSequence, MinNodeCountConsidersBothEndpoints) {
   EXPECT_EQ(lone.minNodeCount(), 6u);
 }
 
-TEST(InteractionSequence, TimesInvolvingAndNextOccurrence) {
-  InteractionSequence seq{Interaction(0, 1), Interaction(2, 3),
-                          Interaction(0, 2), Interaction(0, 1)};
-  const auto times = seq.timesInvolving(0);
-  EXPECT_EQ(times, (std::vector<Time>{0, 2, 3}));
-  EXPECT_EQ(seq.timesInvolving(0, 1), (std::vector<Time>{2, 3}));
-  EXPECT_EQ(seq.nextOccurrence(1, 0), 0u);
-  EXPECT_EQ(seq.nextOccurrence(1, 0, 1), 3u);
-  EXPECT_EQ(seq.nextOccurrence(1, 3), kNever);
-}
-
-TEST(InteractionSequence, TimelineIndexMatchesNaiveScan) {
-  // The inverted per-node timeline must agree with a direct scan of the
-  // sequence for every (node, from) query shape.
-  util::Rng rng(11);
-  const std::size_t n = 7;
-  const auto seq = traces::uniformRandom(n, 250, rng);
-  for (NodeId u = 0; u < n; ++u) {
-    for (Time from : {Time{0}, Time{1}, Time{100}, Time{249}, Time{250},
-                      Time{400}}) {
-      std::vector<Time> naive;
-      for (Time t = from; t < seq.length(); ++t)
-        if (seq.at(t).involves(u)) naive.push_back(t);
-      EXPECT_EQ(seq.timesInvolving(u, from), naive)
-          << "u=" << u << " from=" << from;
-    }
-    for (NodeId v = 0; v < n; ++v) {
-      if (u == v) continue;
-      for (Time from : {Time{0}, Time{60}, Time{245}}) {
-        Time naive = kNever;
-        for (Time t = from; t < seq.length(); ++t)
-          if (seq.at(t) == Interaction(u, v)) {
-            naive = t;
-            break;
-          }
-        EXPECT_EQ(seq.nextOccurrence(u, v, from), naive)
-            << "u=" << u << " v=" << v << " from=" << from;
-      }
-    }
-  }
-}
-
-TEST(InteractionSequence, TimelineIndexExtendsAcrossAppends) {
-  // Query (builds the index), append more interactions, query again: the
-  // incremental extension must cover the appended suffix.
-  InteractionSequence seq{Interaction(0, 1), Interaction(1, 2)};
-  EXPECT_EQ(seq.timesInvolving(1), (std::vector<Time>{0, 1}));
-  seq.append(Interaction(0, 1));
-  InteractionSequence more{Interaction(1, 3), Interaction(0, 3)};
-  seq.appendAll(more);
-  EXPECT_EQ(seq.timesInvolving(1), (std::vector<Time>{0, 1, 2, 3}));
-  EXPECT_EQ(seq.timesInvolving(3), (std::vector<Time>{3, 4}));
-  EXPECT_EQ(seq.nextOccurrence(0, 1, 1), 2u);
-  EXPECT_EQ(seq.nextOccurrence(0, 3), 4u);
-}
-
-TEST(InteractionSequence, QueriesOutOfRangeNodesAreEmpty) {
-  InteractionSequence seq{Interaction(0, 1)};
-  EXPECT_TRUE(seq.timesInvolving(17).empty());
-  EXPECT_EQ(seq.nextOccurrence(16, 17), kNever);
-  EXPECT_TRUE(InteractionSequence{}.timesInvolving(0).empty());
-  EXPECT_EQ(InteractionSequence{}.nextOccurrence(0, 1), kNever);
-}
-
-TEST(InteractionSequence, EqualityIgnoresTimelineCache) {
+TEST(InteractionSequence, EqualityComparesInteractions) {
   InteractionSequence a{Interaction(0, 1), Interaction(1, 2)};
   InteractionSequence b{Interaction(0, 1), Interaction(1, 2)};
-  a.timesInvolving(0);  // build a's cache only
   EXPECT_TRUE(a == b);
   b.append(Interaction(0, 2));
   EXPECT_FALSE(a == b);

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <system_error>
@@ -402,7 +403,8 @@ TEST(RunControlContract, ProgressFoldsInTrialOrderAndCancelStopsTheRun) {
 }
 
 /// This process's VmSize in bytes (0 if /proc/self/status has none).
-std::size_t virtualMemoryBytes() {
+/// Unused in sanitizer builds, which skip the address-space tests.
+[[maybe_unused]] std::size_t virtualMemoryBytes() {
   std::ifstream status("/proc/self/status");
   for (std::string line; std::getline(status, line);)
     if (line.rfind("VmSize:", 0) == 0)
@@ -439,6 +441,46 @@ TEST(RunTrialsDeathTest, WorkerThatCannotStartThrowsInsteadOfAborting) {
           std::_Exit(0);
         }
         std::_Exit(3);  // every worker started: the cap did not bite
+      },
+      testing::ExitedWithCode(0), "");
+#endif
+}
+
+TEST(MeasureWithFaultsDeathTest, HugeLengthHintAllocatesOnlyWhatTrialsRead) {
+#ifdef DODA_TEST_SANITIZED
+  GTEST_SKIP() << "sanitizer shadow memory defeats the address-space cap";
+#else
+  // A faults trial reads its sequence up to length_hint, but generates it
+  // only as far as the engine, the oracle and opt read it. A child process
+  // capped at 512 MiB above its VmSize measures with a bound of 2^36
+  // interactions (512 GiB if generated up front) and must get the
+  // statistics of a 2^12 bound, which every trial here fits.
+  MeasureConfig config;
+  config.node_count = 8;
+  config.trials = 4;
+  config.threads = 1;
+  config.faults = fault::FaultModel::bernoulliLoss(0.1);
+  const FaultMeasureResult reference =
+      measureWithFaults(config, core::Time{1} << 12, gatheringFactory());
+  ASSERT_EQ(reference.interactions.count(), config.trials);
+  EXPECT_EXIT(
+      {
+        const std::size_t vm = virtualMemoryBytes();
+        rlimit limit{};
+        limit.rlim_cur = limit.rlim_max = vm + (std::size_t{512} << 20);
+        if (vm == 0 || setrlimit(RLIMIT_AS, &limit) != 0) std::_Exit(2);
+        try {
+          const FaultMeasureResult huge = measureWithFaults(
+              config, core::Time{1} << 36, gatheringFactory());
+          const bool same =
+              huge.interactions.count() == reference.interactions.count() &&
+              huge.interactions.mean() == reference.interactions.mean() &&
+              huge.degradation.costInflation().mean() ==
+                  reference.degradation.costInflation().mean();
+          std::_Exit(same ? 0 : 3);
+        } catch (const std::bad_alloc&) {
+          std::_Exit(4);  // sized something by the bound
+        }
       },
       testing::ExitedWithCode(0), "");
 #endif

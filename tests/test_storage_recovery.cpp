@@ -22,6 +22,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algorithms/gathering.hpp"
@@ -282,6 +283,19 @@ TEST(StorageEnv, PlanDrawIsDeterministic) {
   EXPECT_NE(a.faults, c.faults);
 }
 
+TEST(StorageEnv, PlanDrawIsPinned) {
+  // A crash-test schedule is named by its seed: the same seed must draw
+  // the same faults on every build, so a failing schedule stays
+  // reproducible from its seed alone.
+  const FaultyEnvPlan plan = FaultyEnvPlan::draw(2016, 64, 0.125);
+  std::vector<std::pair<std::uint64_t, int>> faults;
+  for (const auto& [op, kind] : plan.faults)
+    faults.emplace_back(op, static_cast<int>(kind));
+  const std::vector<std::pair<std::uint64_t, int>> expected = {
+      {4, 2}, {21, 1}, {46, 0}, {48, 2}, {52, 1}, {63, 1}};
+  EXPECT_EQ(faults, expected);
+}
+
 // ------------------------------------------------------------- manifest
 
 TEST(StorageManifest, SnapshotRoundTripLastRecordWins) {
@@ -371,6 +385,29 @@ TEST(StorageManifest, TornTailFallsBackToLastIntactSnapshot) {
   EXPECT_EQ(bad_count.version->generation, 1u);
 }
 
+TEST(StorageManifest, SnapshotRecordBytesArePinned) {
+  // The MANIFEST is read back by every later build: one snapshot record
+  // of a fixed version must keep its exact bytes (magic, record header,
+  // payload), pinned here by size and FNV-1a.
+  const std::string dir = scratchDir("mft_golden");
+  Env& env = storage::defaultEnv();
+  env.mkdirs(dir);
+  storage::ManifestVersion version;
+  version.generation = 3;
+  version.node_count = 24;
+  version.total_trials = 6;
+  version.imported_events = 100;
+  version.import_event_hash = 0x0123456789abcdefULL;
+  version.id_map_file = "idmap-000003.map";
+  version.segments = {{"seg-000002", 0, 4}, {"seg-000003", 4, 2}};
+  storage::writeManifestSnapshot(env, dir, version);
+  const std::string bytes = readWholeFile(manifestPathOf(dir));
+  EXPECT_EQ(bytes.size(), 142u);
+  EXPECT_EQ(fnv1a(reinterpret_cast<const unsigned char*>(bytes.data()),
+                  bytes.size()),
+            0xbdafbe8adb5aa711ULL);
+}
+
 TEST(StorageManifest, BadMagicThrows) {
   const std::string dir = scratchDir("mft_magic");
   storage::defaultEnv().mkdirs(dir);
@@ -398,6 +435,31 @@ TEST(DurableStore, RecordCommitRoundTrip) {
   EXPECT_TRUE(reopened.removedOrphans().empty());
   EXPECT_FALSE(reopened.repairedManifestTail());
   expectTrialsEqual(decodeStore(reopened.openStore()), trials);
+}
+
+TEST(DurableStore, IdMapFileBytesArePinned) {
+  // An imported store's id map is read back by every later build: the
+  // file a commit writes for a fixed map must keep its exact bytes,
+  // pinned here by size and FNV-1a.
+  const std::string dir = scratchDir("idmap_golden");
+  DurableTraceStore store = DurableTraceStore::create(dir);
+  DurableTraceStore::ImportDelta import;
+  import.events = 30;
+  import.event_hash = 0xfedcba9876543210ULL;
+  import.external_ids = {3, 8, 15, 21, 34, 55, 100, 101, 102,
+                         std::uint64_t{1} << 40};
+  const auto trials = sampleTrials(12, 1, 30, 77);
+  store.commitSegment(
+      12, 1, 1, {},
+      [&](TraceStoreWriter& writer) { writer.appendTrial(trials[0]); },
+      &import);
+  const std::string bytes =
+      readWholeFile(dir + "/" + store.version().id_map_file);
+  EXPECT_EQ(bytes.size(), 104u);
+  EXPECT_EQ(fnv1a(reinterpret_cast<const unsigned char*>(bytes.data()),
+                  bytes.size()),
+            0x65f39b06e4656465ULL);
+  EXPECT_EQ(store.loadIdMap(), import.external_ids);
 }
 
 TEST(DurableStore, AppendedSegmentsReplayLikeOneStore) {
@@ -674,6 +736,21 @@ TEST(DurableImport, GrownLogAppendsOnlyNewEvents) {
   EXPECT_EQ(noop.appended_events, 0u);
   EXPECT_EQ(DurableTraceStore::open(dir).version().generation,
             store.version().generation);
+}
+
+TEST(DurableImport, EventHashIsPinned) {
+  // A grown log is accepted only if its prefix hashes to the value the
+  // store committed, so the running event hash must not change between
+  // builds: a fixed 100-event log must hash to this value.
+  const auto events = grownLog();
+  const std::string log = scratchDir("hash_log") + ".txt";
+  writeLogPrefix(log, events, 100);
+  ContactImportOptions options;
+  options.trials = 5;
+  const std::string dir = scratchDir("hash_store");
+  storage::importContactTraceDurable(log, dir, 1, options);
+  EXPECT_EQ(DurableTraceStore::open(dir).version().import_event_hash,
+            0xa4d5fe7228318ec2ULL);
 }
 
 TEST(DurableImport, IdMapCountThatWrapsTheSizeCheckIsRejected) {

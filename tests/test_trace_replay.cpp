@@ -1,15 +1,14 @@
 // Tests for the binary sharded trace store (dynagraph/trace_io) and the
 // shard-parallel replay executor (sim/trace_replay): codec round-trips,
 // record -> shard -> replay bit-identity with the in-memory synthetic run
-// across thread counts, corrupt/truncated shard error paths, and the
-// thread-safe bulk-built inverted timeline.
+// across thread counts, corrupt/truncated shard error paths, and
+// schedule validation on a borrowed sequence view.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "algorithms/gathering.hpp"
@@ -625,32 +624,7 @@ TEST(TraceReplay, FoldsInGlobalTrialOrderForAnyShardShape) {
                   sim::replayShards(TraceStore::open(dir_b), 8, lengthOutcome));
 }
 
-// ------------------------------------------------- shared timeline, view
-
-TEST(InteractionSequenceTimeline, BulkBuildAllowsConcurrentQueries) {
-  util::Rng rng(17);
-  const auto seq = randomSequence(40, 5000, rng);
-
-  // Serial reference answers first (on a copy, so the shared instance's
-  // timeline is untouched until buildTimelines()).
-  const InteractionSequence reference = seq;
-  std::vector<std::vector<core::Time>> expected(40);
-  for (core::NodeId u = 0; u < 40; ++u)
-    expected[u] = reference.timesInvolving(u);
-
-  // ROADMAP item: analysis passes that share one sequence across threads
-  // must be able to query it concurrently after one bulk build.
-  seq.buildTimelines();
-  std::vector<std::vector<core::Time>> got(40);
-  std::vector<std::thread> pool;
-  for (std::size_t w = 0; w < 8; ++w)
-    pool.emplace_back([&, w] {
-      for (std::size_t u = w; u < 40; u += 8)
-        got[u] = seq.timesInvolving(static_cast<core::NodeId>(u));
-    });
-  for (auto& thread : pool) thread.join();
-  EXPECT_EQ(got, expected);
-}
+// -------------------------------------------------------- sequence view
 
 TEST(InteractionSequenceView, ValidatesScheduleWithoutOwnedSequence) {
   // A schedule validated against a raw interaction buffer — the streamed
