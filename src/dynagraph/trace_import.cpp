@@ -259,49 +259,28 @@ ContactImportStats importContactTrace(const std::string& input_path,
   stats.timestamped = timestamped;
   stats.node_count = id_set.size();
 
-  std::vector<std::uint64_t> external(id_set.begin(), id_set.end());
-  std::sort(external.begin(), external.end());
-  std::unordered_map<std::uint64_t, NodeId> dense;
-  dense.reserve(external.size());
-  for (std::size_t i = 0; i < external.size(); ++i)
-    dense.emplace(external[i], static_cast<NodeId>(i));
-
-  // Near-equal contiguous split into trials (the first `events % trials`
-  // trials take one extra event), mirroring the writer's shard split.
-  std::uint64_t trials = options.trials == 0 ? 1 : options.trials;
-  trials = std::min<std::uint64_t>(trials, events);
+  // The import is an append onto an empty store: dense ids are the sorted
+  // external ids, and the events split into near-equal contiguous trials
+  // (the first `events % trials` take one extra event), mirroring the
+  // writer's shard split.
+  ContactAppendPlan plan;
+  plan.new_events = events;
+  plan.external_ids.assign(id_set.begin(), id_set.end());
+  std::sort(plan.external_ids.begin(), plan.external_ids.end());
+  plan.stats = stats;
+  const std::uint64_t trials = plan.appendTrials(options);
   if (shard_count == 0) shard_count = 1;
   shard_count =
       std::min<std::uint32_t>(shard_count, static_cast<std::uint32_t>(trials));
 
   TraceStoreWriter writer(directory, stats.node_count, trials, shard_count,
                           writer_options);
-  const std::uint64_t base = events / trials;
-  const std::uint64_t extra = events % trials;
-
   if (!timestamped || time_ordered) {
-    // Pass 2: re-scan and stream events straight into the writer through
-    // the incremental trial API — bounded memory for arbitrarily large
-    // datasets. (A non-decreasing file is already in its stable-sorted
-    // order, so streaming preserves the materialized path's output.)
-    std::ifstream in(input_path);
-    if (!in)
-      throw std::runtime_error("importContactTrace: cannot reopen " +
-                               input_path);
-    ContactEventScanner scanner(in, options);
-    ScannedEvent event;
-    for (std::uint64_t trial = 0; trial < trials; ++trial) {
-      const std::uint64_t length = base + (trial < extra ? 1 : 0);
-      writer.beginTrial(length);
-      for (std::uint64_t k = 0; k < length; ++k) {
-        if (!scanner.next(event))
-          throw std::runtime_error(
-              "importContactTrace: input shrank between passes: " +
-              input_path);
-        writer.addInteraction(
-            Interaction(dense.at(event.u), dense.at(event.v)));
-      }
-    }
+    // Pass 2 streams the events straight into the writer: bounded memory
+    // for arbitrarily large datasets. (A non-decreasing file is already in
+    // its stable-sorted order, so streaming preserves the materialized
+    // path's output.)
+    streamContactAppend(writer, input_path, plan, options);
   } else {
     // Out-of-order timestamps need the stable sort, which needs the whole
     // event list — fall back to the materialized path for such files.
@@ -314,7 +293,8 @@ ContactImportStats importContactTrace(const std::string& input_path,
           "importContactTrace: input changed between passes: " + input_path);
     std::uint64_t offset = 0;
     for (std::uint64_t trial = 0; trial < trials; ++trial) {
-      const std::uint64_t length = base + (trial < extra ? 1 : 0);
+      const std::uint64_t length =
+          events / trials + (trial < events % trials ? 1 : 0);
       writer.appendTrial(InteractionSequenceView(
           trace.events.data() + offset, static_cast<std::size_t>(length)));
       offset += length;

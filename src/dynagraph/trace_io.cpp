@@ -6,22 +6,13 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
-
-// The SWAR unit parser assembles fields with unaligned 64-bit loads,
-// which read bytes in native order; it is only enabled where that order is
-// the on-disk (little-endian) order. Elsewhere the scalar parser runs.
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-#define DODA_TRACE_LITTLE_ENDIAN 1
-#else
-#define DODA_TRACE_LITTLE_ENDIAN 0
-#endif
+#include <utility>
 
 namespace doda::dynagraph {
 
@@ -154,6 +145,18 @@ std::size_t fieldLen(std::uint64_t value) {
          : value < (std::uint64_t{1} << 24) ? 3 : 4;
 }
 
+/// Readable bytes past the end of a decoded block window. Every record
+/// field is read with one 8-byte load, and a unit is parsed only once it
+/// is known to end inside the window, so no load ends more than 7 bytes
+/// past the window.
+constexpr std::size_t kWindowSlack = 8;
+
+/// The `len` (1 to 8) low bytes of the little-endian word at `p`: one
+/// record field.
+std::uint64_t loadField(const unsigned char* p, std::size_t len) {
+  return loadU64(p) & (~std::uint64_t{0} >> (64 - 8 * len));
+}
+
 /// Size code of a trial-length unit (data bytes = 1 << code).
 unsigned lengthCode(std::uint64_t length) {
   return length < (std::uint64_t{1} << 8)    ? 0u
@@ -235,7 +238,6 @@ void TraceStoreWriter::openShard(std::uint32_t index) {
   cur_decoded_ = 0;
   cur_prev_a_ = 0;
   have_held_ = false;
-  if (rans_) rans_->reset();
   // Placeholder header; sealed with the real payload size in closeShard().
   TraceShardHeader header;
   header.shard_index = index;
@@ -269,18 +271,13 @@ void TraceStoreWriter::closeShard() {
   out_.reset();
 }
 
-void TraceStoreWriter::alignBlockForUnit(std::size_t unit_bytes) {
-  if (!raw_block_.empty() &&
-      raw_block_.size() + unit_bytes > options_.block_bytes)
+void TraceStoreWriter::putUnit(const unsigned char* unit, std::size_t size) {
+  // Units never split across blocks: one that would overflow the block
+  // starts the next, so every block begins at a record-unit boundary,
+  // where the record cursor fully describes the position.
+  if (!raw_block_.empty() && raw_block_.size() + size > options_.block_bytes)
     flushBlock();
-}
-
-void TraceStoreWriter::putByte(std::uint8_t byte) {
   if (raw_block_.empty()) {
-    // A block is starting: snapshot where it lives and the record cursor
-    // at its first byte. putByte is only reached at record-unit boundaries
-    // after alignBlockForUnit, so the cursor fully describes this
-    // position.
     TraceBlockIndexEntry entry;
     entry.offset = kTraceHeaderSize + payload_bytes_;
     entry.raw_start = raw_payload_bytes_;
@@ -290,45 +287,36 @@ void TraceStoreWriter::putByte(std::uint8_t byte) {
     entry.prev_a = cur_prev_a_;
     index_.push_back(entry);
   }
-  raw_block_.push_back(byte);
-  if (rans_) rans_->count(byte);
+  raw_block_.insert(raw_block_.end(), unit, unit + size);
 }
 
 void TraceStoreWriter::emitGroup(Interaction first, const Interaction* second) {
-  const std::uint64_t delta0 =
-      zigzagEncode(static_cast<std::int64_t>(first.a()) -
-                   static_cast<std::int64_t>(cur_prev_a_));
-  const std::uint64_t gap0 = first.b() - first.a() - 1;
-  const std::size_t l0 = fieldLen(delta0);
-  const std::size_t g0 = fieldLen(gap0);
-  std::uint64_t delta1 = 0, gap1 = 0;
-  std::size_t l1 = 0, g1 = 0;
-  std::uint8_t ctrl = static_cast<std::uint8_t>((l0 - 1) | ((g0 - 1) << 2));
-  if (second != nullptr) {
-    delta1 = zigzagEncode(static_cast<std::int64_t>(second->a()) -
-                          static_cast<std::int64_t>(first.a()));
-    gap1 = second->b() - second->a() - 1;
-    l1 = fieldLen(delta1);
-    g1 = fieldLen(gap1);
-    ctrl |= static_cast<std::uint8_t>(((l1 - 1) << 4) | ((g1 - 1) << 6));
-  }
-  alignBlockForUnit(1 + l0 + g0 + l1 + g1);
-  putByte(ctrl);
-  auto putField = [this](std::uint64_t value, std::size_t len) {
-    for (std::size_t i = 0; i < len; ++i)
-      putByte(static_cast<std::uint8_t>(value >> (8 * i)));
+  // Each field is stored as a whole little-endian word at its offset; the
+  // next field overwrites the bytes past its length, and the 8 spare bytes
+  // take the last word's tail.
+  unsigned char unit[kTraceMaxRecordUnitBytes + 8];
+  std::size_t size = 1;
+  unsigned ctrl = 0;
+  auto putField = [&](std::uint64_t value, unsigned field) {
+    const std::size_t len = fieldLen(value);
+    storeU64(unit + size, value);
+    size += len;
+    ctrl |= static_cast<unsigned>(len - 1) << (2 * field);
   };
-  putField(delta0, l0);
-  putField(gap0, g0);
+  putField(zigzagEncode(static_cast<std::int64_t>(first.a()) -
+                        static_cast<std::int64_t>(cur_prev_a_)),
+           0);
+  putField(first.b() - first.a() - 1, 1);
   if (second != nullptr) {
-    putField(delta1, l1);
-    putField(gap1, g1);
-    cur_prev_a_ = second->a();
-    cur_decoded_ += 2;
-  } else {
-    cur_prev_a_ = first.a();
-    cur_decoded_ += 1;
+    putField(zigzagEncode(static_cast<std::int64_t>(second->a()) -
+                          static_cast<std::int64_t>(first.a())),
+             2);
+    putField(second->b() - second->a() - 1, 3);
   }
+  unit[0] = static_cast<unsigned char>(ctrl);
+  putUnit(unit, size);
+  cur_prev_a_ = second != nullptr ? second->a() : first.a();
+  cur_decoded_ += second != nullptr ? 2 : 1;
 }
 
 void TraceStoreWriter::flushBlock() {
@@ -358,7 +346,6 @@ void TraceStoreWriter::flushBlock() {
   payload_bytes_ += kTraceBlockFrameBytes + stored_size;
   raw_payload_bytes_ += raw_block_.size();
   raw_block_.clear();
-  if (rans_) rans_->reset();
 }
 
 void TraceStoreWriter::writeFooter() {
@@ -394,11 +381,10 @@ void TraceStoreWriter::beginTrial(std::uint64_t length) {
     openShard(current_shard_ + 1);
   }
   const unsigned code = lengthCode(length);
-  const std::size_t nbytes = std::size_t{1} << code;
-  alignBlockForUnit(1 + nbytes);
-  putByte(static_cast<std::uint8_t>(code));
-  for (std::size_t i = 0; i < nbytes; ++i)
-    putByte(static_cast<std::uint8_t>(length >> (8 * i)));
+  unsigned char unit[1 + 8];
+  unit[0] = static_cast<unsigned char>(code);
+  storeU64(unit + 1, length);
+  putUnit(unit, 1 + (std::size_t{1} << code));
   ++cur_trials_begun_;
   cur_trial_length_ = length;
   cur_decoded_ = 0;
@@ -708,8 +694,8 @@ TraceShardReader::Block TraceShardReader::readBlock(std::uint64_t raw_left) {
   } else {
     fail("unknown block codec (corrupt block)");
   }
-  if (block_buf_.size() < block.stored_size)
-    block_buf_.resize(block.stored_size);
+  if (block_buf_.size() < block.stored_size + kWindowSlack)
+    block_buf_.resize(block.stored_size + kWindowSlack);
   readPayloadBytes(block_buf_.data(), block.stored_size);
   block.stored = block_buf_.data();
   if (fnv1a(block.stored, block.stored_size) != checksum)
@@ -728,9 +714,8 @@ void TraceShardReader::loadNextBlock() {
     sym_buf_ = block.stored;
   } else {
     // Phase 1 of decode: reconstruct the whole block's raw bytes in one
-    // bulk 8-way rANS run, then serve them as a plain byte window. The
-    // group parser (phase 2) thus always reads from contiguous memory —
-    // which is what the SWAR fast path needs.
+    // bulk 8-way rANS run, then serve them as a plain byte window, which
+    // the unit parser (phase 2) reads like a raw block's.
     decodeBlock(block.stored, block.stored_size, block.raw_size);
     sym_buf_ = scratch_.data();
   }
@@ -742,7 +727,7 @@ void TraceShardReader::decodeBlock(const unsigned char* stored,
                                    std::size_t raw_size) {
   // All structural validation (control-byte invariants, units crossing
   // the block end) happens in phase 2, which parses the scratch bytes.
-  scratch_.resize(raw_size);
+  scratch_.resize(raw_size + kWindowSlack);
   if (!rans_) rans_ = std::make_unique<codec::RansV4BlockDecoder>();
   if (!rans_->decode(stored, stored_size, scratch_.data(), raw_size))
     fail("malformed v4 block payload (corrupt block)");
@@ -757,11 +742,6 @@ void TraceShardReader::verifyPayloadChecksums() {
   }
   if (raw_total != header_.raw_payload_bytes)
     fail("block raw sizes disagree with header (corrupt payload)");
-}
-
-std::uint8_t TraceShardReader::takeByte() {
-  if (sym_pos_ == sym_limit_) loadNextBlock();
-  return sym_buf_[sym_pos_++];
 }
 
 std::uint64_t TraceShardReader::rawLeft() const noexcept {
@@ -798,14 +778,15 @@ bool TraceShardReader::beginTrial() {
       fail("trailing bytes after the last trial (corrupt shard)");
     return false;
   }
-  const std::uint8_t ctrl = takeByte();
-  if ((ctrl & ~0x03u) != 0)
+  if (sym_pos_ == sym_limit_) loadNextBlock();
+  const unsigned char* unit = sym_buf_ + sym_pos_;
+  if ((unit[0] & ~0x03u) != 0)
     fail("v4 length control byte malformed (corrupt payload)");
-  const std::size_t nbytes = std::size_t{1} << (ctrl & 3);
-  std::uint64_t length = 0;
-  for (std::size_t i = 0; i < nbytes; ++i)
-    length |= static_cast<std::uint64_t>(takeByte()) << (8 * i);
-  trial_length_ = length;
+  const std::size_t bytes = std::size_t{1} << unit[0];
+  if (bytes >= sym_limit_ - sym_pos_)
+    fail("record unit crosses the block end (corrupt payload)");
+  trial_length_ = loadField(unit + 1, bytes);
+  sym_pos_ += 1 + bytes;
   // Every interaction occupies at least two record-stream bytes (a group
   // unit carries at most two interactions in at least five bytes), so a
   // declared length beyond half the remaining stream is corrupt — reject
@@ -819,171 +800,103 @@ bool TraceShardReader::beginTrial() {
   return true;
 }
 
-Interaction TraceShardReader::takeGroup() {
-  // One group unit: the control byte names every field width, so the whole
-  // unit parses branch-free when it (plus SWAR load slack) fits the
-  // current window; near a window edge the scalar loop below reads the
-  // same bytes one at a time through takeByte (refilling across blocks).
-  const bool pair = trial_length_ - decoded_ >= 2;
-  std::uint8_t ctrl;
-  std::uint64_t delta0, gap0, delta1 = 0, gap1 = 0;
-#if DODA_TRACE_LITTLE_ENDIAN
-  if (!force_scalar_ &&
-      sym_limit_ - sym_pos_ >= kTraceMaxRecordUnitBytes + 7) {
-    const unsigned char* p = sym_buf_ + sym_pos_;
-    ctrl = p[0];
-    const std::size_t l0 = 1 + (ctrl & 3);
-    const std::size_t g0 = 1 + ((ctrl >> 2) & 3);
-    auto loadField = [p](std::size_t at, std::size_t len) {
-      // The window invariant above keeps every 8-byte load in bounds
-      // (largest start offset 13, so the load ends within unit + 7 slack).
-      std::uint64_t word;
-      std::memcpy(&word, p + at, sizeof(word));
-      return word & ((std::uint64_t{1} << (8 * len)) - 1);
-    };
-    delta0 = loadField(1, l0);
-    gap0 = loadField(1 + l0, g0);
-    std::size_t total = 1 + l0 + g0;
-    if (pair) {
-      const std::size_t l1 = 1 + ((ctrl >> 4) & 3);
-      const std::size_t g1 = 1 + ((ctrl >> 6) & 3);
-      delta1 = loadField(total, l1);
-      gap1 = loadField(total + l1, g1);
-      total += l1 + g1;
-    } else if ((ctrl & 0xf0u) != 0) {
-      fail("v4 group control byte malformed (corrupt payload)");
-    }
-    sym_pos_ += total;
-  } else
-#endif
-  {
-    ctrl = takeByte();
-    if (!pair && (ctrl & 0xf0u) != 0)
-      fail("v4 group control byte malformed (corrupt payload)");
-    auto takeField = [this](std::size_t len) {
-      std::uint64_t value = 0;
-      for (std::size_t i = 0; i < len; ++i)
-        value |= static_cast<std::uint64_t>(takeByte()) << (8 * i);
-      return value;
-    };
-    delta0 = takeField(1 + (ctrl & 3));
-    gap0 = takeField(1 + ((ctrl >> 2) & 3));
-    if (pair) {
-      delta1 = takeField(1 + ((ctrl >> 4) & 3));
-      gap1 = takeField(1 + ((ctrl >> 6) & 3));
-    }
-  }
-
-  // Range checks guard every decoded quantity *before* it is used in
-  // arithmetic (no signed overflow, no unsigned wrap): raw blocks carry
-  // only a checksum, so the parser defends in depth.
-  const auto n = static_cast<std::int64_t>(header_.node_count);
-  const std::int64_t d0 = zigzagDecode(delta0);
-  const auto prev = static_cast<std::int64_t>(prev_a_);
-  if (d0 < -prev || d0 >= n - prev)
-    fail("decoded endpoint out of range (corrupt payload)");
-  const std::int64_t a0 = prev + d0;
-  if (gap0 >= header_.node_count - static_cast<std::uint64_t>(a0) - 1)
-    fail("decoded endpoint out of range (corrupt payload)");
-  const std::uint64_t b0 = static_cast<std::uint64_t>(a0) + 1 + gap0;
-  if (pair) {
-    const std::int64_t d1 = zigzagDecode(delta1);
-    if (d1 < -a0 || d1 >= n - a0)
-      fail("decoded endpoint out of range (corrupt payload)");
-    const std::int64_t a1 = a0 + d1;
-    if (gap1 >= header_.node_count - static_cast<std::uint64_t>(a1) - 1)
-      fail("decoded endpoint out of range (corrupt payload)");
-    pend_a_ = static_cast<NodeId>(a1);
-    pend_b_ = static_cast<NodeId>(static_cast<std::uint64_t>(a1) + 1 + gap1);
-    pending_ = true;
-    prev_a_ = static_cast<NodeId>(a1);
-  } else {
-    prev_a_ = static_cast<NodeId>(a0);
-  }
-  return Interaction(static_cast<NodeId>(a0), static_cast<NodeId>(b0));
-}
-
-std::uint64_t TraceShardReader::bulkGroups(Interaction* dst,
-                                             std::uint64_t count) {
-#if DODA_TRACE_LITTLE_ENDIAN
-  if (force_scalar_) return 0;
-  // Same parse and the same range validation as takeGroup, with the
-  // reader state hoisted into locals for the whole run: one group is a
-  // control byte plus four masked unaligned loads, no pending buffering,
-  // no per-group call. Only pair groups are handled — the loop stops two
-  // interactions short of the trial end, so an odd final group always
-  // goes through takeGroup.
-  std::uint64_t produced = 0;
-  const unsigned char* const buf = sym_buf_;
-  std::size_t pos = sym_pos_;
-  const std::size_t limit = sym_limit_;
+void TraceShardReader::decode(Interaction* dst, std::uint64_t count) {
   const auto n = static_cast<std::int64_t>(header_.node_count);
   const std::uint64_t un = header_.node_count;
-  std::int64_t prev = static_cast<std::int64_t>(prev_a_);
-  const std::uint64_t room = trial_length_ - decoded_;
-  const std::uint64_t want = count < room ? count : room;
-  while (produced + 2 <= want &&
-         limit - pos >= kTraceMaxRecordUnitBytes + 7) {
-    const unsigned char* p = buf + pos;
-    const std::uint8_t ctrl = p[0];
+  // Parses the group unit at `p`, `room` bytes before the window's end,
+  // whose first delta anchors on `prev`: its first interaction goes to
+  // out[0] and, for a pair, its second to out[1]. Returns the unit's size
+  // and the last decoded a. The control byte names every field width, so
+  // the size is checked against the window before any field is loaded.
+  // Range checks guard every decoded quantity before it is used in
+  // arithmetic (no signed overflow, no unsigned wrap): raw blocks carry
+  // only a checksum, so the parser defends in depth.
+  const auto parse = [this, n, un](const unsigned char* p, std::size_t room,
+                                   std::int64_t prev, bool pair,
+                                   Interaction* out) {
+    const unsigned ctrl = p[0];
     const std::size_t l0 = 1 + (ctrl & 3);
     const std::size_t g0 = 1 + ((ctrl >> 2) & 3);
     const std::size_t l1 = 1 + ((ctrl >> 4) & 3);
-    const std::size_t g1 = 1 + ((ctrl >> 6) & 3);
-    auto loadField = [p](std::size_t at, std::size_t len) {
-      std::uint64_t word;
-      std::memcpy(&word, p + at, sizeof(word));
-      return word & ((std::uint64_t{1} << (8 * len)) - 1);
-    };
-    const std::uint64_t delta0 = loadField(1, l0);
-    const std::uint64_t gap0 = loadField(1 + l0, g0);
-    const std::uint64_t delta1 = loadField(1 + l0 + g0, l1);
-    const std::uint64_t gap1 = loadField(1 + l0 + g0 + l1, g1);
-    const std::int64_t d0 = zigzagDecode(delta0);
+    const std::size_t g1 = 1 + (ctrl >> 6);
+    std::size_t size = 1 + l0 + g0;
+    if (pair)
+      size += l1 + g1;
+    else if ((ctrl & 0xf0u) != 0)
+      fail("v4 group control byte malformed (corrupt payload)");
+    if (size > room)
+      fail("record unit crosses the block end (corrupt payload)");
+    const std::int64_t d0 = zigzagDecode(loadField(p + 1, l0));
     if (d0 < -prev || d0 >= n - prev)
       fail("decoded endpoint out of range (corrupt payload)");
     const std::int64_t a0 = prev + d0;
+    const std::uint64_t gap0 = loadField(p + 1 + l0, g0);
     if (gap0 >= un - static_cast<std::uint64_t>(a0) - 1)
       fail("decoded endpoint out of range (corrupt payload)");
-    const std::int64_t d1 = zigzagDecode(delta1);
+    out[0] = Interaction::presorted(
+        static_cast<NodeId>(a0),
+        static_cast<NodeId>(static_cast<std::uint64_t>(a0) + 1 + gap0));
+    if (!pair) return std::pair{size, a0};
+    const std::int64_t d1 = zigzagDecode(loadField(p + 1 + l0 + g0, l1));
     if (d1 < -a0 || d1 >= n - a0)
       fail("decoded endpoint out of range (corrupt payload)");
     const std::int64_t a1 = a0 + d1;
+    const std::uint64_t gap1 = loadField(p + 1 + l0 + g0 + l1, g1);
     if (gap1 >= un - static_cast<std::uint64_t>(a1) - 1)
       fail("decoded endpoint out of range (corrupt payload)");
-    if (dst != nullptr) {
-      dst[produced] = Interaction(
-          static_cast<NodeId>(a0),
-          static_cast<NodeId>(static_cast<std::uint64_t>(a0) + 1 + gap0));
-      dst[produced + 1] = Interaction(
-          static_cast<NodeId>(a1),
-          static_cast<NodeId>(static_cast<std::uint64_t>(a1) + 1 + gap1));
-    }
-    prev = a1;
-    pos += 1 + l0 + g0 + l1 + g1;
-    produced += 2;
+    out[1] = Interaction::presorted(
+        static_cast<NodeId>(a1),
+        static_cast<NodeId>(static_cast<std::uint64_t>(a1) + 1 + gap1));
+    return std::pair{size, a1};
+  };
+
+  std::uint64_t k = 0;
+  if (pending_ && count > 0) {
+    pending_ = false;
+    if (dst != nullptr) dst[0] = Interaction::presorted(pend_a_, pend_b_);
+    k = 1;
   }
-  sym_pos_ = pos;
+  std::int64_t prev = prev_a_;
+  Interaction parsed[2] = {Interaction(0, 1), Interaction(0, 1)};
+  while (k < count) {
+    if (sym_pos_ == sym_limit_) loadNextBlock();
+    const unsigned char* const buf = sym_buf_;
+    const std::size_t limit = sym_limit_;
+    std::size_t pos = sym_pos_;
+    while (count - k >= 2 && pos < limit) {
+      const auto [size, last_a] = parse(buf + pos, limit - pos, prev, true,
+                                        dst != nullptr ? dst + k : parsed);
+      pos += size;
+      prev = last_a;
+      k += 2;
+    }
+    if (count - k == 1 && pos < limit) {
+      // One interaction left to serve: the trial's odd last one, or the
+      // first of a pair whose second stays pending.
+      const bool pair = trial_length_ - decoded_ - k >= 2;
+      const auto [size, last_a] =
+          parse(buf + pos, limit - pos, prev, pair, parsed);
+      pos += size;
+      prev = last_a;
+      if (dst != nullptr) dst[k] = parsed[0];
+      k = count;
+      if (pair) {
+        pending_ = true;
+        pend_a_ = parsed[1].a();
+        pend_b_ = parsed[1].b();
+      }
+    }
+    sym_pos_ = pos;
+  }
   prev_a_ = static_cast<NodeId>(prev);
-  decoded_ += produced;
-  return produced;
-#else
-  (void)dst;
-  (void)count;
-  return 0;
-#endif
+  decoded_ += count;
 }
 
 std::optional<Interaction> TraceShardReader::next() {
   if (decoded_ == trial_length_) return std::nullopt;
-  if (pending_) {
-    pending_ = false;
-    ++decoded_;
-    return Interaction(pend_a_, pend_b_);
-  }
-  const Interaction i = takeGroup();  // reads decoded_ before the bump
-  ++decoded_;
-  return i;
+  Interaction interaction(0, 1);
+  decode(&interaction, 1);
+  return interaction;
 }
 
 void TraceShardReader::read(std::uint64_t count,
@@ -995,23 +908,7 @@ void TraceShardReader::read(std::uint64_t count,
                             " left in the trial");
   const std::size_t base = out.size();
   out.resize(base + static_cast<std::size_t>(count), Interaction(0, 1));
-  Interaction* dst = out.data() + base;
-  std::uint64_t k = 0;
-  while (k < count) {
-    if (pending_) {
-      pending_ = false;
-      dst[k++] = Interaction(pend_a_, pend_b_);
-      ++decoded_;
-      continue;
-    }
-    const std::uint64_t got = bulkGroups(dst + k, count - k);
-    if (got > 0) {
-      k += got;
-      continue;
-    }
-    dst[k++] = takeGroup();
-    ++decoded_;
-  }
+  decode(out.data() + base, count);
 }
 
 InteractionSequence TraceShardReader::readRest() {
@@ -1020,18 +917,7 @@ InteractionSequence TraceShardReader::readRest() {
   return InteractionSequence(std::move(interactions));
 }
 
-void TraceShardReader::skipRest() {
-  while (decoded_ < trial_length_) {
-    if (pending_) {
-      pending_ = false;
-      ++decoded_;
-      continue;
-    }
-    if (bulkGroups(nullptr, trial_length_ - decoded_) > 0) continue;
-    takeGroup();
-    ++decoded_;
-  }
-}
+void TraceShardReader::skipRest() { decode(nullptr, trial_length_ - decoded_); }
 
 // ----------------------------------------------------------------- store
 

@@ -107,7 +107,8 @@ LoadedTrace loadTrace(const std::string& path);
 //
 // The *record stream* is a run of byte-aligned units whose control byte
 // names every field width up front, so a whole unit decodes branch-free
-// (SWAR: one unaligned 64-bit load + mask per field):
+// (one unaligned little-endian 64-bit load + mask per field, on every
+// host):
 //
 //   trial-length unit:
 //     u8   control      bits 0..1 = size code c (data bytes = 1 << c, i.e.
@@ -132,8 +133,10 @@ LoadedTrace loadTrace(const std::string& path);
 // every field fits 4 bytes and the largest unit is 1 + 4*4 = 17 bytes
 // (kTraceMaxRecordUnitBytes).
 //
-// Units never split across blocks, so every block boundary is describable
-// by the record cursor — which is exactly what the footer stores:
+// The writer builds each unit whole and never splits one across blocks,
+// so every block boundary is describable by the record cursor — which is
+// exactly what the footer stores. A reader rejects a unit that runs past
+// its block's end as corrupt:
 //
 //   offset size
 //   0      4    u32 block count K (>= 1)
@@ -156,11 +159,14 @@ LoadedTrace loadTrace(const std::string& path);
 // its index entry.
 //
 // A codec-3 block codes EVERY record byte as one symbol of its single
-// table: phase 1 reconstructs the whole block in one bulk 8-way rANS run
-// (no per-symbol context steering, no record parsing), and phase 2 parses
-// units from the contiguous buffer, where ALL structural validation lives
-// (control-byte invariants plus the delta/gap range checks). The
-// contiguous buffer is also what enables the SWAR fast path.
+// table, which the writer histograms from the block it seals: phase 1
+// reconstructs the whole block in one bulk 8-way rANS run (no per-symbol
+// context steering, no record parsing), and phase 2 parses units from the
+// contiguous buffer, where ALL structural validation lives (control-byte
+// invariants, units crossing the block end, and the delta/gap range
+// checks). Phase 2 reads a raw block's stored bytes the same way: both
+// windows keep 8 bytes of slack past the block, so the last field of a
+// unit that ends at the block's end is still one 8-byte load.
 // ---------------------------------------------------------------------------
 
 inline constexpr std::uint16_t kTraceFormatVersion = 4;
@@ -285,16 +291,14 @@ class TraceStoreWriter {
  private:
   void openShard(std::uint32_t index);
   void closeShard();
-  /// Emits one record byte (one symbol of the block's table), opening a
-  /// block index entry when it starts a block.
-  void putByte(std::uint8_t byte);
+  /// Appends one whole record unit to the block, first flushing the block
+  /// when the unit would overflow it and opening a block index entry when
+  /// the unit starts a block.
+  void putUnit(const unsigned char* unit, std::size_t size);
   /// Emits one group unit (the second interaction may be absent for the
   /// final unit of an odd-length trial) and advances the record cursor.
   void emitGroup(Interaction first, const Interaction* second);
   void flushBlock();  // seal and emit the current block
-  /// Flushes the current block when the next `unit_bytes`-byte record
-  /// unit would overflow it (units never split across blocks).
-  void alignBlockForUnit(std::size_t unit_bytes);
   void writeFooter();  // block index + checksum after the payload
   std::uint64_t trialsInShard(std::uint32_t index) const;
 
@@ -394,10 +398,6 @@ class TraceShardReader {
   /// Decodes and discards the remainder of the current trial.
   void skipRest();
 
-  /// Test hook: forces the scalar unit parser even when the SWAR fast
-  /// path would apply (fuzzing parity between the two).
-  void setForceScalarDecode(bool force) noexcept { force_scalar_ = force; }
-
   /// Walks every block frame of the payload and verifies its geometry and
   /// checksum without decoding. Throws like next() does, with the byte offset
   /// and block index of the first corruption. Consumes the payload
@@ -438,16 +438,13 @@ class TraceShardReader {
   void decodeBlock(const unsigned char* stored, std::size_t stored_size,
                    std::size_t raw_size);
   std::uint64_t rawLeft() const noexcept;
-  std::uint8_t takeByte();
-  /// Parses the next group unit from the window, returns its first
-  /// interaction, and buffers the second (if the unit carries one).
-  Interaction takeGroup();
-  /// Bulk fast path: parses consecutive PAIR groups straight from the
-  /// current window into `dst` (skip-only when null), advancing decoded_.
-  /// Returns the interactions produced (always even); 0 when the window
-  /// is near its edge, the trial is near its end, or under force-scalar —
-  /// the callers then fall back to takeGroup for one group and retry.
-  std::uint64_t bulkGroups(Interaction* dst, std::uint64_t count);
+  /// Serves the next `count` (at most the rest) interactions of the
+  /// current trial into `dst`, or range-checks and drops them when `dst`
+  /// is null: the pending second interaction of a split pair first, then
+  /// whole group units parsed from the window, loading blocks as the
+  /// window runs out. A pair unit split by `count` leaves its second
+  /// interaction pending.
+  void decode(Interaction* dst, std::uint64_t count);
 
   std::string path_;
   std::ifstream in_;
@@ -456,7 +453,8 @@ class TraceShardReader {
   std::vector<TraceBlockIndexEntry> index_;  // validated at open
   std::uint64_t payload_left_ = 0;  // payload bytes not yet read from the file
   // Decoded-byte window of the current block: block_buf_ for a raw block,
-  // or scratch_ for an rANS block.
+  // or scratch_ for an rANS block. Both buffers keep 8 readable bytes past
+  // the block so every field is one 8-byte load.
   const unsigned char* sym_buf_ = nullptr;
   std::size_t sym_pos_ = 0;
   std::size_t sym_limit_ = 0;
@@ -470,7 +468,6 @@ class TraceShardReader {
   NodeId pend_a_ = 0;  // second interaction of a parsed group
   NodeId pend_b_ = 1;
   bool pending_ = false;
-  bool force_scalar_ = false;
   // Diagnostics context for fail(): valid once construction completed.
   bool have_offset_ctx_ = false;
   std::uint64_t blocks_loaded_ = 0;

@@ -127,18 +127,16 @@ inline void serializeTable(std::vector<std::uint8_t>& out,
 
 inline constexpr std::uint32_t kRansV4LowBound = 1u << 16;
 
-/// Encodes one block: count() histograms the bytes, seal() emits the
-/// table + payload. Reusable across blocks via reset().
+/// Encodes one block: seal() histograms the block's bytes into its table
+/// and emits the table + payload. Reusable across blocks.
 class RansV4BlockEncoder {
  public:
-  void reset() noexcept { counts_.fill(0); }
-
-  void count(std::uint8_t byte) noexcept { ++counts_[byte]; }
-
   void seal(const std::uint8_t* bytes, std::size_t size,
             std::vector<std::uint8_t>& out) {
     out.clear();
-    rans_detail::normalizeTable(counts_.data(), freq_.data(), cum_.data());
+    std::array<std::uint32_t, 256> counts{};
+    for (std::size_t i = 0; i < size; ++i) ++counts[bytes[i]];
+    rans_detail::normalizeTable(counts.data(), freq_.data(), cum_.data());
     rans_detail::serializeTable(out, freq_.data());
     rev_.clear();
     std::uint32_t states[kRansV4Interleave];
@@ -166,7 +164,6 @@ class RansV4BlockEncoder {
   }
 
  private:
-  std::array<std::uint32_t, 256> counts_{};
   std::array<std::uint32_t, 256> freq_{};
   std::array<std::uint32_t, 256> cum_{};
   std::vector<std::uint8_t> rev_;

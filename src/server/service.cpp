@@ -128,13 +128,14 @@ sim::AlgorithmFactory algorithmFactoryOf(const Json& params,
 
 /// Sequence length for the fixed-sequence kinds (cost, faults): long
 /// enough that the slowest stock algorithm (Waiting) usually terminates
-/// without the doubling path.
+/// without the doubling path. Zero is rejected: it never doubles.
 core::Time lengthHintOf(const Json& params, std::size_t node_count) {
   const auto fallback = static_cast<std::uint64_t>(std::max(
       1024.0,
       std::ceil(4.0 * util::closed_form::waitingExpected(node_count))));
-  return static_cast<core::Time>(
-      uintParam(params, "length_hint", fallback));
+  const std::uint64_t hint = uintParam(params, "length_hint", fallback);
+  if (hint == 0) badParams("\"length_hint\" must be positive");
+  return static_cast<core::Time>(hint);
 }
 
 fault::FaultModel faultModelOf(const Json& params) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "adversary/sequence_adversary.hpp"
 #include "analysis/convergecast.hpp"
@@ -162,9 +163,23 @@ MeasureResult measureMaterialized(const MeasureConfig& config,
       config.control);
 }
 
+bool runDoublingAttempts(Time length_hint, Time max_interactions,
+                         std::size_t max_doublings,
+                         const std::function<bool(Time bound)>& attempt) {
+  Time bound = length_hint;
+  for (std::size_t doublings = 0;; ++doublings) {
+    if (attempt(bound)) return true;
+    if (doublings == max_doublings || bound >= max_interactions) return false;
+    bound = bound > kNever / 2 ? kNever : 2 * bound;
+  }
+}
+
 MeasureResult measureWithCost(const MeasureConfig& config, Time length_hint,
                               const AlgorithmFactory& factory,
                               std::size_t max_doublings) {
+  if (length_hint == 0)
+    throw std::invalid_argument(
+        "measureWithCost: length_hint must be positive");
   const SystemInfo info = systemOf(config);
   return runTrials(
       config.trials, config.seed, config.threads,
@@ -172,15 +187,18 @@ MeasureResult measureWithCost(const MeasureConfig& config, Time length_hint,
                        core::Engine::Scratch& scratch) {
         // Every attempt regenerates the same committed sequence from the
         // trial seed; only the bound doubles.
-        for (std::size_t attempt = 0; attempt <= max_doublings; ++attempt) {
-          LazySequence sequence(adversaryGenerator(config, util::Rng(seed)),
-                                length_hint << attempt);
-          const TrialOutcome outcome =
-              runOnlineTrial(info, sequence, factory, config.max_interactions,
-                             /*compute_cost=*/true, scratch);
-          if (outcome.success) return outcome;
-        }
-        return TrialOutcome::failure();
+        TrialOutcome outcome = TrialOutcome::failure();
+        runDoublingAttempts(
+            length_hint, config.max_interactions, max_doublings,
+            [&](Time bound) {
+              LazySequence sequence(
+                  adversaryGenerator(config, util::Rng(seed)), bound);
+              outcome = runOnlineTrial(info, sequence, factory,
+                                       config.max_interactions,
+                                       /*compute_cost=*/true, scratch);
+              return outcome.success;
+            });
+        return outcome;
       },
       config.control);
 }

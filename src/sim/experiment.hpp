@@ -107,13 +107,26 @@ MeasureResult measureMaterialized(const MeasureConfig& config,
 /// reads the adversary's committed sequence bounded at `length_hint`
 /// interactions: the engine stops at the bound and the meetTime oracle
 /// answers kNever past it, as on a fixed sequence of that length. A trial
-/// that does not terminate reruns with the bound doubled, up to
-/// `max_doublings` times; the sequence is generated only as far as the
-/// engine and the oracle read it.
+/// that does not terminate reruns with the bound doubled
+/// (runDoublingAttempts), up to `max_doublings` times and no further once
+/// the bound has reached config.max_interactions; the sequence is
+/// generated only as far as the engine and the oracle read it. Throws
+/// std::invalid_argument on a zero `length_hint`, which never grows.
 MeasureResult measureWithCost(const MeasureConfig& config,
                               core::Time length_hint,
                               const AlgorithmFactory& factory,
                               std::size_t max_doublings = 8);
+
+/// The attempt loop of measureWithCost and measureWithFaults: calls
+/// `attempt(bound)` with bound = `length_hint` first, doubled (saturating
+/// at kNever) after each attempt that returns false. It stops at the
+/// first attempt that returns true, after `max_doublings` doublings, or
+/// after the first attempt whose bound reached `max_interactions`: a
+/// longer bound reruns the same capped trial. Returns whether an attempt
+/// returned true.
+bool runDoublingAttempts(core::Time length_hint, core::Time max_interactions,
+                         std::size_t max_doublings,
+                         const std::function<bool(core::Time bound)>& attempt);
 
 /// The online trial behind measureRandomized, measureWithCost and
 /// replayTrace (sim/trace_replay). It builds the meetTime oracle on

@@ -1,6 +1,7 @@
 #include "sim/fault_experiment.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "adversary/sequence_adversary.hpp"
@@ -58,41 +59,40 @@ FaultTrialSlot runFaultTrial(const MeasureConfig& config,
       config.faults, config.node_count, config.sink, plan_seed));
   FaultTrialSlot slot;
   // Every attempt regenerates the same committed sequence from the Rng
-  // state after the plan seed; only the bound doubles. It is doubled, not
-  // shifted by the attempt: a client may ask for more than 63 doublings.
-  Time bound = length_hint;
-  for (std::size_t attempt = 0; attempt <= max_doublings;
-       ++attempt, bound *= 2) {
-    LazySequence sequence(adversaryGenerator(config, rng), bound);
-    adversary::LazySequenceAdversary adversary(sequence);
-    dynagraph::MeetTimeIndex index(sequence, config.sink, config.node_count);
-    dynagraph::ExactMeetTimeOracle exact(index);
-    fault::FaultyMeetTimeOracle oracle(exact, session.plan());
-    TrialContext context{info, adversary, index, &oracle};
-    const auto algorithm = factory(context);
-    core::Engine engine(info, core::AggregationFunction::count());
-    core::RunOptions options;
-    options.max_interactions = std::min(bound, config.max_interactions);
-    options.capture_schedule = false;
-    options.faults = &session;
-    const auto result = engine.runInto(scratch, *algorithm, adversary, options);
-    slot.outcome = *result.fault;
-    if (slot.outcome.completed) {
-      slot.interactions =
-          static_cast<double>(result.interactions_to_terminate);
-      const Time opt =
-          optCompletionWithin(sequence, config.node_count, config.sink);
-      if (opt != kNever) {
-        slot.cost_inflation =
-            slot.interactions / static_cast<double>(opt + 1);
-        slot.has_inflation = true;
-      }
-      return slot;
-    }
-    if (slot.outcome.blocked) return slot;  // no future progress possible
-    if (bound >= config.max_interactions) break;
-  }
-  slot.timed_out = true;
+  // state after the plan seed; only the bound doubles.
+  const bool stopped = runDoublingAttempts(
+      length_hint, config.max_interactions, max_doublings, [&](Time bound) {
+        LazySequence sequence(adversaryGenerator(config, rng), bound);
+        adversary::LazySequenceAdversary adversary(sequence);
+        dynagraph::MeetTimeIndex index(sequence, config.sink,
+                                       config.node_count);
+        dynagraph::ExactMeetTimeOracle exact(index);
+        fault::FaultyMeetTimeOracle oracle(exact, session.plan());
+        TrialContext context{info, adversary, index, &oracle};
+        const auto algorithm = factory(context);
+        core::Engine engine(info, core::AggregationFunction::count());
+        core::RunOptions options;
+        options.max_interactions = std::min(bound, config.max_interactions);
+        options.capture_schedule = false;
+        options.faults = &session;
+        const auto result =
+            engine.runInto(scratch, *algorithm, adversary, options);
+        slot.outcome = *result.fault;
+        if (slot.outcome.completed) {
+          slot.interactions =
+              static_cast<double>(result.interactions_to_terminate);
+          const Time opt =
+              optCompletionWithin(sequence, config.node_count, config.sink);
+          if (opt != kNever) {
+            slot.cost_inflation =
+                slot.interactions / static_cast<double>(opt + 1);
+            slot.has_inflation = true;
+          }
+          return true;
+        }
+        return slot.outcome.blocked;  // no future progress possible
+      });
+  slot.timed_out = !stopped;
   return slot;
 }
 
@@ -103,6 +103,9 @@ FaultMeasureResult measureWithFaults(const MeasureConfig& config,
                                      const AlgorithmFactory& factory,
                                      std::size_t max_doublings) {
   config.faults.validate();
+  if (length_hint == 0)
+    throw std::invalid_argument(
+        "measureWithFaults: length_hint must be positive");
   const SystemInfo info{config.node_count, config.sink};
   const std::vector<std::uint64_t> seeds =
       drawTrialSeeds(config.seed, config.trials);

@@ -41,8 +41,12 @@ struct FaultSweepResult {
 /// doubling extension) and the engine runs its faulty loop; completed
 /// trials additionally record cost inflation = interactions-to-complete
 /// divided by the fault-free offline optimum (opt(0) + 1) of the same
-/// sequence. A trial stops extending as soon as it completes or blocks
-/// (a blocked run can never make further progress).
+/// sequence. A trial reads its sequence bounded at `length_hint` and
+/// doubles the bound like measureWithCost (runDoublingAttempts): it stops
+/// extending as soon as it completes or blocks (a blocked run can never
+/// make further progress), after `max_doublings` doublings, or once the
+/// bound has reached config.max_interactions. Throws
+/// std::invalid_argument on a zero `length_hint`, which never grows.
 FaultMeasureResult measureWithFaults(const MeasureConfig& config,
                                      core::Time length_hint,
                                      const AlgorithmFactory& factory,

@@ -2,12 +2,17 @@
 
 // The byte convention of every on-disk format (docs/FORMATS.md): integers
 // are stored little-endian whatever the host order, and checksums are
-// 64-bit FNV-1a. Trace shard headers, footers and block frames, the
-// durable store's MANIFEST and id map, and the contact-import event hash
-// read and write their fixed-width fields and checksums through these.
+// 64-bit FNV-1a. Trace shard headers, footers, block frames and record
+// units, the durable store's MANIFEST and id map, and the contact-import
+// event hash read and write their fixed-width fields and checksums
+// through these. The host byte order is decided here and nowhere else:
+// loadLe is one unaligned load on a little-endian host (the trace reader
+// parses every record field through it) and a byte loop elsewhere.
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 namespace doda::util {
@@ -39,8 +44,12 @@ void storeLe(unsigned char* out, T value) noexcept {
 template <typename T>
 T loadLe(const unsigned char* in) noexcept {
   T value = 0;
-  for (std::size_t i = 0; i < sizeof(T); ++i)
-    value = static_cast<T>(value | static_cast<T>(in[i]) << (8 * i));
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&value, in, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+      value = static_cast<T>(value | static_cast<T>(in[i]) << (8 * i));
+  }
   return value;
 }
 

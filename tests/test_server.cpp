@@ -543,6 +543,11 @@ TEST(Transport, ErrorFramesForBadInput) {
                                   "\"params\":{\"kind\":\"randomized\","
                                   "\"n\":1}}")),
             -32602);
+  // A zero length_hint never doubles, so it is refused at submit.
+  EXPECT_EQ(errorCode(client.call("{\"id\":4,\"method\":\"job.submit\","
+                                  "\"params\":{\"kind\":\"cost\","
+                                  "\"length_hint\":0}}")),
+            -32602);
   EXPECT_EQ(errorCode(client.call("{\"method\":\"ping\",\"id\":null}")),
             -32600);
   // The connection survives every one of those.

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
+#include <utility>
+
 #include "algorithms/full_knowledge.hpp"
 #include "algorithms/future_aware.hpp"
 #include "algorithms/gathering.hpp"
 #include "algorithms/waiting.hpp"
 #include "algorithms/waiting_greedy.hpp"
+#include "sim/fault_experiment.hpp"
 
 namespace doda::sim {
 namespace {
@@ -151,6 +156,43 @@ TEST(MeasureWithCost, GatheringCostAtLeastOne) {
   EXPECT_EQ(r.failed_trials, 0u);
   EXPECT_GE(r.cost.min(), 1.0);
   EXPECT_EQ(r.cost.count(), r.interactions.count());
+}
+
+TEST(MeasureDoubling, StopsOnceTheBoundReachesMaxInteractions) {
+  // Waiting at n = 64 never terminates within 64 interactions, so every
+  // attempt fails. From length_hint 16 the bounds are 16, 32 and 64; a
+  // fourth attempt would rerun the same capped trial, so each trial calls
+  // the factory 3 times, however many doublings are allowed. A zero hint
+  // never grows and is rejected.
+  MeasureConfig config;
+  config.node_count = 64;
+  config.trials = 4;
+  config.threads = 1;
+  config.max_interactions = 64;
+  using Measure = std::function<void(core::Time, const AlgorithmFactory&)>;
+  const std::pair<const char*, Measure> entry_points[] = {
+      {"measureWithCost",
+       [&](core::Time hint, const AlgorithmFactory& factory) {
+         EXPECT_EQ(measureWithCost(config, hint, factory, 30).failed_trials,
+                   config.trials);
+       }},
+      {"measureWithFaults",
+       [&](core::Time hint, const AlgorithmFactory& factory) {
+         EXPECT_EQ(measureWithFaults(config, hint, factory, 30)
+                       .timed_out_trials,
+                   config.trials);
+       }},
+  };
+  for (const auto& [name, measure] : entry_points) {
+    std::size_t calls = 0;
+    const AlgorithmFactory waiting = [&calls](TrialContext&) {
+      ++calls;
+      return std::make_unique<algorithms::Waiting>();
+    };
+    measure(16, waiting);
+    EXPECT_EQ(calls, 3 * config.trials) << name;
+    EXPECT_THROW(measure(0, waiting), std::invalid_argument) << name;
+  }
 }
 
 }  // namespace

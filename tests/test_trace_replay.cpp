@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <stdexcept>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "dynagraph/traces.hpp"
 #include "sim/trace_replay.hpp"
 #include "trace_test_helpers.hpp"
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -152,6 +154,35 @@ TEST(TraceStoreRoundTrip, PartialConsumptionRealignsAtNextTrial) {
           ASSERT_EQ(got[t], long_trials[k].at(t))
               << "compress=" << compress << " pattern=" << pattern
               << " trial=" << k << " t=" << t;
+      }
+      EXPECT_FALSE(small_reader.beginTrial());
+    }
+    // next() interleaved with read(k): a pair split by a call leaves its
+    // second interaction pending, also when its unit ends a block window,
+    // and the next call serves it before parsing further.
+    for (core::Time k = 1; k <= 5; ++k) {
+      auto small_reader = small_store.openShard(0);
+      for (std::size_t trial = 0; trial < long_trials.size(); ++trial) {
+        ASSERT_TRUE(small_reader.beginTrial());
+        const InteractionSequence& expected = long_trials[trial];
+        core::Time t = 0;
+        while (t < expected.length()) {
+          const auto one = small_reader.next();
+          ASSERT_TRUE(one.has_value());
+          ASSERT_EQ(*one, expected.at(t))
+              << "compress=" << compress << " k=" << k << " trial=" << trial
+              << " t=" << t;
+          ++t;
+          const core::Time take = std::min(k, expected.length() - t);
+          std::vector<Interaction> got;
+          small_reader.read(take, got);
+          for (core::Time j = 0; j < take; ++j)
+            ASSERT_EQ(got[j], expected.at(t + j))
+                << "compress=" << compress << " k=" << k << " trial=" << trial
+                << " t=" << t + j;
+          t += take;
+        }
+        EXPECT_FALSE(small_reader.next().has_value());
       }
       EXPECT_FALSE(small_reader.beginTrial());
     }
@@ -347,6 +378,58 @@ TEST_F(TraceStoreCorruption, MalformedGroupControlByteIsRejected) {
   resealBlock(bytes);
   writeFile(shard0_, bytes);
   expectDecodeFailure("group control byte malformed");
+}
+
+TEST_F(TraceStoreCorruption, UnitSplitAcrossBlocksIsRejected) {
+  // The writer never splits a record unit across blocks, and the block
+  // index relies on it. Forge a split: one trial of 200 interactions over
+  // 12 nodes in 64-byte raw blocks (every field is one byte, so block 0
+  // ends 2 bytes short of 64), and move the first byte of block 1 (its
+  // first unit's control byte) to the end of block 0. Both frames, both
+  // checksums, both index entries and the footer checksum are re-sealed,
+  // so only the unit parser can see the split.
+  const std::string dir = scratchDir("split");
+  dynagraph::TraceWriterOptions options = rawOptions();
+  options.block_bytes = 64;
+  util::Rng rng(5);
+  writeStore(dir, 12, {randomSequence(12, 200, rng)}, 1, options);
+  shard0_ = (std::filesystem::path(dir) / dynagraph::traceShardFileName(0))
+                .string();
+  auto bytes = readFile(shard0_);
+  auto* data = reinterpret_cast<unsigned char*>(bytes.data());
+  constexpr std::size_t kBlockFrame = dynagraph::kTraceBlockFrameBytes;
+  const std::uint32_t raw0 = util::loadU32(data + kFrame);
+  const std::size_t frame1 = kRecord + raw0;
+  const std::uint32_t raw1 = util::loadU32(data + frame1);
+  ASSERT_LT(raw0, 64u);
+  ASSERT_GT(raw1, 1u);
+  const unsigned char moved = data[frame1 + kBlockFrame];
+  std::memmove(data + frame1 + 1, data + frame1, kBlockFrame);
+  data[frame1] = moved;
+  const auto reseal = [data](std::size_t frame, std::uint32_t raw) {
+    util::storeU32(data + frame, raw);
+    util::storeU32(data + frame + 4, raw);
+    util::storeU64(data + frame + 9,
+                   util::fnv1a(data + frame + kBlockFrame, raw));
+  };
+  reseal(kFrame, raw0 + 1);
+  reseal(frame1 + 1, raw1 - 1);
+  const std::size_t footer = kFrame + util::loadU64(data + 48);
+  unsigned char* entry0 = data + footer + 4;
+  unsigned char* entry1 = entry0 + dynagraph::kTraceIndexEntryBytes;
+  util::storeU32(entry0 + 8, raw0 + 1);
+  util::storeU32(entry0 + 12, raw0 + 1);
+  util::storeU64(entry1, util::loadU64(entry1) + 1);
+  util::storeU32(entry1 + 8, raw1 - 1);
+  util::storeU32(entry1 + 12, raw1 - 1);
+  util::storeU64(entry1 + 16, util::loadU64(entry1 + 16) + 1);
+  util::storeU64(data + bytes.size() - 8,
+                 util::fnv1a(data + footer, bytes.size() - 8 - footer));
+  writeFile(shard0_, bytes);
+  // The reader stops in block 0, at its end.
+  expectDecodeFailure(
+      "record unit crosses the block end (corrupt payload) (at byte " +
+      std::to_string(kRecord + raw0 + 1) + ", block 0)");
 }
 
 TEST_F(TraceStoreCorruption, MissingShardFailsStoreOpen) {

@@ -63,11 +63,10 @@ inline void writeStore(const std::string& dir, std::size_t n,
 
 /// Every trial of the store, in global order.
 inline std::vector<dynagraph::InteractionSequence> decodeStore(
-    const dynagraph::TraceStore& store, bool force_scalar = false) {
+    const dynagraph::TraceStore& store) {
   std::vector<dynagraph::InteractionSequence> trials;
   for (std::size_t s = 0; s < store.shardCount(); ++s) {
     auto reader = store.openShard(s);
-    reader.setForceScalarDecode(force_scalar);
     while (reader.beginTrial()) trials.push_back(reader.readRest());
   }
   return trials;
