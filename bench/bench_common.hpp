@@ -2,11 +2,12 @@
 
 /// Shared helpers for the reproduction benches.
 ///
-/// Every bench binary reproduces one experiment from DESIGN.md's index
-/// (E1..E12). The scientific quantities (interaction counts, ratios to the
-/// paper's closed forms, fitted exponents) are exported as benchmark
-/// counters so the "rows" of each reproduced result appear directly in the
-/// benchmark output; wall-clock timing is incidental.
+/// Every bench binary reproduces one experiment of the paper's experiment
+/// grid (E1..E12, see "Experiments" in PAPER.md). The scientific
+/// quantities (interaction counts, ratios to the paper's closed forms,
+/// fitted exponents) are exported as benchmark counters so the "rows" of
+/// each reproduced result appear directly in the benchmark output;
+/// wall-clock timing is incidental.
 
 #include <benchmark/benchmark.h>
 

@@ -359,15 +359,13 @@ int main(int argc, char** argv) {
   // change what replays.
   const std::string dir_durable = root + "/durable";
   {
-    const std::vector<std::uint64_t> seeds =
-        doda::sim::drawTrialSeeds(config.seed, trials);
     const auto fillRange = [&](std::size_t first, std::size_t last) {
       return [&, first, last](doda::dynagraph::TraceStoreWriter& writer) {
-        for (std::size_t i = first; i < last; ++i) {
-          doda::util::Rng rng(seeds[i]);
-          writer.appendTrial(
-              doda::sim::drawAdversarySequence(config, length, rng));
-        }
+        doda::sim::appendTrials(
+            writer, config.seed, first, last,
+            [&](std::size_t /*trial*/, doda::util::Rng& rng) {
+              return doda::sim::drawAdversarySequence(config, length, rng);
+            });
       };
     };
     auto durable = doda::storage::DurableTraceStore::create(dir_durable);

@@ -288,21 +288,16 @@ void importContacts(const Options& opt) {
 
 /// Durable generator recording: one atomic segment per run, appended
 /// behind whatever the store already committed. Per-trial seeds follow
-/// recordTrials' scheme, so a single-segment durable store replays
-/// bit-identically to the plain recorded one.
+/// recordTrials' scheme (sim::appendTrials), so a single-segment durable
+/// store replays bit-identically to the plain recorded one.
 void recordDurableTrials(const Options& opt,
                          const sim::TrialGenerator& generator) {
   storage::DurableTraceStore store =
       storage::DurableTraceStore::openOrCreate(opt.out_dir);
-  const std::vector<std::uint64_t> seeds =
-      sim::drawTrialSeeds(opt.seed, opt.trials);
   store.commitSegment(
       std::max<std::size_t>(opt.n, store.nodeCount()), opt.trials, opt.shards,
       opt.writer, [&](dynagraph::TraceStoreWriter& writer) {
-        for (std::size_t trial = 0; trial < opt.trials; ++trial) {
-          util::Rng rng(seeds[trial]);
-          writer.appendTrial(generator(trial, rng));
-        }
+        sim::appendTrials(writer, opt.seed, 0, opt.trials, generator);
       });
 }
 

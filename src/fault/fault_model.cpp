@@ -20,19 +20,23 @@ void requireProbability(double p, const char* what) {
                                 " must be a probability in [0, 1]");
 }
 
+/// Whether the loss process is the Gilbert–Elliott channel (see
+/// FaultModel): only a channel that can leave the good state or lose in it
+/// ever loses anything.
+bool gilbertElliottChannel(double enter_bad, double loss_good) noexcept {
+  return enter_bad > 0.0 || loss_good > 0.0;
+}
+
 }  // namespace
 
 bool FaultModel::faultFree() const noexcept {
-  const bool lossy =
-      (loss == LossKind::kBernoulli && loss_p > 0.0) ||
-      (loss == LossKind::kGilbertElliott &&
-       (ge_loss_good > 0.0 || (ge_enter_bad > 0.0 && ge_loss_bad > 0.0)));
+  const bool lossy = loss_p > 0.0 || ge_loss_good > 0.0 ||
+                     (ge_enter_bad > 0.0 && ge_loss_bad > 0.0);
   return !lossy && crash_fraction <= 0.0 && byzantine_fraction <= 0.0;
 }
 
 FaultModel FaultModel::bernoulliLoss(double p) noexcept {
   FaultModel m;
-  m.loss = LossKind::kBernoulli;
   m.loss_p = p;
   return m;
 }
@@ -41,7 +45,6 @@ FaultModel FaultModel::gilbertElliott(double enter_bad, double exit_bad,
                                       double loss_good,
                                       double loss_bad) noexcept {
   FaultModel m;
-  m.loss = LossKind::kGilbertElliott;
   m.ge_enter_bad = enter_bad;
   m.ge_exit_bad = exit_bad;
   m.ge_loss_good = loss_good;
@@ -63,9 +66,6 @@ FaultModel FaultModel::byzantine(double fraction) noexcept {
 }
 
 void FaultModel::validate() const {
-  if (loss != LossKind::kNone && loss != LossKind::kBernoulli &&
-      loss != LossKind::kGilbertElliott)
-    throw std::invalid_argument("FaultModel: unknown loss kind");
   requireProbability(loss_p, "loss_p");
   requireProbability(ge_enter_bad, "ge_enter_bad");
   requireProbability(ge_exit_bad, "ge_exit_bad");
@@ -73,6 +73,10 @@ void FaultModel::validate() const {
   requireProbability(ge_loss_bad, "ge_loss_bad");
   requireProbability(crash_fraction, "crash_fraction");
   requireProbability(byzantine_fraction, "byzantine_fraction");
+  if (loss_p > 0.0 && gilbertElliottChannel(ge_enter_bad, ge_loss_good))
+    throw std::invalid_argument(
+        "FaultModel: loss_p and the Gilbert-Elliott channel are mutually "
+        "exclusive");
   if (crash_fraction > 0.0 && crash_horizon == 0)
     throw std::invalid_argument(
         "FaultModel: crash_fraction > 0 needs crash_horizon > 0");
@@ -87,7 +91,6 @@ FaultPlan FaultPlan::draw(const FaultModel& model, std::size_t node_count,
     throw std::invalid_argument("FaultPlan::draw: sink out of range");
 
   FaultPlan plan;
-  plan.loss = model.loss;
   plan.loss_p = model.loss_p;
   plan.ge_enter_bad = model.ge_enter_bad;
   plan.ge_exit_bad = model.ge_exit_bad;
@@ -135,19 +138,14 @@ void FaultSession::beginInteraction(Time /*t*/) {
   // Exactly one advance per dispatched interaction, transfer or not: the
   // verdict for time t is a pure function of (loss_seed, t), independent of
   // what the algorithm does — the determinism contract the golden tests pin.
-  switch (plan_.loss) {
-    case LossKind::kNone:
-      verdict_ = false;
-      break;
-    case LossKind::kBernoulli:
-      verdict_ = loss_rng_.chance(plan_.loss_p);
-      break;
-    case LossKind::kGilbertElliott:
-      verdict_ =
-          loss_rng_.chance(ge_bad_ ? plan_.ge_loss_bad : plan_.ge_loss_good);
-      ge_bad_ = loss_rng_.chance(ge_bad_ ? 1.0 - plan_.ge_exit_bad
-                                         : plan_.ge_enter_bad);
-      break;
+  // Without a loss process verdict_ stays false from reset().
+  if (plan_.loss_p > 0.0) {
+    verdict_ = loss_rng_.chance(plan_.loss_p);
+  } else if (gilbertElliottChannel(plan_.ge_enter_bad, plan_.ge_loss_good)) {
+    verdict_ =
+        loss_rng_.chance(ge_bad_ ? plan_.ge_loss_bad : plan_.ge_loss_good);
+    ge_bad_ = loss_rng_.chance(ge_bad_ ? 1.0 - plan_.ge_exit_bad
+                                       : plan_.ge_enter_bad);
   }
 }
 

@@ -12,26 +12,22 @@ namespace doda::fault {
 using core::NodeId;
 using core::Time;
 
-/// Loss process applied to individual transmissions.
-enum class LossKind : std::uint8_t {
-  kNone = 0,
-  /// Independent loss with probability `loss_p` per attempt.
-  kBernoulli = 1,
-  /// Two-state Gilbert–Elliott burst model: a good/bad channel Markov
-  /// chain advanced once per interaction, with per-state loss rates.
-  kGilbertElliott = 2,
-};
-
 /// Declarative description of a fault regime. A FaultModel is the sweep
 /// axis (what kind/severity of faults); the randomness is only committed
 /// when a FaultPlan is drawn from it for one trial.
+///
+/// The loss process applied to individual transmissions follows from the
+/// parameters: independent (Bernoulli) loss when `loss_p` > 0; the
+/// Gilbert–Elliott burst channel when `ge_enter_bad` > 0 or
+/// `ge_loss_good` > 0; otherwise no loss. validate() rejects a model that
+/// sets both.
 struct FaultModel {
-  LossKind loss = LossKind::kNone;
   /// Bernoulli per-attempt loss probability.
   double loss_p = 0.0;
   /// Gilbert–Elliott transition probabilities (good->bad, bad->good) and
-  /// per-state loss rates. Defaults give classic bursts: rare entry, quick
-  /// exit, near-perfect good state, lossy bad state.
+  /// per-state loss rates: a good/bad channel Markov chain, starting good
+  /// and advanced once per interaction. The defaults, with `ge_enter_bad`
+  /// left at 0, never lose anything.
   double ge_enter_bad = 0.0;
   double ge_exit_bad = 0.0;
   double ge_loss_good = 0.0;
@@ -45,9 +41,10 @@ struct FaultModel {
   /// do damage).
   double byzantine_fraction = 0.0;
 
-  /// True iff a plan drawn from this model can never fault anything — the
-  /// measurement layer then skips fault bookkeeping entirely and stays on
-  /// the bit-identical fault-free path.
+  /// True iff a plan drawn from this model can never fault anything: no
+  /// transmission is ever lost, no node crashes and none is Byzantine.
+  /// measureWithFaults does not consult it: a fault-free model runs the
+  /// same faulty engine loop as any other.
   bool faultFree() const noexcept;
 
   static FaultModel none() noexcept { return {}; }
@@ -58,7 +55,8 @@ struct FaultModel {
   static FaultModel byzantine(double fraction) noexcept;
 
   /// Throws std::invalid_argument unless every probability is a finite
-  /// value in [0, 1] and crash parameters are consistent.
+  /// value in [0, 1], at most one loss process is set and crash parameters
+  /// are consistent.
   void validate() const;
 };
 
@@ -68,7 +66,6 @@ struct FaultModel {
 struct FaultPlan {
   /// Loss process parameters copied from the model (the loss stream itself
   /// is generated online from `loss_seed`, one draw per interaction).
-  LossKind loss = LossKind::kNone;
   double loss_p = 0.0;
   double ge_enter_bad = 0.0;
   double ge_exit_bad = 0.0;

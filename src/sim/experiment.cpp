@@ -53,7 +53,7 @@ TrialOutcome runOnlineTrial(const SystemInfo& info, LazySequence& sequence,
                             core::Engine::Scratch& scratch) {
   adversary::LazySequenceAdversary adversary(sequence);
   dynagraph::MeetTimeIndex index(sequence, info.sink, info.node_count);
-  TrialContext context{info, adversary, index};
+  TrialContext context{info, adversary, index, nullptr, &sequence};
   const auto algorithm = factory(context);
   core::Engine engine(info, core::AggregationFunction::count());
   const auto result = engine.runInto(
@@ -87,32 +87,36 @@ MeasureResult measureRandomized(const MeasureConfig& config,
       config.control);
 }
 
+Time optCompletionWithin(LazySequence& sequence, std::size_t node_count,
+                         core::NodeId sink) {
+  while (true) {
+    const Time opt =
+        analysis::optCompletion(sequence.committed(), node_count, sink, 0);
+    const Time length = sequence.generatedLength();
+    if (opt != kNever || length >= sequence.maxLength()) return opt;
+    const Time doubled = std::max<Time>(2 * length, LazySequence::kChunk);
+    sequence.ensure(std::min(doubled, sequence.maxLength()) - 1);
+  }
+}
+
 MeasureResult measureOfflineOptimal(const MeasureConfig& config) {
-  // E[opt] = (n-1)H(n-1) (Thm 8); draw a 1.25x margin and extend by
-  // doubling on the rare trial whose convergecast doesn't fit. The margin
-  // only affects how often the doubling path runs, never the measured
-  // statistic: opt is read from the committed prefix either way.
-  const Time initial = std::max<Time>(
+  // E[opt] = (n-1)H(n-1) (Thm 8): commit a 1.25x margin so that most
+  // trials find opt in one pass. The margin only affects how often the
+  // doubling path runs, never the measured statistic: opt is read from
+  // the committed prefix either way.
+  const Time margin = std::max<Time>(
       16, static_cast<Time>(
               1.25 * util::closed_form::broadcastExpected(config.node_count)));
   return runTrials(
       config.trials, config.seed, config.threads,
-      [&, initial](std::size_t /*trial*/, std::uint64_t seed,
-                   core::Engine::Scratch& /*scratch*/) {
-        util::Rng rng(seed);
-        InteractionSequence seq = drawAdversarySequence(config, initial, rng);
-        Time opt = kNever;
-        while (true) {
-          opt = analysis::optCompletion(seq, config.node_count, config.sink,
-                                        0);
-          if (opt != kNever || seq.length() >= config.max_interactions)
-            break;
-          // Double by appending fresh randomness (the prefix stays
-          // committed).
-          InteractionSequence more =
-              drawAdversarySequence(config, seq.length(), rng);
-          seq.appendAll(more);
-        }
+      [&, margin](std::size_t /*trial*/, std::uint64_t seed,
+                  core::Engine::Scratch& /*scratch*/) {
+        LazySequence sequence(adversaryGenerator(config, util::Rng(seed)),
+                              config.max_interactions);
+        const Time fill = std::min(margin, sequence.maxLength());
+        if (fill > 0) sequence.ensure(fill - 1);
+        const Time opt =
+            optCompletionWithin(sequence, config.node_count, config.sink);
         if (opt == kNever) return TrialOutcome::failure();
         TrialOutcome outcome;
         outcome.success = true;
@@ -128,39 +132,14 @@ MeasureResult measureMaterialized(const MeasureConfig& config,
                                   Time initial_length,
                                   const SequenceAlgorithmFactory& factory,
                                   std::size_t max_doublings) {
-  const SystemInfo info = systemOf(config);
-  return runTrials(
-      config.trials, config.seed, config.threads,
-      [&, initial_length](std::size_t /*trial*/, std::uint64_t seed,
-                          core::Engine::Scratch& scratch) {
-        util::Rng rng(seed);
-        InteractionSequence seq =
-            drawAdversarySequence(config, initial_length, rng);
-        for (std::size_t attempt = 0; attempt <= max_doublings; ++attempt) {
-          const auto algorithm = factory(seq, info);
-          adversary::SequenceViewAdversary seq_adversary{seq};
-          core::Engine engine(info, core::AggregationFunction::count());
-          const auto result = engine.runInto(
-              scratch, *algorithm, seq_adversary,
-              measurementRunOptions(
-                  std::min<Time>(seq.length(), config.max_interactions)));
-          if (result.terminated) {
-            TrialOutcome outcome;
-            outcome.success = true;
-            outcome.interactions =
-                static_cast<double>(result.interactions_to_terminate);
-            outcome.cost = static_cast<double>(
-                analysis::costOf(seq, config.node_count, config.sink,
-                                 result.last_transmission_time));
-            outcome.has_cost = true;
-            return outcome;
-          }
-          // Extend the committed prefix with fresh randomness and rerun.
-          seq.appendAll(drawAdversarySequence(config, seq.length(), rng));
-        }
-        return TrialOutcome::failure();
+  return measureWithCost(
+      config, initial_length,
+      [&factory](TrialContext& context) {
+        LazySequence& sequence = *context.sequence;
+        sequence.ensure(sequence.maxLength() - 1);
+        return factory(sequence.committed(), context.info);
       },
-      config.control);
+      max_doublings);
 }
 
 bool runDoublingAttempts(Time length_hint, Time max_interactions,

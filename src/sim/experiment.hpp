@@ -28,6 +28,11 @@ struct TrialContext {
   /// meet_time (crashed nodes never meet the sink again, Byzantine nodes
   /// lie). Fault-tolerant factories should prefer it over meet_time.
   dynagraph::MeetTimeOracle* oracle = nullptr;
+  /// The committed sequence that `adversary` and `meet_time` read, bounded
+  /// at the attempt's length. Filled by runOnlineTrial and the
+  /// measureWithFaults trial; measureMaterialized commits it whole for its
+  /// sequence-knowledge factory.
+  dynagraph::LazySequence* sequence = nullptr;
 };
 
 /// Builds the algorithm instance for one trial. Invoked concurrently from
@@ -85,18 +90,24 @@ MeasureResult measureRandomized(const MeasureConfig& config,
                                 const AlgorithmFactory& factory);
 
 /// Measures the offline optimum opt(0) under the randomized adversary
-/// (paper Thm 8): generates a fresh random sequence per trial (doubling its
-/// length until a convergecast fits) and records opt(0) + 1 interactions.
+/// (paper Thm 8) and records opt(0) + 1 interactions per trial, with cost
+/// 1. A trial reads the adversary's committed sequence as a LazySequence
+/// bounded at config.max_interactions: it commits a 1.25 * E[opt] margin
+/// first and then doubles the committed prefix until a convergecast fits
+/// (optCompletionWithin). A trial whose opt(0) + 1 exceeds
+/// max_interactions fails, and a zero cap fails every trial.
 MeasureResult measureOfflineOptimal(const MeasureConfig& config);
 
 /// Runs a sequence-knowledge algorithm (FullKnowledgeOptimal, FutureAware)
-/// under the randomized adversary: materializes a random sequence of
-/// `initial_length`, builds the algorithm from it, and measures
-/// interactions to termination; also computes the paper cost of each
-/// successful trial. A trial that does not terminate extends its committed
-/// sequence to twice the length with fresh randomness and reruns, up to
-/// `max_doublings` times, so the initial length never changes which
-/// sequence a trial reads, only how often it reruns.
+/// under the randomized adversary and also computes the paper cost of each
+/// successful trial. It is measureWithCost with an adapter factory: each
+/// attempt commits its whole bounded sequence (`initial_length`, then
+/// doubled) and builds the algorithm from it. A trial that does not
+/// terminate reruns on the same sequence extended to the doubled bound,
+/// up to `max_doublings` times and no further once the bound has reached
+/// config.max_interactions, so the initial length never changes which
+/// sequence a trial reads, only how often it reruns. Throws
+/// std::invalid_argument on a zero `initial_length`, as measureWithCost.
 MeasureResult measureMaterialized(const MeasureConfig& config,
                                   core::Time initial_length,
                                   const SequenceAlgorithmFactory& factory,
@@ -117,7 +128,8 @@ MeasureResult measureWithCost(const MeasureConfig& config,
                               const AlgorithmFactory& factory,
                               std::size_t max_doublings = 8);
 
-/// The attempt loop of measureWithCost and measureWithFaults: calls
+/// The attempt loop of measureWithCost (so measureMaterialized) and
+/// measureWithFaults: calls
 /// `attempt(bound)` with bound = `length_hint` first, doubled (saturating
 /// at kNever) after each attempt that returns false. It stops at the
 /// first attempt that returns true, after `max_doublings` doublings, or
@@ -128,9 +140,10 @@ bool runDoublingAttempts(core::Time length_hint, core::Time max_interactions,
                          std::size_t max_doublings,
                          const std::function<bool(core::Time bound)>& attempt);
 
-/// The online trial behind measureRandomized, measureWithCost and
-/// replayTrace (sim/trace_replay). It builds the meetTime oracle on
-/// `sequence` and the factory's algorithm on that context, and runs the
+/// The online trial behind measureRandomized, measureWithCost,
+/// measureMaterialized and replayTrace (sim/trace_replay). It builds the
+/// meetTime oracle on `sequence` and the factory's algorithm on that
+/// context (TrialContext::sequence points at `sequence`), and runs the
 /// engine until termination, the sequence's max_length or
 /// `max_interactions`. With `compute_cost`, a successful trial also
 /// carries its paper cost, read from the committed prefix: that prefix
@@ -142,15 +155,25 @@ TrialOutcome runOnlineTrial(const core::SystemInfo& info,
                             core::Time max_interactions, bool compute_cost,
                             core::Engine::Scratch& scratch);
 
-/// The committed randomness of an online trial: `config`'s (uniform or
-/// Zipf) adversary drawing from `rng`. Chunked draws equal one long draw,
-/// so every prefix equals drawAdversarySequence(config, length, rng).
+/// opt(0) of `sequence` up to its max_length (kNever if no convergecast
+/// fits), read from as short a committed prefix as holds it: a
+/// convergecast that fits a prefix is the whole sequence's earliest too,
+/// so the prefix doubles toward max_length only while none fits. The
+/// offline optimum of measureOfflineOptimal and the cost-inflation
+/// baseline of measureWithFaults.
+core::Time optCompletionWithin(dynagraph::LazySequence& sequence,
+                               std::size_t node_count, core::NodeId sink);
+
+/// The committed randomness of every measure* trial: `config`'s (uniform
+/// or Zipf) adversary drawing from `rng`. Chunked draws equal one long
+/// draw, so every prefix equals drawAdversarySequence(config, length, rng).
 dynagraph::LazySequence::BlockGenerator adversaryGenerator(
     const MeasureConfig& config, util::Rng rng);
 
 /// One fixed-length sequence of the (uniform or Zipf) randomized adversary
-/// of `config` — the per-trial workload generator shared by the measure*
-/// family and the trace recorder (sim/trace_replay, trace_record).
+/// of `config`, drawn at once: the workload of the trace recorder
+/// (sim/trace_replay, trace_record) and of the benches that need a whole
+/// sequence up front. The measure* trials read adversaryGenerator instead.
 dynagraph::InteractionSequence drawAdversarySequence(
     const MeasureConfig& config, core::Time length, util::Rng& rng);
 

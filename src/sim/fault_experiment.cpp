@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "adversary/sequence_adversary.hpp"
-#include "analysis/convergecast.hpp"
 #include "dynagraph/oracles.hpp"
 #include "fault/fault_oracles.hpp"
 #include "util/rng.hpp"
@@ -27,22 +26,6 @@ struct FaultTrialSlot {
   bool has_inflation = false;
   bool timed_out = false;
 };
-
-/// opt(0) of `sequence` up to its max_length, read from as short a
-/// committed prefix as holds it: a convergecast that fits a prefix is the
-/// whole sequence's earliest too, so the prefix doubles toward the bound
-/// only while none fits.
-Time optCompletionWithin(LazySequence& sequence, std::size_t node_count,
-                         core::NodeId sink) {
-  while (true) {
-    const Time opt =
-        analysis::optCompletion(sequence.committed(), node_count, sink, 0);
-    const Time length = sequence.generatedLength();
-    if (opt != kNever || length >= sequence.maxLength()) return opt;
-    const Time doubled = std::max<Time>(2 * length, LazySequence::kChunk);
-    sequence.ensure(std::min(doubled, sequence.maxLength()) - 1);
-  }
-}
 
 FaultTrialSlot runFaultTrial(const MeasureConfig& config,
                              const SystemInfo& info, Time length_hint,
@@ -68,7 +51,7 @@ FaultTrialSlot runFaultTrial(const MeasureConfig& config,
                                        config.node_count);
         dynagraph::ExactMeetTimeOracle exact(index);
         fault::FaultyMeetTimeOracle oracle(exact, session.plan());
-        TrialContext context{info, adversary, index, &oracle};
+        TrialContext context{info, adversary, index, &oracle, &sequence};
         const auto algorithm = factory(context);
         core::Engine engine(info, core::AggregationFunction::count());
         core::RunOptions options;

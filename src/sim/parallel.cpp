@@ -10,12 +10,6 @@
 
 namespace doda::sim {
 
-void MeasureResult::merge(const MeasureResult& other) {
-  interactions.merge(other.interactions);
-  cost.merge(other.cost);
-  failed_trials += other.failed_trials;
-}
-
 std::size_t resolveThreads(std::size_t requested, std::size_t trials) {
   std::size_t threads = requested;
   if (threads == 0) {

@@ -17,15 +17,9 @@ struct MeasureResult {
   /// Interactions to terminate, over successful trials.
   util::RunningStats interactions;
   /// The paper's cost (§2.3) — only filled by measure functions documented
-  /// to compute it (it requires materialized sequences).
+  /// to compute it (it reads each trial's committed sequence).
   util::RunningStats cost;
   std::size_t failed_trials = 0;
-
-  /// Combines another result into this one (Welford merge of both
-  /// accumulators). Exact in the algebraic sense; bit-identity across
-  /// different partition shapes is provided by runTrials' ordered fold, not
-  /// by merge order.
-  void merge(const MeasureResult& other);
 };
 
 /// Scalar outcome of one trial, produced by a TrialBody.

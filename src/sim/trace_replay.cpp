@@ -119,21 +119,26 @@ MeasureResult replayTrace(const TraceStore& store, const ReplayConfig& config,
       config.trial_range, config.control);
 }
 
+void appendTrials(dynagraph::TraceStoreWriter& writer,
+                  std::uint64_t master_seed, std::size_t first,
+                  std::size_t last, const TrialGenerator& generator) {
+  // Identical seed scheme to runTrials, so recorded sequences match what
+  // the in-memory synthetic run generates from the same master seed.
+  const std::vector<std::uint64_t> seeds = drawTrialSeeds(master_seed, last);
+  for (std::size_t trial = first; trial < last; ++trial) {
+    util::Rng rng(seeds[trial]);
+    writer.appendTrial(generator(trial, rng));
+  }
+}
+
 void recordTrials(const std::string& directory, std::size_t node_count,
                   std::size_t trials, std::uint64_t master_seed,
                   std::uint32_t shard_count,
                   const TrialGenerator& generator,
                   dynagraph::TraceWriterOptions writer_options) {
-  // Identical seed scheme to runTrials, so recorded sequences match what
-  // the in-memory synthetic run generates from the same master seed.
-  const std::vector<std::uint64_t> seeds = drawTrialSeeds(master_seed, trials);
-
   dynagraph::TraceStoreWriter writer(directory, node_count, trials,
                                      shard_count, writer_options);
-  for (std::size_t trial = 0; trial < trials; ++trial) {
-    util::Rng rng(seeds[trial]);
-    writer.appendTrial(generator(trial, rng));
-  }
+  appendTrials(writer, master_seed, 0, trials, generator);
   writer.finish();
 }
 

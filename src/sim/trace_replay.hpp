@@ -91,12 +91,19 @@ MeasureResult replayTrace(const dynagraph::TraceStore& store,
 using TrialGenerator = std::function<dynagraph::InteractionSequence(
     std::size_t trial, util::Rng& rng)>;
 
+/// Appends trials [first, last) of a generator-built workload to `writer`.
+/// Trial i's RNG is seeded with the i-th seed of drawTrialSeeds(master_seed),
+/// the seed scheme of runTrials and the determinism anchor every recorded
+/// workload shares: a plain store, a durable store and one recorded in
+/// several segments hold the same trials and replay alike.
+void appendTrials(dynagraph::TraceStoreWriter& writer,
+                  std::uint64_t master_seed, std::size_t first,
+                  std::size_t last, const TrialGenerator& generator);
+
 /// Records `trials` generator-built sequences into a sharded store under
-/// `directory`. Trial i's RNG is seeded with the i-th seed of
-/// drawTrialSeeds(master_seed), the seed scheme of runTrials and the
-/// determinism anchor every recorded workload shares. `writer_options`
-/// picks the block encoding (rANS by default, raw with compress = false);
-/// the recorded *content* is identical for every choice.
+/// `directory`, seeded as appendTrials. `writer_options` picks the block
+/// encoding (rANS by default, raw with compress = false); the recorded
+/// *content* is identical for every choice.
 void recordTrials(const std::string& directory, std::size_t node_count,
                   std::size_t trials, std::uint64_t master_seed,
                   std::uint32_t shard_count, const TrialGenerator& generator,

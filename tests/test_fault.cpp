@@ -28,7 +28,6 @@ using dynagraph::kNever;
 using fault::FaultModel;
 using fault::FaultPlan;
 using fault::FaultSession;
-using fault::LossKind;
 using testing::ix;
 
 // ---------------------------------------------------------------- model --
@@ -46,6 +45,21 @@ TEST(FaultModel, ValidateRejectsBadProbabilities) {
   EXPECT_NO_THROW(FaultModel::none().validate());
 }
 
+TEST(FaultModel, ValidateRejectsBothLossProcesses) {
+  // The loss process follows from the parameters, so a model may set
+  // Bernoulli loss or a Gilbert-Elliott channel that can lose, not both.
+  FaultModel m = FaultModel::gilbertElliott(0.1, 0.5, 0.0, 1.0);
+  m.loss_p = 0.2;
+  EXPECT_THROW(m.validate(), std::invalid_argument);
+  m = FaultModel::gilbertElliott(0.0, 0.5, 0.05, 1.0);
+  m.loss_p = 0.2;
+  EXPECT_THROW(m.validate(), std::invalid_argument);
+  // A channel that never leaves a lossless good state is no loss process.
+  m = FaultModel::gilbertElliott(0.0, 0.5, 0.0, 1.0);
+  m.loss_p = 0.2;
+  EXPECT_NO_THROW(m.validate());
+}
+
 TEST(FaultModel, FaultFreeDetection) {
   EXPECT_TRUE(FaultModel::none().faultFree());
   EXPECT_TRUE(FaultModel::bernoulliLoss(0.0).faultFree());
@@ -60,7 +74,6 @@ TEST(FaultModel, FaultFreeDetection) {
 TEST(FaultPlan, DrawIsDeterministicAndSparesTheSink) {
   FaultModel model = FaultModel::crashStop(0.5, 1000);
   model.byzantine_fraction = 0.3;
-  model.loss = LossKind::kBernoulli;
   model.loss_p = 0.25;
   const FaultPlan a = FaultPlan::draw(model, 64, 3, 42);
   const FaultPlan b = FaultPlan::draw(model, 64, 3, 42);

@@ -198,26 +198,6 @@ TEST(ResolveThreads, KnobSemantics) {
   EXPECT_GE(resolveThreads(0, 100), 1u);  // auto resolves to >= 1
 }
 
-TEST(MeasureResultMerge, MatchesOrderedFold) {
-  // Welford-merge of disjoint partials reproduces the one-shot
-  // accumulation up to floating-point rounding.
-  util::Rng rng(9);
-  MeasureResult whole, left, right;
-  for (int i = 0; i < 200; ++i) {
-    const double x = rng.uniform() * 1000.0;
-    whole.interactions.add(x);
-    (i < 77 ? left : right).interactions.add(x);
-  }
-  left.failed_trials = 3;
-  right.failed_trials = 4;
-  left.merge(right);
-  EXPECT_EQ(left.interactions.count(), whole.interactions.count());
-  EXPECT_NEAR(left.interactions.mean(), whole.interactions.mean(), 1e-9);
-  EXPECT_NEAR(left.interactions.variance(), whole.interactions.variance(),
-              1e-6);
-  EXPECT_EQ(left.failed_trials, 7u);
-}
-
 // ------------------------------------------------------ RunControl contract
 
 /// Called inside every trial of a ControlledExecutor before the trial

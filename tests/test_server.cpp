@@ -187,6 +187,10 @@ TEST(ServedGolden, FaultsMatchesMeasureWithFaults) {
             static_cast<std::int64_t>(offline.degradation.trials()));
   EXPECT_EQ(degradation->find("completed")->asInt(),
             static_cast<std::int64_t>(offline.degradation.completed()));
+  // "loss" alone sets a Bernoulli loss process on both sides.
+  EXPECT_GT(offline.degradation.lost().mean(), 0.0);
+  EXPECT_EQ(degradation->find("lost")->find("mean_hex")->asString(),
+            hexDouble(offline.degradation.lost().mean()));
 }
 
 TEST(ServedGolden, ReplayMatchesReplayTrace) {

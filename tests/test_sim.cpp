@@ -92,6 +92,47 @@ TEST(MeasureOfflineOptimal, ProducesCostOne) {
   EXPECT_GE(r.interactions.min(), static_cast<double>(config.node_count - 1));
 }
 
+TEST(MeasureOfflineOptimal, HonoursMaxInteractions) {
+  // opt(0) + 1 at n = 64 is about 300 interactions, so a cap of 100 fails
+  // (nearly) every trial, and a trial that succeeds fits the cap.
+  MeasureConfig config;
+  config.node_count = 64;
+  config.trials = 8;
+  config.seed = 3;
+  config.max_interactions = 100;
+  const auto capped = measureOfflineOptimal(config);
+  EXPECT_EQ(capped.interactions.count() + capped.failed_trials, 8u);
+  if (capped.interactions.count() > 0) {
+    EXPECT_LE(capped.interactions.max(), 100.0);
+  }
+
+  // A trial succeeds exactly when opt(0) + 1 fits the cap, and then
+  // reports the uncapped value.
+  config.trials = 1;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    config.seed = seed;
+    config.max_interactions = core::Time{1} << 32;
+    const auto uncapped = measureOfflineOptimal(config);
+    ASSERT_EQ(uncapped.interactions.count(), 1u);
+    const auto opt_plus_one =
+        static_cast<core::Time>(uncapped.interactions.mean());
+    config.max_interactions = opt_plus_one;
+    const auto at_cap = measureOfflineOptimal(config);
+    EXPECT_EQ(at_cap.interactions.count(), 1u) << "seed " << seed;
+    EXPECT_EQ(at_cap.interactions.mean(), uncapped.interactions.mean());
+    config.max_interactions = opt_plus_one - 1;
+    EXPECT_EQ(measureOfflineOptimal(config).failed_trials, 1u)
+        << "seed " << seed;
+  }
+
+  // A zero cap fails every trial without throwing.
+  config.trials = 8;
+  config.max_interactions = 0;
+  MeasureResult zero;
+  EXPECT_NO_THROW(zero = measureOfflineOptimal(config));
+  EXPECT_EQ(zero.failed_trials, 8u);
+}
+
 TEST(MeasureMaterialized, FullKnowledgeHasCostOne) {
   MeasureConfig config;
   config.node_count = 10;
@@ -163,35 +204,47 @@ TEST(MeasureDoubling, StopsOnceTheBoundReachesMaxInteractions) {
   // attempt fails. From length_hint 16 the bounds are 16, 32 and 64; a
   // fourth attempt would rerun the same capped trial, so each trial calls
   // the factory 3 times, however many doublings are allowed. A zero hint
-  // never grows and is rejected.
+  // never grows and is rejected. The measureMaterialized row allows 12
+  // doublings, not 30: each of its attempts commits the whole bound.
   MeasureConfig config;
   config.node_count = 64;
   config.trials = 4;
   config.threads = 1;
   config.max_interactions = 64;
-  using Measure = std::function<void(core::Time, const AlgorithmFactory&)>;
+  std::size_t calls = 0;
+  const auto waiting = [&calls] {
+    ++calls;
+    return std::make_unique<algorithms::Waiting>();
+  };
+  using Measure = std::function<void(core::Time hint)>;
   const std::pair<const char*, Measure> entry_points[] = {
       {"measureWithCost",
-       [&](core::Time hint, const AlgorithmFactory& factory) {
-         EXPECT_EQ(measureWithCost(config, hint, factory, 30).failed_trials,
-                   config.trials);
+       [&](core::Time hint) {
+         const auto r = measureWithCost(
+             config, hint, [&](TrialContext&) { return waiting(); }, 30);
+         EXPECT_EQ(r.failed_trials, config.trials);
        }},
       {"measureWithFaults",
-       [&](core::Time hint, const AlgorithmFactory& factory) {
-         EXPECT_EQ(measureWithFaults(config, hint, factory, 30)
-                       .timed_out_trials,
-                   config.trials);
+       [&](core::Time hint) {
+         const auto r = measureWithFaults(
+             config, hint, [&](TrialContext&) { return waiting(); }, 30);
+         EXPECT_EQ(r.timed_out_trials, config.trials);
+       }},
+      {"measureMaterialized",
+       [&](core::Time hint) {
+         const auto r = measureMaterialized(
+             config, hint,
+             [&](const dynagraph::InteractionSequence&,
+                 const core::SystemInfo&) { return waiting(); },
+             12);
+         EXPECT_EQ(r.failed_trials, config.trials);
        }},
   };
   for (const auto& [name, measure] : entry_points) {
-    std::size_t calls = 0;
-    const AlgorithmFactory waiting = [&calls](TrialContext&) {
-      ++calls;
-      return std::make_unique<algorithms::Waiting>();
-    };
-    measure(16, waiting);
+    calls = 0;
+    measure(16);
     EXPECT_EQ(calls, 3 * config.trials) << name;
-    EXPECT_THROW(measure(0, waiting), std::invalid_argument) << name;
+    EXPECT_THROW(measure(0), std::invalid_argument) << name;
   }
 }
 
