@@ -124,7 +124,8 @@ const cli::HelpSpec kHelp{
         {"--keep-self-loops", "", "import: keep self-loop events"},
         {"--max-events", "<n>", "import: cap ingested events"},
         {"--no-compress", "", "store raw blocks (no rANS compression)"},
-        {"--block-bytes", "<n>", "payload block size in bytes"},
+        {"--block-bytes", "<n>",
+         "raw bytes per block, 16 to 1048576 (default 16384)"},
         {"--durable", "",
          "write through the crash-safe manifest store (append semantics)"},
         {"--compact", "",

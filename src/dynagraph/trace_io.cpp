@@ -95,16 +95,14 @@ LoadedTrace loadTrace(const std::string& path) {
 namespace {
 
 constexpr char kTraceMagic[8] = {'D', 'O', 'D', 'A', 'T', 'R', 'C', '1'};
-constexpr std::size_t kTraceMinBlockBytes = 16;
-constexpr std::size_t kTraceMaxBlockBytes = std::size_t{1} << 26;
 
-using util::fnv1a;
 using util::loadU16;
 using util::loadU32;
 using util::loadU64;
 using util::storeU16;
 using util::storeU32;
 using util::storeU64;
+using util::wordChecksum;
 
 /// Serializes a header (the returned vector is the exact on-disk size).
 std::vector<unsigned char> encodeHeader(const TraceShardHeader& header) {
@@ -124,7 +122,7 @@ std::vector<unsigned char> encodeHeader(const TraceShardHeader& header) {
   storeU64(&bytes[56], header.raw_payload_bytes);
   storeU32(&bytes[64], header.block_bytes);
   storeU32(&bytes[68], header.footer_bytes);
-  storeU64(&bytes[72], fnv1a(bytes.data(), 72));
+  storeU64(&bytes[72], wordChecksum(bytes.data(), 72));
   return bytes;
 }
 
@@ -338,7 +336,7 @@ void TraceStoreWriter::flushBlock() {
   storeU32(frame, static_cast<std::uint32_t>(raw_block_.size()));
   storeU32(frame + 4, static_cast<std::uint32_t>(stored_size));
   frame[8] = block_codec;
-  storeU64(frame + 9, fnv1a(stored, stored_size));
+  storeU64(frame + 9, wordChecksum(stored, stored_size));
   out_->append(frame, sizeof(frame));
   out_->append(stored, stored_size);
   index_.back().raw_size = static_cast<std::uint32_t>(raw_block_.size());
@@ -364,7 +362,7 @@ void TraceStoreWriter::writeFooter() {
     storeU64(&footer[at + 48], entry.prev_a);
     at += kTraceIndexEntryBytes;
   }
-  storeU64(&footer[at], fnv1a(footer.data(), at));
+  storeU64(&footer[at], wordChecksum(footer.data(), at));
   out_->append(footer.data(), footer.size());
 }
 
@@ -508,7 +506,7 @@ void TraceShardReader::parseHeader() {
   if (version != kTraceFormatVersion)
     fail("unsupported format version " + std::to_string(version));
   if (loadU16(&bytes[10]) != kTraceHeaderSize) fail("unexpected header size");
-  if (loadU64(&bytes[72]) != fnv1a(bytes.data(), 72))
+  if (loadU64(&bytes[72]) != wordChecksum(bytes.data(), 72))
     fail("header checksum mismatch (corrupt header)");
 
   header_.shard_index = loadU32(&bytes[12]);
@@ -556,7 +554,8 @@ void TraceShardReader::parseFooter() {
   if (!in_) fail("cannot reposition after the block index");
   const unsigned char* footer = buf.data();
 
-  if (loadU64(footer + footer_size - 8) != fnv1a(footer, footer_size - 8))
+  if (loadU64(footer + footer_size - 8) !=
+      wordChecksum(footer, footer_size - 8))
     fail("block index checksum mismatch (corrupt block index)");
   const std::uint32_t count = loadU32(footer);
   if (count == 0 ||
@@ -670,19 +669,27 @@ void TraceShardReader::readPayloadBytes(unsigned char* dst,
   payload_left_ -= count;
 }
 
-TraceShardReader::Block TraceShardReader::readBlock(std::uint64_t raw_left) {
-  ++blocks_loaded_;
-  unsigned char frame[kTraceBlockFrameBytes];
-  readPayloadBytes(frame, sizeof(frame));
+TraceShardReader::Block TraceShardReader::readBlock() {
+  // The payload cursor is always at a block frame: the open, seekToBlock
+  // and every earlier readBlock leave it there, and blocks_loaded_ names
+  // that block. Its index entry, validated at open against the header's
+  // block cap and the file's size, sizes the one read of frame and stored
+  // bytes.
+  if (blocks_loaded_ >= index_.size())
+    fail("truncated shard (payload exhausted)");
+  const TraceBlockIndexEntry& entry = index_[blocks_loaded_++];
+  const std::size_t size = kTraceBlockFrameBytes + entry.stored_size;
+  if (block_buf_.size() < size + kWindowSlack)
+    block_buf_.resize(size + kWindowSlack);
+  readPayloadBytes(block_buf_.data(), size);
+  const unsigned char* frame = block_buf_.data();
   Block block;
   block.raw_size = loadU32(frame);
   block.stored_size = loadU32(frame + 4);
   block.codec = frame[8];
-  const std::uint64_t checksum = loadU64(frame + 9);
-  if (block.raw_size == 0 || block.raw_size > maxBlockRawBytes())
-    fail("block raw size out of range (corrupt block)");
-  if (block.raw_size > raw_left)
-    fail("block sizes disagree with header (corrupt block)");
+  if (block.raw_size != entry.raw_size ||
+      block.stored_size != entry.stored_size)
+    fail("block frame disagrees with its index entry (corrupt block)");
   if (block.codec == kTraceCodecRaw) {
     if (block.stored_size != block.raw_size)
       fail("raw block sizes disagree (corrupt block)");
@@ -694,11 +701,8 @@ TraceShardReader::Block TraceShardReader::readBlock(std::uint64_t raw_left) {
   } else {
     fail("unknown block codec (corrupt block)");
   }
-  if (block_buf_.size() < block.stored_size + kWindowSlack)
-    block_buf_.resize(block.stored_size + kWindowSlack);
-  readPayloadBytes(block_buf_.data(), block.stored_size);
-  block.stored = block_buf_.data();
-  if (fnv1a(block.stored, block.stored_size) != checksum)
+  block.stored = frame + kTraceBlockFrameBytes;
+  if (wordChecksum(block.stored, block.stored_size) != loadU64(frame + 9))
     fail("block checksum mismatch (corrupt block)");
   return block;
 }
@@ -708,8 +712,7 @@ void TraceShardReader::loadNextBlock() {
   sym_buf_ = nullptr;
   sym_pos_ = 0;
   sym_limit_ = 0;
-  if (payload_left_ == 0) fail("truncated shard (payload exhausted)");
-  const Block block = readBlock(raw_left_base_);
+  const Block block = readBlock();
   if (block.codec == kTraceCodecRaw) {
     sym_buf_ = block.stored;
   } else {
@@ -730,18 +733,13 @@ void TraceShardReader::decodeBlock(const unsigned char* stored,
   scratch_.resize(raw_size + kWindowSlack);
   if (!rans_) rans_ = std::make_unique<codec::RansV4BlockDecoder>();
   if (!rans_->decode(stored, stored_size, scratch_.data(), raw_size))
-    fail("malformed v4 block payload (corrupt block)");
+    fail("malformed rANS block payload (corrupt block)");
 }
 
 void TraceShardReader::verifyPayloadChecksums() {
-  std::uint64_t raw_total = 0;
-  while (payload_left_ > 0) {
-    if (payload_left_ < kTraceBlockFrameBytes)
-      fail("truncated block frame (corrupt block)");
-    raw_total += readBlock(header_.raw_payload_bytes - raw_total).raw_size;
-  }
-  if (raw_total != header_.raw_payload_bytes)
-    fail("block raw sizes disagree with header (corrupt payload)");
+  // The validated index covers the payload exactly, and every frame must
+  // equal its entry, so the blocks' raw sizes sum to the header's.
+  while (payload_left_ > 0) readBlock();
 }
 
 std::uint64_t TraceShardReader::rawLeft() const noexcept {
@@ -781,7 +779,7 @@ bool TraceShardReader::beginTrial() {
   if (sym_pos_ == sym_limit_) loadNextBlock();
   const unsigned char* unit = sym_buf_ + sym_pos_;
   if ((unit[0] & ~0x03u) != 0)
-    fail("v4 length control byte malformed (corrupt payload)");
+    fail("length control byte malformed (corrupt payload)");
   const std::size_t bytes = std::size_t{1} << unit[0];
   if (bytes >= sym_limit_ - sym_pos_)
     fail("record unit crosses the block end (corrupt payload)");
@@ -823,7 +821,7 @@ void TraceShardReader::decode(Interaction* dst, std::uint64_t count) {
     if (pair)
       size += l1 + g1;
     else if ((ctrl & 0xf0u) != 0)
-      fail("v4 group control byte malformed (corrupt payload)");
+      fail("group control byte malformed (corrupt payload)");
     if (size > room)
       fail("record unit crosses the block end (corrupt payload)");
     const std::int64_t d0 = zigzagDecode(loadField(p + 1, l0));

@@ -74,7 +74,7 @@ LoadedTrace loadTrace(const std::string& path);
 //
 //   offset size
 //   0      8    magic "DODATRC1"
-//   8      2    u16 format version (4; readers reject every other value)
+//   8      2    u16 format version (5; readers reject every other value)
 //   10     2    u16 header size (80)
 //   12     4    u32 shard index
 //   16     4    u32 shard count of the store
@@ -85,9 +85,15 @@ LoadedTrace loadTrace(const std::string& path);
 //   48     8    u64 payload bytes following the header (block frames
 //               included, footer excluded)
 //   56     8    u64 raw payload bytes (length of the decoded record stream)
-//   64     4    u32 block capacity (max raw bytes per block)
+//   64     4    u32 block capacity (max raw bytes per block, 16 to
+//               kTraceMaxBlockBytes = 1 MiB)
 //   68     4    u32 footer size (bytes of the block index after the payload)
-//   72     8    u64 FNV-1a checksum of header bytes [0, 72)
+//   72     8    u64 checksum of header bytes [0, 72)
+//
+// Every checksum of a shard (header, block frames, footer) is
+// util::wordChecksum (src/util/bytes.hpp): four multiply-xor lanes over
+// 8-byte little-endian words, the tail of fewer than 32 bytes through
+// FNV-1a.
 //
 // The payload is a run of independently checksummed *blocks* framing the
 // record stream:
@@ -97,13 +103,16 @@ LoadedTrace loadTrace(const std::string& path);
 //                      < raw size when codec 3)
 //   u8   codec         0 = raw copy of the record stream, 3 = rANS
 //                      (trace_rans.hpp RansV4Block{Encoder,Decoder})
-//   u64  FNV-1a checksum of the stored bytes
+//   u64  checksum of the stored bytes
 //   ...  stored bytes
 //
 // A writer that finds a block incompressible stores it raw (codec 0), so a
-// compressed store never expands beyond framing overhead. Readers verify
-// the block checksum before decoding, making payload corruption detectable
-// even when the damaged bytes would happen to decode in range.
+// compressed store never expands beyond framing overhead. A reader reads
+// a block's frame and stored bytes in one read sized from the block's
+// validated index entry, rejects a frame whose sizes differ from that
+// entry before it sizes any buffer from them, and verifies the block
+// checksum before decoding, making payload corruption detectable even
+// when the damaged bytes would happen to decode in range.
 //
 // The *record stream* is a run of byte-aligned units whose control byte
 // names every field width up front, so a whole unit decodes branch-free
@@ -142,21 +151,23 @@ LoadedTrace loadTrace(const std::string& path);
 //   0      4    u32 block count K (>= 1)
 //   4      56*K per block, in payload order:
 //               u64 file offset of the block frame
-//               u32 raw size          (== the frame's, cross-checked)
-//               u32 stored size
+//               u32 raw size          (== the frame's raw size)
+//               u32 stored size       (== the frame's stored size)
 //               u64 raw start         (record-stream bytes before the block)
 //               u64 trials begun      (trials whose record started before
 //                                      the block's first byte, shard-local)
 //               u64 trial length      (of the trial open at the boundary)
 //               u64 decoded           (its interactions already consumed)
 //               u64 prev_a            (the record-layer delta anchor)
-//   ...    8    u64 FNV-1a of every preceding footer byte
+//   ...    8    u64 checksum of every preceding footer byte
 //
 // The index is validated at open (offsets must chain exactly through the
 // payload, raw starts must sum to the header's raw payload size, trial
 // cursors must be monotone) so a footer that disagrees with its payload is
 // rejected before any seek, and every block decodes independently given
-// its index entry.
+// its index entry. A block's frame must equal its entry: the reader
+// compares the two sizes when it reads the block, so every buffer is sized
+// from the validated index, never from an unchecked frame.
 //
 // A codec-3 block codes EVERY record byte as one symbol of its single
 // table, which the writer histograms from the block it seals: phase 1
@@ -169,9 +180,18 @@ LoadedTrace loadTrace(const std::string& path);
 // unit that ends at the block's end is still one 8-byte load.
 // ---------------------------------------------------------------------------
 
-inline constexpr std::uint16_t kTraceFormatVersion = 4;
+inline constexpr std::uint16_t kTraceFormatVersion = 5;
 inline constexpr std::uint16_t kTraceHeaderSize = 80;
-inline constexpr std::size_t kTraceBlockBytes = std::size_t{1} << 16;
+/// Default block capacity. A trial is entered by decoding the block its
+/// record starts in, so a small block makes entering a trial cheap; below
+/// 16 KiB a replay pass got no faster while the store kept growing
+/// (docs/FORMATS.md has the measurements).
+inline constexpr std::size_t kTraceBlockBytes = std::size_t{1} << 14;
+/// Accepted block capacities (writer option and header field). The cap
+/// bounds every block buffer and the decode scratch whatever a header
+/// claims.
+inline constexpr std::size_t kTraceMinBlockBytes = 16;
+inline constexpr std::size_t kTraceMaxBlockBytes = std::size_t{1} << 20;
 inline constexpr std::size_t kTraceBlockFrameBytes = 17;
 /// Footer sizes: fixed trailer fields and one index entry.
 inline constexpr std::size_t kTraceIndexEntryBytes = 56;
@@ -231,7 +251,9 @@ struct TraceWriterOptions {
   /// Entropy-code blocks (incompressible blocks fall back to raw storage
   /// automatically). false writes raw, checksummed blocks.
   bool compress = true;
-  /// Raw bytes per block. Smaller blocks localize corruption and reset the
+  /// Raw bytes per block, in [kTraceMinBlockBytes, kTraceMaxBlockBytes].
+  /// Smaller blocks make entering a trial cheaper (a reader decodes the
+  /// whole block a trial starts in), localize corruption and reset the
   /// tables more often; larger blocks compress slightly better and keep
   /// the index smaller.
   std::size_t block_bytes = kTraceBlockBytes;
@@ -425,10 +447,10 @@ class TraceShardReader {
     std::uint32_t stored_size = 0;
     std::uint8_t codec = 0;
   };
-  /// Reads the next block, validating its frame against the `raw_left`
-  /// record bytes still expected and its stored bytes against the
-  /// checksum.
-  Block readBlock(std::uint64_t raw_left);
+  /// Reads the next block's frame and stored bytes in one read sized from
+  /// its validated index entry, and checks the frame against the entry and
+  /// the stored bytes against the checksum.
+  Block readBlock();
   void loadNextBlock();
   /// rANS-decodes a whole coded block payload into scratch_ in one bulk
   /// 8-way run, so the block is then served as a plain byte window. A
@@ -448,7 +470,7 @@ class TraceShardReader {
 
   std::string path_;
   std::ifstream in_;
-  std::vector<unsigned char> block_buf_;  // stored bytes of the current block
+  std::vector<unsigned char> block_buf_;  // frame + stored bytes of a block
   TraceShardHeader header_;
   std::vector<TraceBlockIndexEntry> index_;  // validated at open
   std::uint64_t payload_left_ = 0;  // payload bytes not yet read from the file

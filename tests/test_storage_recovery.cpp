@@ -35,6 +35,7 @@
 #include "storage/env.hpp"
 #include "storage/manifest.hpp"
 #include "trace_test_helpers.hpp"
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 
 namespace doda {
@@ -403,9 +404,7 @@ TEST(StorageManifest, SnapshotRecordBytesArePinned) {
   storage::writeManifestSnapshot(env, dir, version);
   const std::string bytes = readWholeFile(manifestPathOf(dir));
   EXPECT_EQ(bytes.size(), 142u);
-  EXPECT_EQ(fnv1a(reinterpret_cast<const unsigned char*>(bytes.data()),
-                  bytes.size()),
-            0xbdafbe8adb5aa711ULL);
+  EXPECT_EQ(util::fnv1a(bytes.data(), bytes.size()), 0xbdafbe8adb5aa711ULL);
 }
 
 TEST(StorageManifest, BadMagicThrows) {
@@ -456,9 +455,7 @@ TEST(DurableStore, IdMapFileBytesArePinned) {
   const std::string bytes =
       readWholeFile(dir + "/" + store.version().id_map_file);
   EXPECT_EQ(bytes.size(), 104u);
-  EXPECT_EQ(fnv1a(reinterpret_cast<const unsigned char*>(bytes.data()),
-                  bytes.size()),
-            0x65f39b06e4656465ULL);
+  EXPECT_EQ(util::fnv1a(bytes.data(), bytes.size()), 0x65f39b06e4656465ULL);
   EXPECT_EQ(store.loadIdMap(), import.external_ids);
 }
 
@@ -772,8 +769,7 @@ TEST(DurableImport, IdMapCountThatWrapsTheSizeCheckIsRejected) {
   const std::uint64_t count = (std::uint64_t{1} << 61) + 1;
   for (int i = 0; i < 8; ++i) bytes += static_cast<char>(count >> (8 * i));
   bytes += std::string(8, '\0');  // one id
-  const std::uint64_t checksum =
-      fnv1a(reinterpret_cast<const unsigned char*>(bytes.data()) + 8, 16);
+  const std::uint64_t checksum = util::fnv1a(bytes.data() + 8, 16);
   for (int i = 0; i < 8; ++i) bytes += static_cast<char>(checksum >> (8 * i));
   ASSERT_EQ(bytes.size(), 32u);
   writeWholeFile(dir + "/" + store.version().id_map_file, bytes);

@@ -257,17 +257,6 @@ class TraceStoreCorruption : public testing::Test {
     ASSERT_EQ(bytes[kRecord + 2], 0x00);  // its one-interaction group
   }
 
-  /// Re-seals block 0's FNV-1a (frame offset 9) over its stored bytes.
-  static void resealBlock(std::vector<char>& bytes) {
-    const auto* data = reinterpret_cast<const unsigned char*>(bytes.data());
-    std::uint32_t stored = 0;
-    for (int i = 0; i < 4; ++i)
-      stored |= static_cast<std::uint32_t>(data[kFrame + 4 + i]) << (8 * i);
-    const std::uint64_t hash = fnv1a(data + kRecord, stored);
-    for (int i = 0; i < 8; ++i)
-      bytes[kFrame + 9 + i] = static_cast<char>(hash >> (8 * i));
-  }
-
   /// Decodes shard 0 fully; it must throw std::runtime_error mentioning
   /// `what`.
   void expectDecodeFailure(const std::string& what) {
@@ -343,7 +332,7 @@ TEST_F(TraceStoreCorruption, CorruptPayloadEndpointIsRejected) {
   // loudly, never return a garbage interaction.
   auto bytes = readFile(shard0_);
   bytes[kRecord + 3] = static_cast<char>(0xff);
-  resealBlock(bytes);
+  resealBlock(bytes, kFrame);
   writeFile(shard0_, bytes);
   expectDecodeFailure("decoded endpoint out of range");
 }
@@ -357,7 +346,7 @@ TEST_F(TraceStoreCorruption, OversizedTrialLengthIsRejected) {
   for (std::size_t i = 1; i < 8; ++i)
     bytes[kRecord + i] = static_cast<char>(0xff);
   bytes[kRecord + 8] = 0x7f;
-  resealBlock(bytes);
+  resealBlock(bytes, kFrame);
   writeFile(shard0_, bytes);
   expectDecodeFailure("trial length exceeds remaining payload");
 }
@@ -366,7 +355,7 @@ TEST_F(TraceStoreCorruption, MalformedLengthControlByteIsRejected) {
   // Bits 2..7 of a length control byte must be zero.
   auto bytes = readFile(shard0_);
   bytes[kRecord] = 0x04;
-  resealBlock(bytes);
+  resealBlock(bytes, kFrame);
   writeFile(shard0_, bytes);
   expectDecodeFailure("length control byte malformed");
 }
@@ -375,7 +364,7 @@ TEST_F(TraceStoreCorruption, MalformedGroupControlByteIsRejected) {
   // A one-interaction group uses the control byte's low nibble only.
   auto bytes = readFile(shard0_);
   bytes[kRecord + 2] = 0x10;
-  resealBlock(bytes);
+  resealBlock(bytes, kFrame);
   writeFile(shard0_, bytes);
   expectDecodeFailure("group control byte malformed");
 }
@@ -406,14 +395,14 @@ TEST_F(TraceStoreCorruption, UnitSplitAcrossBlocksIsRejected) {
   const unsigned char moved = data[frame1 + kBlockFrame];
   std::memmove(data + frame1 + 1, data + frame1, kBlockFrame);
   data[frame1] = moved;
-  const auto reseal = [data](std::size_t frame, std::uint32_t raw) {
+  const auto resize = [data](std::size_t frame, std::uint32_t raw) {
     util::storeU32(data + frame, raw);
     util::storeU32(data + frame + 4, raw);
-    util::storeU64(data + frame + 9,
-                   util::fnv1a(data + frame + kBlockFrame, raw));
   };
-  reseal(kFrame, raw0 + 1);
-  reseal(frame1 + 1, raw1 - 1);
+  resize(kFrame, raw0 + 1);
+  resize(frame1 + 1, raw1 - 1);
+  resealBlock(bytes, kFrame);
+  resealBlock(bytes, frame1 + 1);
   const std::size_t footer = kFrame + util::loadU64(data + 48);
   unsigned char* entry0 = data + footer + 4;
   unsigned char* entry1 = entry0 + dynagraph::kTraceIndexEntryBytes;
@@ -423,8 +412,7 @@ TEST_F(TraceStoreCorruption, UnitSplitAcrossBlocksIsRejected) {
   util::storeU32(entry1 + 8, raw1 - 1);
   util::storeU32(entry1 + 12, raw1 - 1);
   util::storeU64(entry1 + 16, util::loadU64(entry1 + 16) + 1);
-  util::storeU64(data + bytes.size() - 8,
-                 util::fnv1a(data + footer, bytes.size() - 8 - footer));
+  resealFooter(bytes);
   writeFile(shard0_, bytes);
   // The reader stops in block 0, at its end.
   expectDecodeFailure(

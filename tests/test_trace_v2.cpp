@@ -232,7 +232,7 @@ TEST_F(TraceV2Corruption, TruncatedToMidHeaderIsDetectedAtOpen) {
 
 TEST_F(TraceV2Corruption, FutureFormatVersionIsRejected) {
   auto bytes = pristine_;
-  bytes[8] = 5;
+  bytes[8] = 6;
   writeFile(shard0_, bytes);
   expectDecodeFailure("unsupported format version");
 }
@@ -270,7 +270,7 @@ TEST_F(TraceV2Corruption, InflatedRawPayloadDeclarationIsRejected) {
 // ------------------------------------------------------------ cross-version
 
 TEST(TraceV2CrossVersion, MixedVersionStoreIsRejected) {
-  // Readers accept format version 4 only. A store with one shard of an
+  // Readers accept format version 5 only. A store with one shard of an
   // older version (same shape, same content, header otherwise intact) must
   // be refused by the version check.
   const std::string dir = scratchDir("mixed");
@@ -290,13 +290,13 @@ TEST(TraceV2CrossVersion, MixedVersionStoreIsRejected) {
 
 TEST(TraceV2CrossVersion, WriterRejectsUnknownVersionAndBadBlockSize) {
   // The writer takes no version (it writes the one format); block sizes
-  // outside [16, 2^26] bytes are refused.
+  // outside [16, 2^20] bytes are refused.
   TraceWriterOptions small_block;
   small_block.block_bytes = 4;
   EXPECT_THROW(TraceStoreWriter(scratchDir("bad_opt"), 8, 2, 1, small_block),
                std::invalid_argument);
   TraceWriterOptions huge_block;
-  huge_block.block_bytes = (std::size_t{1} << 26) + 1;
+  huge_block.block_bytes = dynagraph::kTraceMaxBlockBytes + 1;
   EXPECT_THROW(TraceStoreWriter(scratchDir("bad_opt"), 8, 2, 1, huge_block),
                std::invalid_argument);
 }

@@ -24,6 +24,7 @@
 #include "dynagraph/traces.hpp"
 #include "sim/trace_replay.hpp"
 #include "trace_test_helpers.hpp"
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -435,7 +436,7 @@ TEST(TraceV3MixedCodec, MixedVersionStoreIsStillRejected) {
   auto* data = reinterpret_cast<unsigned char*>(bytes.data());
   data[8] = 1;
   data[10] = 64;
-  const std::uint64_t checksum = fnv1a(data, 56);
+  const std::uint64_t checksum = util::fnv1a(data, 56);
   for (int i = 0; i < 8; ++i)
     data[56 + i] = static_cast<unsigned char>(checksum >> (8 * i));
   writeFile(shard1, bytes);
@@ -478,18 +479,6 @@ class TraceV3FooterCorruption : public testing::Test {
     return value;
   }
 
-  /// Re-seals the footer checksum after an intentional index edit, so the
-  /// structural validation (not the checksum) must catch the mismatch.
-  static void resealFooter(std::vector<char>& bytes,
-                           std::size_t footer_start) {
-    auto* data = reinterpret_cast<unsigned char*>(bytes.data());
-    const std::size_t size = bytes.size() - footer_start - 8;
-    const std::uint64_t checksum = fnv1a(data + footer_start, size);
-    for (int i = 0; i < 8; ++i)
-      data[bytes.size() - 8 + static_cast<std::size_t>(i)] =
-          static_cast<unsigned char>(checksum >> (8 * i));
-  }
-
   void expectOpenFailure(const std::string& what) {
     try {
       TraceShardReader reader(shard0_);
@@ -524,7 +513,7 @@ TEST_F(TraceV3FooterCorruption, FlippedFooterByteFailsIndexChecksum) {
 TEST_F(TraceV3FooterCorruption, ResealedCountMismatchIsRejected) {
   auto bytes = pristine_;
   bytes[footer_start_] = static_cast<char>(bytes[footer_start_] ^ 0x01);
-  resealFooter(bytes, footer_start_);
+  resealFooter(bytes);
   writeFile(shard0_, bytes);
   expectOpenFailure("corrupt block index");
 }
@@ -537,7 +526,7 @@ TEST_F(TraceV3FooterCorruption, ResealedOffsetMismatchIsRejected) {
                              dynagraph::kTraceIndexEntryBytes;
   ASSERT_LT(entry1 + 8, bytes.size());
   bytes[entry1] = static_cast<char>(bytes[entry1] ^ 0x02);
-  resealFooter(bytes, footer_start_);
+  resealFooter(bytes);
   writeFile(shard0_, bytes);
   expectOpenFailure("block index disagrees with payload layout");
 }
@@ -549,7 +538,7 @@ TEST_F(TraceV3FooterCorruption, ResealedNonOriginFirstEntryIsRejected) {
   auto bytes = pristine_;
   auto* data = reinterpret_cast<unsigned char*>(bytes.data());
   data[footer_start_ + 4 + 24] = 1;  // entry 0 trials_begun = 1
-  resealFooter(bytes, footer_start_);
+  resealFooter(bytes);
   writeFile(shard0_, bytes);
   expectOpenFailure("block index cursor out of range");
 }
@@ -563,7 +552,7 @@ TEST_F(TraceV3FooterCorruption, ResealedCursorOutOfRangeIsRejected) {
   auto* data = reinterpret_cast<unsigned char*>(bytes.data());
   for (int i = 0; i < 8; ++i)
     data[trials_at + static_cast<std::size_t>(i)] = 0xff;
-  resealFooter(bytes, footer_start_);
+  resealFooter(bytes);
   writeFile(shard0_, bytes);
   expectOpenFailure("block index cursor out of range");
 }
@@ -582,7 +571,7 @@ TEST_F(TraceV3FooterCorruption,
   ASSERT_EQ(index[k].trial_length, 500u);
   auto bytes = pristine_;
   bytes[footer_start_ + 4 + k * dynagraph::kTraceIndexEntryBytes + 32] += 1;
-  resealFooter(bytes, footer_start_);
+  resealFooter(bytes);
   writeFile(shard0_, bytes);
   TraceShardReader reader(shard0_);
   ASSERT_TRUE(reader.beginTrial());

@@ -1,13 +1,12 @@
 // Tests of the trace record layout (dynagraph/trace_io): group-unit
 // round-trips, a randomized round-trip fuzz over node counts, trial
 // lengths, block sizes and both block codecs (DODA_FUZZ_ITERS-scalable),
-// threaded replay of a one-shard store of huge trials, the writer-side
-// validation (node-count bound), and byte goldens of the written shard
-// files.
+// threaded replay of a one-shard store of huge trials, and the
+// writer-side validation (node-count bound). The byte goldens of written
+// shard files live in test_trace_v5.cpp.
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -138,44 +137,6 @@ TEST(TraceV4Parallel, ThreadedOneShardReplayMatchesSerial) {
     sim::ReplayConfig config;
     config.threads = threads;
     expectIdentical(sim::replayTrace(store, config, factory), reference);
-  }
-}
-
-// -------------------------------------------------------- byte goldens
-
-TEST(TraceV4Golden, ShardFileBytesArePinned) {
-  // The on-disk format is a compatibility contract: stores recorded by
-  // earlier builds must replay unchanged. A fixed workload recorded with
-  // the default options (rANS blocks) and with small raw blocks must hash
-  // to these FNV-1a values, shard file by shard file. A deliberate format
-  // change has to bump the header version and update them.
-  const auto trials = sampleTrials(24, 4, 600, 2016);
-  TraceWriterOptions raw;
-  raw.compress = false;
-  raw.block_bytes = 512;
-  struct Case {
-    const char* tag;
-    TraceWriterOptions options;
-    std::array<std::uint64_t, 2> shard_fnv;
-  };
-  const Case cases[] = {
-      {"rans", TraceWriterOptions{},
-       {0x466daa05d893a176ULL, 0xa74bbfa68fb89a3cULL}},
-      {"raw512", raw, {0x29a6d18642664567ULL, 0xc6a1c40bcfcdb64aULL}},
-  };
-  for (const Case& c : cases) {
-    const std::string dir = scratchDir(std::string("golden_") + c.tag);
-    writeStore(dir, 24, trials, 2, c.options);
-    for (std::uint32_t shard = 0; shard < 2; ++shard) {
-      const auto bytes = readFile(
-          (std::filesystem::path(dir) / dynagraph::traceShardFileName(shard))
-              .string());
-      EXPECT_EQ(fnv1a(reinterpret_cast<const unsigned char*>(bytes.data()),
-                      bytes.size()),
-                c.shard_fnv[shard])
-          << c.tag << " shard " << shard;
-    }
-    std::filesystem::remove_all(dir);
   }
 }
 

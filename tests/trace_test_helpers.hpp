@@ -2,8 +2,8 @@
 
 // Shared fixtures of the trace-store test files: unique scratch
 // directories, sampled uniform trials, store write and decode round trips,
-// raw file access for the corruption tests, and bit-exact comparison of
-// trials and replayed statistics.
+// raw file access and checksum reseals for the corruption tests, and
+// bit-exact comparison of trials and replayed statistics.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -18,6 +18,7 @@
 #include "dynagraph/trace_io.hpp"
 #include "dynagraph/traces.hpp"
 #include "sim/parallel.hpp"
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 
 namespace doda::trace_test {
@@ -83,22 +84,35 @@ inline void writeFile(const std::string& path, const std::vector<char>& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-inline std::uint64_t fnv1a(const unsigned char* data, std::size_t size) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
+// The reseal helpers recompute a shard checksum after an intentional edit
+// of the bytes it covers, so a structural check (not the checksum) must
+// catch the edit. They seal with the library's shard checksum.
+
+/// Re-seals the header checksum (offset 72, over bytes [0, 72)).
+inline void resealHeader(std::vector<char>& bytes) {
+  auto* data = reinterpret_cast<unsigned char*>(bytes.data());
+  util::storeU64(data + 72, util::wordChecksum(data, 72));
 }
 
-/// Re-seals a shard header's checksum (offset 72) after an intentional
-/// header edit, so a structural check (not the checksum) must catch it.
-inline void resealHeader(std::vector<char>& bytes) {
-  const std::uint64_t checksum =
-      fnv1a(reinterpret_cast<const unsigned char*>(bytes.data()), 72);
-  for (std::size_t i = 0; i < 8; ++i)
-    bytes[72 + i] = static_cast<char>(checksum >> (8 * i));
+/// Re-seals the checksum (frame offset 9) of the block whose frame starts
+/// at byte `frame`, over the stored size that frame declares.
+inline void resealBlock(std::vector<char>& bytes, std::size_t frame) {
+  auto* data = reinterpret_cast<unsigned char*>(bytes.data());
+  const std::uint32_t stored = util::loadU32(data + frame + 4);
+  util::storeU64(data + frame + 9,
+                 util::wordChecksum(
+                     data + frame + dynagraph::kTraceBlockFrameBytes, stored));
+}
+
+/// Re-seals the footer checksum (the file's last 8 bytes) over the footer
+/// bytes before it; the footer starts after the payload the header
+/// declares.
+inline void resealFooter(std::vector<char>& bytes) {
+  auto* data = reinterpret_cast<unsigned char*>(bytes.data());
+  const std::size_t footer =
+      dynagraph::kTraceHeaderSize + util::loadU64(data + 48);
+  util::storeU64(data + bytes.size() - 8,
+                 util::wordChecksum(data + footer, bytes.size() - 8 - footer));
 }
 
 inline void expectTrialsEqual(
